@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .growth import ComposedInverse, GrowthFunction, _growing_at_edge, classify
+from .growth import ComposedInverse, GrowthFunction, _edge_trend, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
 from .maximal import StepFunction1D, nontangential_maximal
 from .measure import (
@@ -37,7 +37,6 @@ from .measure import (
     BoxSweep,
     CarlesonBox,
     PixelGrid,
-    RestrictedMeasure,
     UpperHalfPlaneMeasure,
     adapted_box_family,
     box_mass,
@@ -116,23 +115,16 @@ def default_sample_points(
     The ladder (fixed x, heights ``2^k``) is what the growth-trend test
     reads; extras only enter the supremum.
     """
-    x0 = 0.0
-    if isinstance(mu, RestrictedMeasure):
-        x0 = mu.region.center_x
+    x0 = 0.0 if mu.region is None else mu.region.center_x
     heights = adapted_heights(mu, [2.0 ** k for k in range(k_min, k_max + 1)])
     ladder = [complex(x0, h) for h in heights]
     extras: list[complex] = []
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.arrays()
-        for x, y, m in zip(xs, ys, ms):
-            if m > 0:
-                extras.append(complex(x, y))
-                extras.append(complex(x, 2.0 * y))
-    if isinstance(mu, RestrictedMeasure) and isinstance(mu.base, AtomicMeasure):
-        xs, ys, ms = mu.base.arrays()
-        for x, y, m in zip(xs, ys, ms):
-            if m > 0 and mu.region.contains(x, y):
-                extras.append(complex(x, y))
+    atoms = mu.atoms()
+    if atoms is not None:
+        xs, ys, _ = atoms.arrays()
+        for x, y in zip(xs, ys):
+            extras.append(complex(x, y))
+            extras.append(complex(x, 2.0 * y))
     return ladder, extras
 
 
@@ -196,11 +188,7 @@ def kernel_testing_constant(
         return KernelSweep(math.inf, witness, True, "bounded", tuple(ladder_vals))
     ys = np.array([p[0] for p in ladder_vals])
     vals = np.array([p[1] for p in ladder_vals])
-    trend = "bounded"
-    if vals.size and vals[0] > 0 and _growing_at_edge(ys, vals, right=False):
-        trend = "growing_small_scale"
-    elif vals.size and vals[-1] > 0 and _growing_at_edge(ys, vals, right=True):
-        trend = "growing_large_scale"
+    trend = _edge_trend(ys, vals)
     return KernelSweep(max(best, 0.0), witness, False, trend, tuple(ladder_vals))
 
 
@@ -252,14 +240,6 @@ class NormedMember:
 DEFAULT_KERNEL_HEIGHTS: tuple[float, ...] = tuple(2.0 ** k for k in range(-4, 5))
 
 
-def _atoms_of(mu: UpperHalfPlaneMeasure) -> Optional[AtomicMeasure]:
-    if isinstance(mu, AtomicMeasure):
-        return mu
-    if isinstance(mu, RestrictedMeasure) and isinstance(mu.base, AtomicMeasure):
-        return mu.base
-    return None
-
-
 def adapted_heights(
     mu: UpperHalfPlaneMeasure,
     base: Sequence[float] = DEFAULT_KERNEL_HEIGHTS,
@@ -270,20 +250,17 @@ def adapted_heights(
     regime where the measure no longer feeds the constants (kernel values
     and member constants decay once the base point clears the atoms).
     """
-    atoms = _atoms_of(mu)
+    atoms = mu.atoms()
     if atoms is None or len(atoms.masses) == 0:
         return tuple(base)
-    _, ys, ms = atoms.arrays()
-    live = ms > 0
-    if not np.any(live):
-        return tuple(base)
+    ys = atoms.arrays()[1]
     k_lo = min(
         int(math.floor(math.log2(min(base)))),
-        int(math.floor(math.log2(float(ys[live].min())))) - 1,
+        int(math.floor(math.log2(float(ys.min())))) - 1,
     )
     k_hi = max(
         int(math.ceil(math.log2(max(base)))),
-        int(math.ceil(math.log2(float(ys[live].max())))) + 4,
+        int(math.ceil(math.log2(float(ys.max())))) + 4,
     )
     return tuple(2.0 ** k for k in range(k_lo, k_hi + 1))
 
@@ -337,6 +314,26 @@ def weak_hardy_family(
     return members
 
 
+def _first_admissible(n: int, ok: Callable[[int], bool]) -> Optional[int]:
+    """Smallest index ``i < n`` with ``ok(i)``, for ``ok`` monotone (false
+    then true); ``None`` when even the last index fails.
+
+    Probes the last index, then the first, then bisects.
+    """
+    if not ok(n - 1):
+        return None
+    lo, hi = 0, n - 1
+    if ok(lo):
+        hi = lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def default_k_grid(lo: float = 1e-4, hi: float = 1e4, per_decade: int = 25) -> np.ndarray:
     n = int(round(per_decade * math.log10(hi / lo))) + 1
     return np.geomspace(lo, hi, n)
@@ -384,37 +381,20 @@ def embedding_constant(
             )
             return val <= 1.0
 
-        if not ok(len(ks) - 1):
-            per_member.append((member.label, math.inf))
-            heights.append(member.scale_y)
-            k_values.append(math.inf)
-            continue
-        lo, hi = 0, len(ks) - 1
-        if ok(lo):
-            hi = lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        per_member.append((member.label, float(ks[hi])))
+        i = _first_admissible(len(ks), ok)
+        k = math.inf if i is None else float(ks[i])
+        per_member.append((member.label, k))
         heights.append(member.scale_y)
-        k_values.append(float(ks[hi]))
+        k_values.append(k)
 
     arr = np.array(k_values)
     family_constant = float(np.max(arr)) if arr.size else 0.0
-    trend = "bounded"
-    finite = np.isfinite(arr)
-    if not np.all(finite):
+    if not np.all(np.isfinite(arr)):
         trend = "unbounded_member"
     else:
         hs = np.array(heights)
         order = np.argsort(hs)
-        if _growing_at_edge(hs[order], arr[order], right=False):
-            trend = "growing_small_scale"
-        elif _growing_at_edge(hs[order], arr[order], right=True):
-            trend = "growing_large_scale"
+        trend = _edge_trend(hs[order], arr[order])
     note = f"geometric K grid [{ks[0]:g}, {ks[-1]:g}], {len(ks)} points"
     return EmbeddingResult(family_constant, tuple(per_member), trend, note)
 
@@ -571,15 +551,9 @@ def _superlevel_mass(
     threshold: float,
     pixels: Optional[PixelGrid],
 ) -> float:
-    if isinstance(mu, AtomicMeasure) or (
-        isinstance(mu, RestrictedMeasure) and isinstance(mu.base, AtomicMeasure)
-    ):
-        if isinstance(mu, RestrictedMeasure):
-            xs, ys, ms = mu.base.arrays()
-            keep = mu.region.contains(xs, ys)
-            xs, ys, ms = xs[keep], ys[keep], ms[keep]
-        else:
-            xs, ys, ms = mu.arrays()
+    atoms = mu.atoms()
+    if atoms is not None:
+        xs, ys, ms = atoms.arrays()
         if xs.size == 0:
             return 0.0
         return float(ms[f_abs(xs, ys) > threshold].sum())
@@ -626,19 +600,8 @@ def weak_type_constant(
                     return False
             return True
 
-        if not ok(len(cs) - 1):
-            per_member.append((member.label, math.inf))
-            continue
-        lo, hi = 0, len(cs) - 1
-        if ok(lo):
-            hi = lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        per_member.append((member.label, float(cs[hi])))
+        i = _first_admissible(len(cs), ok)
+        per_member.append((member.label, math.inf if i is None else float(cs[i])))
     vals = np.array([v for _, v in per_member])
     fam = float(np.max(vals)) if vals.size else 0.0
     return WeakTypeResult(fam, tuple(per_member), tuple(lams))

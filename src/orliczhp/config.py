@@ -247,13 +247,18 @@ def parse_density(text: str) -> Callable[[np.ndarray], np.ndarray]:
 
 def parse_box(spec) -> CarlesonBox:
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return CarlesonBox(float(spec[0]), float(spec[1]))
-    if isinstance(spec, dict):
+        center, length = spec
+    elif isinstance(spec, dict):
         extra = set(spec) - {"center", "length"}
         if extra:
             raise ConfigError(f"unknown box keys {sorted(extra)}")
-        return CarlesonBox(float(spec["center"]), float(spec["length"]))
-    raise ConfigError(f"cannot parse box from {spec!r}")
+        center, length = spec.get("center"), spec.get("length")
+    else:
+        raise ConfigError(f"cannot parse box from {spec!r}")
+    try:
+        return CarlesonBox(float(center), float(length))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad box {spec!r}: {exc}") from exc
 
 
 def parse_test_function(spec):
@@ -340,5 +345,9 @@ def parse_measure(spec) -> UpperHalfPlaneMeasure:
     if kind == "restricted":
         if keys - {"base", "region"}:
             raise ConfigError(f"unknown restricted keys {sorted(keys)}")
-        return RestrictedMeasure(parse_measure(spec["base"]), parse_box(spec["region"]))
+        base, region = parse_measure(spec["base"]), parse_box(spec["region"])
+        try:
+            return RestrictedMeasure(base, region)
+        except ValueError as exc:
+            raise ConfigError(f"bad restricted measure: {exc}") from exc
     raise ConfigError(f"unknown measure kind {kind!r}")

@@ -9,6 +9,11 @@ A Carleson box over an interval ``I = [a, b)`` is the half-open square
 * ``DensityMeasure``    -- ``rho(y) dx dy`` for a height-only density,
 * ``RestrictedMeasure`` -- a base measure cut to a box region.
 
+Each kind carries its own rules: ``box_mass``, ``integrate`` (the integral
+of a function of ``(x, y)``), ``pixel_masses`` and ``atoms`` (the atoms of
+positive mass, ``None`` for the height-only kinds).  The module functions
+of the same names are kind-agnostic entry points.
+
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
 for weighted volume, and quadrature with a divergence probe for densities.
 The probe halves the height cutoff twice and inspects the mass increments:
@@ -16,6 +21,7 @@ an increment that fails to decay geometrically (second increment at least
 half the first, and non-negligible) marks the mass divergent, as does
 outright growth above ten percent per halving.  The ratio rule is what
 catches log-log divergences whose per-halving growth is arbitrarily small.
+The same probe guards density integrals.
 """
 
 from __future__ import annotations
@@ -26,8 +32,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .growth import GrowthFunction, _growing_at_edge
-from .integrals import QuadratureSpec, DEFAULT_SPEC, tanh_sinh
+from .growth import GrowthFunction, _edge_trend
+from .integrals import (
+    DEFAULT_SPEC,
+    QuadratureSpec,
+    integrate_box,
+    integrate_halfplane,
+    tanh_sinh,
+)
 
 __all__ = [
     "CarlesonBox",
@@ -75,6 +87,29 @@ class CarlesonBox:
         return (x >= self.a) & (x < self.b) & (y > 0) & (y < self.length)
 
 
+def _probed(
+    segment: Callable[[float, float], float],
+    c: float,
+    above: Callable[[float], float],
+) -> float:
+    """The divergence probe shared by every density integral.
+
+    ``above(lo)`` is the integral over heights above ``lo`` and
+    ``segment(lo, hi)`` the one over a height band.  Returns ``above(0)``
+    unless the increments ``segment(c/2, c)`` and ``segment(c/4, c/2)``
+    fail to decay, in which case the integral is flagged ``inf``.
+    """
+    base = above(c)
+    d1 = segment(c / 2, c)
+    d2 = segment(c / 4, c / 2)
+    floor = 1e-12
+    spec_rule = d1 > 0.1 * max(base, floor) and d2 > 0.1 * max(base + d1, floor)
+    ratio_rule = d2 >= 0.5 * d1 and d2 > 1e-3 * max(base, floor)
+    if spec_rule or ratio_rule:
+        return math.inf
+    return above(0.0)
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Point masses at ``(x_k, y_k)`` with ``y_k > 0`` and nonnegative mass."""
@@ -82,6 +117,8 @@ class AtomicMeasure:
     xs: tuple
     ys: tuple
     masses: tuple
+
+    region = None  # not cut to a box
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -96,6 +133,10 @@ class AtomicMeasure:
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ys", tuple(ys))
         object.__setattr__(self, "masses", tuple(ms))
+        live = ms > 0
+        object.__setattr__(self, "_live", self if np.all(live) else AtomicMeasure(
+            tuple(xs[live]), tuple(ys[live]), tuple(ms[live])
+        ))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.asarray(self.xs), np.asarray(self.ys), np.asarray(self.masses))
@@ -104,9 +145,54 @@ class AtomicMeasure:
     def empty() -> "AtomicMeasure":
         return AtomicMeasure((), (), ())
 
+    def atoms(self) -> "AtomicMeasure":
+        """The atoms of positive mass."""
+        return self._live
+
+    def box_mass(self, box: CarlesonBox, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        xs, ys, ms = self.arrays()
+        if xs.size == 0:
+            return 0.0
+        return float(ms[box.contains(xs, ys)].sum())
+
+    def integrate(self, g, spec: QuadratureSpec = DEFAULT_SPEC,
+                  x_center: float = 0.0, scale: float = 1.0) -> float:
+        """Exact atom sum of ``g``; the quadrature hints are unused."""
+        xs, ys, ms = self.arrays()
+        if xs.size == 0:
+            return 0.0
+        return float(np.sum(ms * g(xs, ys)))
+
+    def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
+        xe, ye = grid.edges()
+        xs, ys, ms = self.arrays()
+        out, _, _ = np.histogram2d(xs, ys, bins=[xe, ye], weights=ms)
+        return out
+
+
+class _HeightMeasure:
+    """Rules shared by the kinds with a height-only density: no atoms, no
+    cutting region, and pixel masses constant along x.
+
+    Subclasses give ``_pixel_column(ye)`` (the masses of the height cells
+    over unit width), ``_slab_mass(width, h, spec)`` (the mass of
+    ``[0, width) x (0, h)``) and ``_integrate_box(g, region, spec)``; the
+    last two serve :class:`RestrictedMeasure`.
+    """
+
+    region = None
+
+    def atoms(self) -> None:
+        return None
+
+    def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
+        xe, ye = grid.edges()
+        dx = xe[1] - xe[0]
+        return np.tile(self._pixel_column(ye) * dx, (grid.nx, 1))
+
 
 @dataclass(frozen=True)
-class WeightedVolume:
+class WeightedVolume(_HeightMeasure):
     """The measure ``y^alpha dx dy``, alpha > -1."""
 
     alpha: float = 0.0
@@ -115,13 +201,35 @@ class WeightedVolume:
         if self.alpha <= -1:
             raise ValueError("weight exponent must exceed -1")
 
+    def box_mass(self, box: CarlesonBox, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        """Closed form ``|I|^(2+alpha) / (1+alpha)``."""
+        return box.length ** (2.0 + self.alpha) / (1.0 + self.alpha)
+
+    def integrate(self, g, spec: QuadratureSpec = DEFAULT_SPEC,
+                  x_center: float = 0.0, scale: float = 1.0) -> float:
+        return integrate_halfplane(
+            g, self.alpha, spec, x_center=x_center, scale=scale,
+        ).value
+
+    def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
+        a = self.alpha
+        return (ye[1:] ** (1.0 + a) - ye[:-1] ** (1.0 + a)) / (1.0 + a)
+
+    def _slab_mass(self, width: float, h: float, spec: QuadratureSpec) -> float:
+        a = self.alpha
+        return width * h ** (1.0 + a) / (1.0 + a)
+
+    def _integrate_box(self, g, region: CarlesonBox, spec: QuadratureSpec) -> float:
+        return integrate_box(g, self.alpha, region.a, region.b, region.length, spec).value
+
 
 @dataclass(frozen=True)
-class DensityMeasure:
+class DensityMeasure(_HeightMeasure):
     """``rho(y) dx dy`` for a nonnegative height-only density.
 
     The density grammar of the config layer only produces height profiles;
-    horizontal structure enters through :class:`RestrictedMeasure`.
+    horizontal structure enters through :class:`RestrictedMeasure`.  Box
+    masses and integrals run the divergence probe at y = 0.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -132,50 +240,115 @@ class DensityMeasure:
         if np.any(np.asarray(probe) < 0):
             raise ValueError("density must be nonnegative on sample probes")
 
+    def box_mass(self, box: CarlesonBox, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        return self._slab_mass(box.length, box.length, spec)
+
+    def integrate(self, g, spec: QuadratureSpec = DEFAULT_SPEC,
+                  x_center: float = 0.0, scale: float = 1.0) -> float:
+        def segment(lo: float, hi: float) -> float:
+            return integrate_halfplane(
+                g, 0.0, spec, y_lo=lo, y_hi=hi, weight=self.profile,
+                x_center=x_center, scale=scale,
+            ).value
+
+        return _probed(segment, spec.y_min,
+                       lambda lo: segment(lo, 1.0) + segment(1.0, math.inf))
+
+    def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
+        """Midpoint rule per height cell."""
+        yc = 0.5 * (ye[:-1] + ye[1:])
+        return self.profile(yc) * (ye[1:] - ye[:-1])
+
+    def _slab_mass(self, width: float, h: float, spec: QuadratureSpec) -> float:
+        def segment(lo: float, hi: float) -> float:
+            return tanh_sinh(self.profile, lo, hi, spec.abs_tol, spec.rel_tol).value
+
+        return width * _probed(segment, min(spec.y_min, 0.25 * h),
+                               lambda lo: segment(lo, h))
+
+    def _integrate_box(self, g, region: CarlesonBox, spec: QuadratureSpec) -> float:
+        """Nested tanh-sinh: a line integral across the box per height."""
+        def slab(ys_: np.ndarray) -> np.ndarray:
+            out = np.empty_like(np.atleast_1d(ys_), dtype=float)
+            for i, y in enumerate(np.atleast_1d(ys_)):
+                line = tanh_sinh(
+                    lambda xs: g(xs, np.full_like(xs, float(y))),
+                    region.a, region.b, spec.abs_tol, spec.rel_tol,
+                )
+                out[i] = line.value * float(self.profile(np.asarray([y]))[0])
+            return out
+
+        return tanh_sinh(slab, 0.0, region.length, spec.abs_tol, spec.rel_tol).value
+
 
 @dataclass(frozen=True)
 class RestrictedMeasure:
+    """A primitive measure cut to the Carleson box ``region``.
+
+    An atomic base is served entirely by its atoms inside the region;
+    height-only bases supply their slab masses and box integrals.
+    """
+
     base: "UpperHalfPlaneMeasure"
     region: CarlesonBox
+
+    def __post_init__(self) -> None:
+        if isinstance(self.base, RestrictedMeasure):
+            raise ValueError("the base of a restricted measure must not be restricted")
+        inside = self.base.atoms()
+        if inside is not None:
+            xs, ys, ms = inside.arrays()
+            keep = self.region.contains(xs, ys)
+            inside = AtomicMeasure(tuple(xs[keep]), tuple(ys[keep]), tuple(ms[keep]))
+        object.__setattr__(self, "_atoms", inside)
+
+    def atoms(self) -> Optional[AtomicMeasure]:
+        """The base's live atoms inside the region, or ``None``."""
+        return self._atoms
+
+    def box_mass(self, box: CarlesonBox, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        if self._atoms is not None:
+            return self._atoms.box_mass(box, spec)
+        reg = self.region
+        lo = max(box.a, reg.a)
+        hi = min(box.b, reg.b)
+        h = min(box.length, reg.length)
+        if hi <= lo or h <= 0:
+            return 0.0
+        return self.base._slab_mass(hi - lo, h, spec)
+
+    def integrate(self, g, spec: QuadratureSpec = DEFAULT_SPEC,
+                  x_center: float = 0.0, scale: float = 1.0) -> float:
+        if self._atoms is not None:
+            return self._atoms.integrate(g, spec, x_center, scale)
+        return self.base._integrate_box(g, self.region, spec)
+
+    def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
+        if self._atoms is not None:
+            return self._atoms.pixel_masses(grid)
+        base = self.base.pixel_masses(grid)
+        xe, ye = grid.edges()
+        reg = self.region
+        fx = np.clip(
+            (np.minimum(xe[1:], reg.b) - np.maximum(xe[:-1], reg.a)) / (xe[1] - xe[0]),
+            0.0, 1.0,
+        )
+        dy = ye[1:] - ye[:-1]
+        fy = np.clip((np.minimum(ye[1:], reg.length) - ye[:-1]) / dy, 0.0, 1.0)
+        return base * fx[:, None] * fy[None, :]
 
 
 UpperHalfPlaneMeasure = Union[AtomicMeasure, WeightedVolume, DensityMeasure, RestrictedMeasure]
 
 
 def is_x_independent(mu: UpperHalfPlaneMeasure) -> bool:
-    return isinstance(mu, (WeightedVolume, DensityMeasure))
+    """Neither atoms nor a cutting region: the mass depends on height only."""
+    return mu.atoms() is None and mu.region is None
 
 
 # ---------------------------------------------------------------------------
 # Box masses
 # ---------------------------------------------------------------------------
-
-def _profile_mass(
-    profile: Callable[[np.ndarray], np.ndarray],
-    y_hi: float,
-    spec: QuadratureSpec,
-    y_lo: float = 0.0,
-) -> float:
-    """Height integral of a density with the two-halving divergence probe.
-
-    Returns ``inf`` when the increments ``int_{c/2}^{c} rho`` fail to decay.
-    """
-    if y_hi <= y_lo:
-        return 0.0
-    if y_lo > 0.0:
-        return tanh_sinh(profile, y_lo, y_hi, spec.abs_tol, spec.rel_tol).value
-    c = min(spec.y_min, 0.25 * y_hi)
-    base = tanh_sinh(profile, c, y_hi, spec.abs_tol, spec.rel_tol).value
-    d1 = tanh_sinh(profile, c / 2, c, spec.abs_tol, spec.rel_tol).value
-    d2 = tanh_sinh(profile, c / 4, c / 2, spec.abs_tol, spec.rel_tol).value
-    floor = 1e-12
-    spec_rule = d1 > 0.1 * max(base, floor) and d2 > 0.1 * max(base + d1, floor)
-    ratio_rule = d2 >= 0.5 * d1 and d2 > 1e-3 * max(base, floor)
-    if spec_rule or ratio_rule:
-        return math.inf
-    full = tanh_sinh(profile, 0.0, y_hi, spec.abs_tol, spec.rel_tol)
-    return full.value
-
 
 def box_mass(
     mu: UpperHalfPlaneMeasure,
@@ -183,52 +356,16 @@ def box_mass(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Mass of the Carleson box; ``inf`` flags a divergent density mass."""
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.arrays()
-        if xs.size == 0:
-            return 0.0
-        return float(ms[box.contains(xs, ys)].sum())
-    if isinstance(mu, WeightedVolume):
-        return box.length ** (2.0 + mu.alpha) / (1.0 + mu.alpha)
-    if isinstance(mu, DensityMeasure):
-        return box.length * _profile_mass(mu.profile, box.length, spec)
-    if isinstance(mu, RestrictedMeasure):
-        return _restricted_box_mass(mu, box, spec)
-    raise TypeError(f"unknown measure kind {type(mu).__name__}")
-
-
-def _restricted_box_mass(
-    mu: RestrictedMeasure, box: CarlesonBox, spec: QuadratureSpec
-) -> float:
-    reg = mu.region
-    lo = max(box.a, reg.a)
-    hi = min(box.b, reg.b)
-    h = min(box.length, reg.length)
-    if hi <= lo or h <= 0:
-        return 0.0
-    base = mu.base
-    if isinstance(base, AtomicMeasure):
-        xs, ys, ms = base.arrays()
-        if xs.size == 0:
-            return 0.0
-        keep = (xs >= lo) & (xs < hi) & (ys > 0) & (ys < h)
-        return float(ms[keep].sum())
-    if isinstance(base, WeightedVolume):
-        a = base.alpha
-        return (hi - lo) * h ** (1.0 + a) / (1.0 + a)
-    if isinstance(base, DensityMeasure):
-        return (hi - lo) * _profile_mass(base.profile, h, spec)
-    raise TypeError("restricted measures must wrap a primitive measure")
+    return mu.box_mass(box, spec)
 
 
 def total_mass(mu: UpperHalfPlaneMeasure) -> float:
     """Total mass when finitely supported / restricted; ``inf`` otherwise."""
-    if isinstance(mu, AtomicMeasure):
-        return float(np.sum(mu.arrays()[2])) if len(mu.masses) else 0.0
-    if isinstance(mu, RestrictedMeasure):
-        return _restricted_box_mass(
-            mu, CarlesonBox(mu.region.center_x, mu.region.length), DEFAULT_SPEC
-        )
+    atoms = mu.atoms()
+    if atoms is not None:
+        return float(np.sum(atoms.arrays()[2])) if len(atoms.masses) else 0.0
+    if mu.region is not None:
+        return mu.box_mass(mu.region, DEFAULT_SPEC)
     return math.inf
 
 
@@ -277,19 +414,12 @@ def adapted_box_family(mu: UpperHalfPlaneMeasure, base: BoxFamily = BoxFamily())
     genuine unboundedness; measures with mass at every height are returned
     with the base family unchanged.
     """
-    atoms = None
-    if isinstance(mu, AtomicMeasure):
-        atoms = mu
-    elif isinstance(mu, RestrictedMeasure) and isinstance(mu.base, AtomicMeasure):
-        atoms = mu.base
+    atoms = mu.atoms()
     if atoms is None or len(atoms.masses) == 0:
         return base
-    xs, ys, ms = atoms.arrays()
-    live = ms > 0
-    if not np.any(live):
-        return base
-    j_min = min(base.j_min, int(math.floor(math.log2(float(ys[live].min())))) - 1)
-    extent = max(base.extent, float(np.abs(xs[live]).max()) + float(ys[live].max()))
+    xs, ys, _ = atoms.arrays()
+    j_min = min(base.j_min, int(math.floor(math.log2(float(ys.min())))) - 1)
+    extent = max(base.extent, float(np.abs(xs).max()) + float(ys.max()))
     j_max = max(base.j_max, int(math.ceil(math.log2(2.0 * extent))) + 1)
     return BoxFamily(j_min, j_max, extent, base.step_fraction, base.extra)
 
@@ -346,16 +476,18 @@ def carleson_box_constant(
     per_scale: list[tuple[float, float]] = []
     divergent = False
 
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.arrays()
+    flat = is_x_independent(mu)
+    atoms = mu.atoms()
+    if atoms is not None:
+        xs, ys, ms = atoms.arrays()
 
     for length in family.lengths():
         weight = phi(1.0 / length ** s)
         centers = family.centers_at(length)
-        if is_x_independent(mu):
+        if flat:
             masses = np.array([box_mass(mu, CarlesonBox(0.0, length), spec)])
             centers = np.array([0.0])
-        elif isinstance(mu, AtomicMeasure):
+        elif atoms is not None:
             masses = _atomic_scale_masses(xs, ms, ys, length, centers)
         else:
             masses = np.array(
@@ -389,14 +521,7 @@ def carleson_box_constant(
 
     lengths = np.array([p[0] for p in per_scale])
     maxima = np.array([p[1] for p in per_scale])
-    # A zero value at the extreme scale already bounds that edge (e.g. all
-    # atoms sit above the smallest boxes), so growth is only meaningful when
-    # the values reach the edge of the family.
-    trend = "bounded"
-    if maxima.size and maxima[0] > 0 and _growing_at_edge(lengths, maxima, right=False):
-        trend = "growing_small_scale"
-    elif maxima.size and maxima[-1] > 0 and _growing_at_edge(lengths, maxima, right=True):
-        trend = "growing_large_scale"
+    trend = _edge_trend(lengths, maxima)
     return BoxSweep(max(best, 0.0), witness, False, trend, tuple(per_scale))
 
 
@@ -429,32 +554,4 @@ class PixelGrid:
 def pixel_masses(mu: UpperHalfPlaneMeasure, grid: PixelGrid) -> np.ndarray:
     """Per-pixel masses, exact for atoms and weighted volume, midpoint for
     densities; shape (nx, ny)."""
-    xe, ye = grid.edges()
-    dx = xe[1] - xe[0]
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.arrays()
-        out, _, _ = np.histogram2d(xs, ys, bins=[xe, ye], weights=ms)
-        return out
-    if isinstance(mu, WeightedVolume):
-        a = mu.alpha
-        col = (ye[1:] ** (1.0 + a) - ye[:-1] ** (1.0 + a)) / (1.0 + a)
-        return np.tile(col * dx, (grid.nx, 1))
-    if isinstance(mu, DensityMeasure):
-        yc = 0.5 * (ye[:-1] + ye[1:])
-        col = mu.profile(yc) * (ye[1:] - ye[:-1])
-        return np.tile(col * dx, (grid.nx, 1))
-    if isinstance(mu, RestrictedMeasure):
-        if isinstance(mu.base, AtomicMeasure):
-            xs, ys, ms = mu.base.arrays()
-            keep = mu.region.contains(xs, ys)
-            inside = AtomicMeasure(tuple(xs[keep]), tuple(ys[keep]), tuple(ms[keep]))
-            return pixel_masses(inside, grid)
-        base = pixel_masses(mu.base, grid)
-        reg = mu.region
-        fx = np.clip(
-            (np.minimum(xe[1:], reg.b) - np.maximum(xe[:-1], reg.a)) / dx, 0.0, 1.0
-        )
-        dy = ye[1:] - ye[:-1]
-        fy = np.clip((np.minimum(ye[1:], reg.length) - ye[:-1]) / dy, 0.0, 1.0)
-        return base * fx[:, None] * fy[None, :]
-    raise TypeError(f"unknown measure kind {type(mu).__name__}")
+    return mu.pixel_masses(grid)

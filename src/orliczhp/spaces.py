@@ -30,23 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .growth import GrowthFunction, Power
-from .integrals import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    integrate_box,
-    integrate_halfplane,
-    integrate_line,
-    tanh_sinh,
-)
+from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line
 from .maximal import PoissonExtension, StepFunction1D
-from .measure import (
-    AtomicMeasure,
-    CarlesonBox,
-    DensityMeasure,
-    RestrictedMeasure,
-    UpperHalfPlaneMeasure,
-    WeightedVolume,
-)
+from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
 __all__ = [
     "HardyKernel",
@@ -206,41 +192,6 @@ def line_modular(
     return res.value
 
 
-def _density_modular(
-    f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    phi: GrowthFunction,
-    profile: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
-    scale: float,
-    hint_center: float = 0.0,
-    hint_scale: float = 1.0,
-) -> float:
-    """Modular against ``rho(y) dx dy`` with the divergence probe at y = 0.
-
-    Same increment rule as the box masses: a second cutoff-halving
-    increment at least half the first (and non-negligible) flags the
-    modular divergent and returns ``inf``.
-    """
-    g = lambda x, y: phi(f_abs(x, y) / scale)
-
-    def segment(lo: float, hi: float) -> float:
-        return integrate_halfplane(
-            g, 0.0, spec, y_lo=lo, y_hi=hi, weight=profile,
-            x_center=hint_center, scale=hint_scale,
-        ).value
-
-    c = spec.y_min
-    base = segment(c, 1.0) + segment(1.0, math.inf)
-    d1 = segment(c / 2, c)
-    d2 = segment(c / 4, c / 2)
-    floor = 1e-12
-    spec_rule = d1 > 0.1 * max(base, floor) and d2 > 0.1 * max(base + d1, floor)
-    ratio_rule = d2 >= 0.5 * d1 and d2 > 1e-3 * max(base, floor)
-    if spec_rule or ratio_rule:
-        return math.inf
-    return segment(0.0, 1.0) + segment(1.0, math.inf)
-
-
 def modular_halfplane(
     f,
     phi: GrowthFunction,
@@ -248,8 +199,8 @@ def modular_halfplane(
     spec: QuadratureSpec = DEFAULT_SPEC,
     scale: float = 1.0,
 ) -> float:
-    """``int phi(|f| / scale) dmu`` over the half-plane; ``inf`` marks a
-    detected divergence for density measures.
+    """``int phi(|f| / scale) dmu`` over the half-plane by the measure's own
+    rule; ``inf`` marks a detected divergence for density measures.
 
     ``f`` is a test function (anything with ``abs_value``) or a bare
     ``|f|(x, y)`` callable.  Scaled box indicators short-circuit to the
@@ -258,68 +209,13 @@ def modular_halfplane(
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(f, IndicatorScaled):
-        from .measure import box_mass
         return float(phi(abs(f.lam) / scale)) * box_mass(mu, f.box, spec)
     hint_scale = float(getattr(f, "natural_scale", 1.0))
     hint_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
-    if isinstance(mu, AtomicMeasure):
-        xs, ys, ms = mu.arrays()
-        if xs.size == 0:
-            return 0.0
-        return float(np.sum(ms * phi(f_abs(xs, ys) / scale)))
-    if isinstance(mu, WeightedVolume):
-        res = integrate_halfplane(
-            lambda x, y: phi(f_abs(x, y) / scale), mu.alpha, spec,
-            x_center=hint_center, scale=hint_scale,
-        )
-        return res.value
-    if isinstance(mu, DensityMeasure):
-        return _density_modular(
-            f_abs, phi, mu.profile, spec, scale, hint_center, hint_scale
-        )
-    if isinstance(mu, RestrictedMeasure):
-        return _restricted_modular(f_abs, phi, mu, spec, scale)
-    raise TypeError(f"unknown measure kind {type(mu).__name__}")
-
-
-def _restricted_modular(
-    f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    phi: GrowthFunction,
-    mu: RestrictedMeasure,
-    spec: QuadratureSpec,
-    scale: float,
-) -> float:
-    reg = mu.region
-    base = mu.base
-    if isinstance(base, AtomicMeasure):
-        xs, ys, ms = base.arrays()
-        if xs.size == 0:
-            return 0.0
-        keep = reg.contains(xs, ys)
-        if not np.any(keep):
-            return 0.0
-        return float(np.sum(ms[keep] * phi(f_abs(xs[keep], ys[keep]) / scale)))
-    if isinstance(base, WeightedVolume):
-        res = integrate_box(
-            lambda x, y: phi(f_abs(x, y) / scale),
-            base.alpha, reg.a, reg.b, reg.length, spec,
-        )
-        return res.value
-    if isinstance(base, DensityMeasure):
-        def slab(ys_: np.ndarray) -> np.ndarray:
-            out = np.empty_like(np.atleast_1d(ys_), dtype=float)
-            engine = lambda g, a, b: tanh_sinh(g, a, b, spec.abs_tol, spec.rel_tol)
-            for i, y in enumerate(np.atleast_1d(ys_)):
-                line = engine(
-                    lambda xs: phi(f_abs(xs, np.full_like(xs, float(y))) / scale),
-                    reg.a, reg.b,
-                )
-                out[i] = line.value * float(base.profile(np.asarray([y]))[0])
-            return out
-
-        return tanh_sinh(slab, 0.0, reg.length, spec.abs_tol, spec.rel_tol).value
-    raise TypeError("restricted measures must wrap a primitive measure")
+    return mu.integrate(
+        lambda x, y: phi(f_abs(x, y) / scale), spec, hint_center, hint_scale
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,22 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("base, region", [
+        # a restricted base: rejected, not left to fail at run time
+        ({"kind": "restricted", "base": {"kind": "atomic", "atoms": [[0.0, 0.5, 1.0]]},
+          "region": [0.0, 2.0]}, [0.0, 1.0]),
+        ({"kind": "weighted_volume"}, [0.0, -1.0]),
+    ])
+    def test_bad_restricted_measure_is_config_error(self, tmp_path, capsys, base, region):
+        path = write_config(tmp_path, {
+            "command": "carleson-test",
+            "measure": {"kind": "restricted", "base": base, "region": region},
+            "phi": "power(1)",
+            "s": 1.0,
+        })
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_json_output_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "classify-growth", "phi": "power(3)"})
         out = tmp_path / "report.json"

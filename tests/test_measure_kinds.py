@@ -1,13 +1,18 @@
-"""Restricted measures against independent oracles.
+"""Restricted measures against independent oracles, and the rule that the
+kind-specific code lives on the measure classes.
 
 The oracles here are written out by hand: explicit loops over atoms for
 masses and histograms, and the closed form ``width * h^(1+a) / (1+a)``
 for the height profile ``y^a`` cut to a box.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from orliczhp.carleson import adapted_heights, default_sample_points
 from orliczhp.growth import Power
 from orliczhp.measure import (
     AtomicMeasure,
@@ -15,6 +20,7 @@ from orliczhp.measure import (
     DensityMeasure,
     PixelGrid,
     RestrictedMeasure,
+    adapted_box_family,
     box_mass,
     pixel_masses,
     total_mass,
@@ -90,6 +96,18 @@ class TestRestrictedAtoms:
         got = pixel_masses(RestrictedMeasure(base, REGION), grid)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    def test_out_of_region_atoms_do_not_steer_ladders(self):
+        # the low far atom lies outside the region, so the restricted cloud
+        # must get exactly the ladders of the bare in-region cloud
+        inside = AtomicMeasure((0.2, -0.5, 0.7), (0.3, 1.0, 0.05), (1.0, 2.0, 0.5))
+        base = AtomicMeasure(
+            inside.xs + (5.0,), inside.ys + (1e-4,), inside.masses + (4.0,)
+        )
+        mu = RestrictedMeasure(base, CarlesonBox(0.0, 2.0))
+        assert adapted_heights(mu) == adapted_heights(inside)
+        assert adapted_box_family(mu) == adapted_box_family(inside)
+        assert default_sample_points(mu) == default_sample_points(inside)
+
 
 class TestRestrictedDensity:
     @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -112,3 +130,45 @@ class TestRestrictedDensity:
         L = REGION.length
         got = modular_halfplane(_constant(c), Power(1), mu)
         assert got == pytest.approx(c * L * L ** (1.0 + a) / (1.0 + a), rel=1e-7)
+
+
+class TestKindRulesLiveOnTheClasses:
+    MEASURE_CLASSES = {"AtomicMeasure", "WeightedVolume", "DensityMeasure", "RestrictedMeasure"}
+
+    def _isinstance_sites(self, module):
+        """(enclosing function, measure class) for every isinstance call
+        whose class argument names a measure class."""
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        sites = []
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{where}.{child.name}" if where else child.name
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance"
+                    and len(child.args) == 2
+                ):
+                    for name in ast.walk(child.args[1]):
+                        if isinstance(name, ast.Name) and name.id in self.MEASURE_CLASSES:
+                            sites.append((where, name.id))
+                visit(child, inner)
+
+        visit(tree, "")
+        return sites
+
+    def test_no_measure_isinstance_in_callers(self):
+        from orliczhp import carleson, spaces
+
+        assert self._isinstance_sites(spaces) == []
+        assert self._isinstance_sites(carleson) == []
+
+    def test_measure_module_checks_only_the_restricted_base(self):
+        from orliczhp import measure
+
+        assert self._isinstance_sites(measure) == [
+            ("RestrictedMeasure.__post_init__", "RestrictedMeasure")
+        ]
