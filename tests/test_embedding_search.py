@@ -1,0 +1,208 @@
+"""The seeded grid searches: ``_first_admissible`` with and without a
+guess, the power-``phi2`` embedding search against closed forms and linear
+scans, the weak-type constant against a per-pair reference, and the
+height-by-height nontangential maximal function against per-probe
+evaluation."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orliczhp import carleson
+from orliczhp.carleson import (
+    _first_admissible,
+    default_k_grid,
+    embedding_constant,
+    hardy_test_family,
+    weak_type_constant,
+)
+from orliczhp.growth import Power, PowerLog
+from orliczhp.integrals import beta
+from orliczhp.maximal import nontangential_maximal
+from orliczhp.measure import AtomicMeasure, PixelGrid, WeightedVolume, pixel_masses
+
+KS = default_k_grid()
+
+
+def _bisection_reference(n, ok):
+    """The unguessed search as a plain loop: last index, first, midpoints."""
+    if not ok(n - 1):
+        return None
+    lo, hi = 0, n - 1
+    if ok(lo):
+        hi = lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _recording(t):
+    probes = []
+
+    def ok(i):
+        probes.append(i)
+        return i >= t
+
+    return ok, probes
+
+
+@st.composite
+def _searches(draw):
+    n = draw(st.integers(1, 300))
+    t = draw(st.integers(0, n))  # t == n: no index is admissible
+    guess = draw(st.one_of(st.none(), st.integers(0, n + 3)))
+    return n, t, guess
+
+
+class TestFirstAdmissible:
+    @settings(max_examples=400, deadline=None)
+    @given(_searches())
+    def test_guess_never_changes_the_index(self, case):
+        n, t, guess = case
+        ok, _ = _recording(t)
+        want = None if t == n else t
+        assert _first_admissible(n, ok) == want
+        assert _first_admissible(n, ok, guess) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_searches())
+    def test_correct_guess_costs_at_most_two_probes(self, case):
+        n, t, _ = case
+        ok, probes = _recording(t)
+        assert _first_admissible(n, ok, t) == (None if t == n else t)
+        assert len(probes) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_searches())
+    def test_unguessed_probe_order_is_the_bisection(self, case):
+        n, t, _ = case
+        ok, probes = _recording(t)
+        ref_ok, ref_probes = _recording(t)
+        assert _first_admissible(n, ok) == _bisection_reference(n, ref_ok)
+        assert probes == ref_probes
+        assert probes[0] == n - 1
+
+
+def _volume_k(member, q, gamma):
+    """Closed-form K* for a Hardy-kernel member on ``y^gamma dA`` and
+    ``phi2 = t^q``: the kernel power integral, to the ``1/q``, over the norm."""
+    amp, y0 = member.f.amplitude, member.f.z0.imag
+    integral = (amp ** q * beta(0.5, (2.0 * q - 1.0) / 2.0)
+                * beta(gamma + 1.0, 2.0 * q - gamma - 2.0) * y0 ** (gamma + 2.0))
+    return integral ** (1.0 / q) / member.source_norm
+
+
+class TestPowerEmbeddingSearch:
+    @pytest.mark.parametrize("p, q, gamma", [(2.0, 2.0, 0.0), (1.0, 3.0, 0.0),
+                                             (2.0, 3.0, 1.0)])
+    def test_volume_members_match_closed_form(self, p, q, gamma, monkeypatch):
+        fam = hardy_test_family(Power(p), heights=(0.25, 1.0, 4.0))
+        calls = []
+        real = carleson.modular_halfplane
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("scale"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(carleson, "modular_halfplane", counting)
+        res = embedding_constant(WeightedVolume(gamma), Power(q), fam)
+        for member, (_, k) in zip(fam, res.per_member):
+            want = KS[np.searchsorted(KS, _volume_k(member, q, gamma), side="left")]
+            assert k == want
+        assert len(calls) <= 3 * len(fam)
+
+    def test_powerlog_atoms_match_linear_scan(self):
+        rng = np.random.default_rng(3)
+        mu = AtomicMeasure(tuple(rng.uniform(-2, 2, 10)), tuple(10 ** rng.uniform(-2, 1, 10)),
+                           tuple(rng.uniform(0.1, 2.0, 10)))
+        phi2 = PowerLog(2.0, 1.0, math.e ** 2)
+        fam = hardy_test_family(Power(2), heights=(0.5, 2.0))
+        res = embedding_constant(mu, phi2, fam)
+        xs, ys, ms = mu.arrays()
+        for member, (_, k) in zip(fam, res.per_member):
+            vals = member.f.abs_value(xs, ys)
+            admissible = [kk for kk in KS
+                          if float(np.sum(ms * phi2(vals / (kk * member.source_norm)))) <= 1.0]
+            assert k == (admissible[0] if admissible else math.inf)
+
+    def test_empty_measure_is_first_grid_value(self):
+        fam = hardy_test_family(Power(2), heights=(1.0,))
+        res = embedding_constant(AtomicMeasure.empty(), Power(3), fam)
+        assert res.per_member[0][1] == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("phi2", [Power(2), PowerLog(2.0, 1.0, math.e ** 2)])
+    def test_member_beyond_grid_is_infinite(self, phi2):
+        fam = hardy_test_family(Power(2), heights=(1.0,))
+        mu = AtomicMeasure((0.0,), (1.0,), (1e12,))
+        res = embedding_constant(mu, phi2, fam)
+        assert res.per_member[0][1] == math.inf
+        assert res.trend == "unbounded_member"
+
+
+def _weak_reference(mu, phi2, family, lams, cs, pixels):
+    """The weak-type constant recomputed per (C, lambda) pair, as a loop."""
+    out = []
+    for member in family:
+        def mass_above(t):
+            atoms = mu.atoms()
+            if atoms is not None:
+                xs, ys, ms = atoms.arrays()
+                if xs.size == 0:
+                    return 0.0
+                return float(ms[member.f.abs_value(xs, ys) > t].sum())
+            masses = pixel_masses(mu, pixels)
+            xc, yc = pixels.centers()
+            return float(masses[member.f.abs_value(xc[:, None], yc[None, :]) > t].sum())
+
+        c_best = math.inf
+        for c in cs:
+            if all(phi2(lam) * mass_above(c * lam * member.source_norm) <= 1.0
+                   for lam in lams):
+                c_best = float(c)
+                break
+        out.append((member.label, c_best))
+    return tuple(out)
+
+
+class TestWeakTypeOnce:
+    @pytest.mark.parametrize("mu", [
+        AtomicMeasure((0.0, 0.5, -1.0), (0.5, 1.0, 0.1), (1.0, 0.3, 2.0)),
+        AtomicMeasure.empty(),
+        WeightedVolume(0.0),
+    ])
+    def test_matches_per_pair_reference(self, mu):
+        fam = hardy_test_family(Power(2), heights=(0.5, 2.0))
+        lams = np.geomspace(1e-2, 1e2, 9)
+        cs = np.geomspace(1e-3, 1e3, 61)
+        pixels = PixelGrid(-8.0, 8.0, 8.0, 64, 32)
+        got = weak_type_constant(mu, Power(2), fam, lams, cs, pixels)
+        assert got.per_member == _weak_reference(mu, Power(2), fam, lams, cs, pixels)
+
+
+class TestNontangentialRows:
+    def test_rows_equal_per_probe(self):
+        f = hardy_test_family(Power(2), heights=(1.0,))[0].f
+        x = np.linspace(-10.0, 10.0, 150)
+        seen = []
+
+        def f_abs(t, y):
+            seen.append(t.shape)
+            return f.abs_value(t, y)
+
+        star = nontangential_maximal(f_abs, x)
+        single = np.array([nontangential_maximal(f.abs_value, xi)[0] for xi in x])
+        assert np.array_equal(star, single)
+        assert seen == [(150, 33)] * 385
+        # the whole probe x height x aperture cone at once
+        ys = np.geomspace(1e-3, 1e3, 385)
+        u = np.linspace(-1.0, 1.0, 33) * (1.0 - 1e-9)
+        t = x[:, None, None] + ys[None, :, None] * u[None, None, :]
+        whole = f.abs_value(t, np.broadcast_to(ys[None, :, None], t.shape))
+        assert np.array_equal(star, whole.max(axis=(1, 2)))
