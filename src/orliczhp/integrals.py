@@ -14,6 +14,12 @@ and sinh-sinh / exp-sinh rules for the whole line and the half line.  The
 double-exponential rules reach the tolerance without a truncation radius
 for power-decaying integrands, so nothing here depends on a cutoff except
 the explicit divergence probes driven by their callers.
+
+The sinh-sinh / exp-sinh level driver integrates a stack of rows at once:
+each row has its own running estimate and its own convergence test, and a
+row that has converged is frozen and no longer evaluated.  A single
+integral is the one-row case; ``integrate_line_rows`` exposes the stack for
+families of line integrals (one row per height in ``spaces.hardy_norm``).
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ __all__ = [
     "sinh_sinh",
     "exp_sinh",
     "integrate_line",
+    "LineRowsResult",
+    "integrate_line_rows",
     "integrate_halfplane",
     "integrate_box",
 ]
@@ -246,48 +254,74 @@ def _safe_products(fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _doubly_exponential(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     nodes_weights: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     abs_tol: float,
     rel_tol: float,
+    n_rows: int,
     max_level: int = 11,
     t_cut: float = 6.0,
-) -> IntegralResult:
-    """Shared driver for the sinh-sinh and exp-sinh rules.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared level driver of the sinh-sinh and exp-sinh rules over a stack
+    of ``n_rows`` integrands.
 
     ``nodes_weights(t)`` maps trapezoid abscissae to (x, dx/dt); the level
     loop halves the step, reusing previous nodes, until two consecutive
-    estimates agree.  ``t_cut = 6`` keeps ``exp(pi*sinh(t))`` just inside
-    double range, which is where decaying integrands have long vanished.
+    estimates of a row agree.  ``f(x, live)`` gets the level's new
+    abscissae and the indices of the rows still running, and returns their
+    values, one row each (a 1-D result serves every live row).  A row that
+    has converged is frozen.  ``t_cut = 6`` keeps ``exp(pi*sinh(t))`` just
+    inside double range, which is where decaying integrands have long
+    vanished.  Returns per-row values, error estimates and convergence flags.
     """
-    prev = None
-    value = 0.0
-    err = math.inf
-    converged = False
+    value = np.zeros(n_rows)
+    err = np.full(n_rows, math.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    live = np.arange(n_rows)
     for level in range(2, max_level + 1):
         h = 2.0 ** (-level)
         j = np.arange(-int(t_cut / h), int(t_cut / h) + 1)
-        if prev is not None:
+        if level > 2:
             j = j[j % 2 != 0]
         t = j * h
         x, dxdt = nodes_weights(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            fv = np.asarray(f(x), dtype=float)
-        contrib = float(np.sum(_safe_products(fv, dxdt * h)))
-        if prev is None:
-            prev = contrib
-            value = contrib
+            fv = np.asarray(f(x, live), dtype=float)
+        contrib = np.sum(_safe_products(fv, dxdt * h), axis=-1)
+        if level == 2:
+            value[:] = contrib
             continue
         # halving h: old nodes keep half their weight, new nodes enter at h_new
-        value = 0.5 * prev + contrib
-        err = abs(value - prev)
-        if err <= abs_tol + rel_tol * abs(value):
-            converged = True
-            prev = value
+        prev = value[live]
+        new = 0.5 * prev + contrib
+        step = np.abs(new - prev)
+        value[live] = new
+        err[live] = step
+        done = step <= abs_tol + rel_tol * np.abs(new)
+        converged[live] = done
+        live = live[~done]
+        if live.size == 0:
             break
-        prev = value
-    return IntegralResult(value, min(err, abs(value)) if math.isfinite(value) else math.inf,
-                          converged)
+    with np.errstate(invalid="ignore"):
+        err = np.where(np.isfinite(value), np.minimum(err, np.abs(value)), math.inf)
+    return value, err, converged
+
+
+def _one_row(
+    f: Callable[[np.ndarray], np.ndarray],
+    nodes_weights: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    abs_tol: float,
+    rel_tol: float,
+) -> IntegralResult:
+    value, err, converged = _doubly_exponential(
+        lambda x, live: f(x), nodes_weights, abs_tol, rel_tol, 1
+    )
+    return IntegralResult(float(value[0]), float(err[0]), bool(converged[0]))
+
+
+def _sinh_sinh_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ps = math.pi * np.sinh(t)
+    return 0.5 * np.sinh(ps), 0.5 * math.pi * np.cosh(t) * np.cosh(ps)
 
 
 def sinh_sinh(
@@ -296,11 +330,7 @@ def sinh_sinh(
     rel_tol: float = 1e-9,
 ) -> IntegralResult:
     """Whole-line integral by the sinh-sinh double-exponential rule."""
-    def nw(t: np.ndarray):
-        ps = math.pi * np.sinh(t)
-        return 0.5 * np.sinh(ps), 0.5 * math.pi * np.cosh(t) * np.cosh(ps)
-
-    return _doubly_exponential(f, nw, abs_tol, rel_tol)
+    return _one_row(f, _sinh_sinh_nodes, abs_tol, rel_tol)
 
 
 def exp_sinh(
@@ -316,7 +346,7 @@ def exp_sinh(
         y = np.exp(ps)
         return shift + y, math.pi * np.cosh(t) * y
 
-    return _doubly_exponential(f, nw, abs_tol, rel_tol)
+    return _one_row(f, nw, abs_tol, rel_tol)
 
 
 def _engine(spec: QuadratureSpec):
@@ -413,6 +443,55 @@ def integrate_line(
     res = _engine(spec)(f, -spec.halfwidth, spec.halfwidth)
     return IntegralResult(
         res.value, res.error, res.converged, f"truncated to |x| <= {spec.halfwidth:g}"
+    )
+
+
+@dataclass(frozen=True)
+class LineRowsResult:
+    """Per-row results of ``integrate_line_rows``."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    converged: np.ndarray
+    note: str = ""
+
+
+def integrate_line_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    x_center: float = 0.0,
+    scales=1.0,
+) -> LineRowsResult:
+    """Integrals over the real line of a stack of integrands, one row per
+    entry of ``scales``.
+
+    ``f(X, rows)`` gets the ``(rows.size, n)`` abscissae
+    ``x_center + scales[rows, None] * x`` of the rows still running and
+    their indices, and returns their values.  Each row is the sinh-sinh
+    rule of ``integrate_line(f_row, spec, x_center, scales[row])`` with its
+    own convergence test, and bitwise equal to it.  A finite
+    ``spec.halfwidth`` integrates ``[-R, R]`` row by row with the selected
+    scheme, where ``X`` is that window's own ``(1, n)`` abscissae, as in
+    ``integrate_line``.
+    """
+    scales = np.atleast_1d(np.asarray(scales, dtype=float))
+    if math.isinf(spec.halfwidth):
+        values, errors, converged = _doubly_exponential(
+            lambda x, rows: f(x_center + scales[rows, None] * x, rows),
+            _sinh_sinh_nodes, spec.abs_tol, spec.rel_tol, scales.size,
+        )
+        return LineRowsResult(values * scales, errors * scales, converged, "untruncated")
+    engine = _engine(spec)
+    results = [
+        engine(lambda x, row=np.array([r]): f(np.asarray(x)[None, :], row)[0],
+               -spec.halfwidth, spec.halfwidth)
+        for r in range(scales.size)
+    ]
+    return LineRowsResult(
+        np.array([res.value for res in results]),
+        np.array([res.error for res in results]),
+        np.array([res.converged for res in results], dtype=bool),
+        f"truncated to |x| <= {spec.halfwidth:g}",
     )
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .growth import GrowthFunction, Power
-from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line
+from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
@@ -290,6 +290,8 @@ class HardyNormResult:
     luxembourg_sup: float
     y_at_modular_max: float
     heights: tuple
+    converged: bool
+    error: float
 
     @property
     def modular(self) -> float:
@@ -306,32 +308,43 @@ def hardy_norm(
     """Sup over a geometric height grid of line modulars (modular form) and
     of line Luxembourg norms (norm form).  The grid sup is a lower bound of
     the exact sup over all heights; the tested kernel families are
-    monotone or unimodal in height, which keeps it tight."""
+    monotone or unimodal in height, which keeps it tight.
+
+    The line modulars of all heights come from one ``integrate_line_rows``
+    call, one row per height, each row on the width ``natural_scale + y``.
+    ``converged`` is true only if every row converged, and ``error`` is the
+    worst row's error estimate.  A non-power ``phi`` (or
+    ``fast_power=False``) bisects each height's Luxembourg norm on its own
+    line modulars."""
     x_scale = float(getattr(f, "natural_scale", 1.0))
     x_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
     ys = default_height_grid() if heights is None else np.asarray(heights, dtype=float)
-    modulars = np.empty(ys.size)
-    luxes = np.empty(ys.size)
-    take_fast = fast_power and isinstance(phi, Power)
-    for i, y in enumerate(ys):
-        slice_abs = lambda x, y=y: f_abs(x, np.full_like(np.asarray(x, float), y))
-        width = x_scale + y  # kernel slices flatten out at height y
-        modulars[i] = line_modular(slice_abs, phi, spec, x_center=x_center, x_scale=width)
-        if take_fast:
-            luxes[i] = modulars[i] ** (1.0 / phi.p)
-        else:
-            luxes[i] = luxembourg(
-                lambda lam: line_modular(
-                    slice_abs, phi, spec, scale=lam, x_center=x_center, x_scale=width
+    widths = x_scale + ys  # kernel slices flatten out at height y
+    rows = integrate_line_rows(
+        lambda X, r: phi(np.abs(f_abs(X, ys[r, None]))), spec, x_center, widths
+    )
+    modulars = rows.values
+    if fast_power and isinstance(phi, Power):
+        luxes = [m ** (1.0 / phi.p) for m in modulars.tolist()]
+    else:
+        luxes = [
+            luxembourg(
+                lambda lam, y=y, width=width: line_modular(
+                    lambda x: f_abs(x, np.full_like(np.asarray(x, float), y)),
+                    phi, spec, scale=lam, x_center=x_center, x_scale=width,
                 )
             )
+            for y, width in zip(ys.tolist(), widths.tolist())
+        ]
     i = int(np.argmax(modulars))
     return HardyNormResult(
         modular_sup=float(np.max(modulars)),
         luxembourg_sup=float(np.max(luxes)),
         y_at_modular_max=float(ys[i]),
         heights=tuple(ys),
+        converged=bool(np.all(rows.converged)),
+        error=float(np.max(rows.errors)),
     )
 
 

@@ -1,0 +1,361 @@
+"""The row-batched double-exponential driver: ``sinh_sinh``, ``exp_sinh``,
+``integrate_line`` and ``hardy_norm`` against loop copies of the one-row
+level loop and of the per-height Hardy norm, bitwise; per-row convergence
+and freezing; and the closed form of every row's Hardy line modular."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orliczhp.growth import Power, PowerLog
+from orliczhp.integrals import (
+    QuadratureSpec,
+    adaptive_simpson,
+    beta,
+    exp_sinh,
+    integrate_line,
+    integrate_line_rows,
+    sinh_sinh,
+    tanh_sinh,
+)
+from orliczhp.maximal import StepFunction1D
+from orliczhp.spaces import (
+    HardyKernel,
+    PoissonOfStep,
+    default_height_grid,
+    hardy_norm,
+    luxembourg,
+)
+
+E2 = math.e ** 2
+PHIS = [Power(1), Power(2), Power(3), PowerLog(2, 1, E2)]
+
+
+# -- loop copies of the one-row code ----------------------------------------
+
+def _ref_doubly_exponential(f, nodes_weights, abs_tol, rel_tol, max_level=11, t_cut=6.0):
+    prev = None
+    value = 0.0
+    err = math.inf
+    converged = False
+    for level in range(2, max_level + 1):
+        h = 2.0 ** (-level)
+        j = np.arange(-int(t_cut / h), int(t_cut / h) + 1)
+        if prev is not None:
+            j = j[j % 2 != 0]
+        t = j * h
+        x, dxdt = nodes_weights(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv = np.asarray(f(x), dtype=float)
+            prod = fv * (dxdt * h)
+        prod = np.where((fv == 0.0) | (dxdt * h == 0.0), 0.0, prod)
+        contrib = float(np.sum(prod))
+        if prev is None:
+            prev = contrib
+            value = contrib
+            continue
+        value = 0.5 * prev + contrib
+        err = abs(value - prev)
+        if err <= abs_tol + rel_tol * abs(value):
+            converged = True
+            prev = value
+            break
+        prev = value
+    error = min(err, abs(value)) if math.isfinite(value) else math.inf
+    return value, error, converged
+
+
+def _ref_sinh_sinh(f, abs_tol=1e-10, rel_tol=1e-9):
+    def nw(t):
+        ps = math.pi * np.sinh(t)
+        return 0.5 * np.sinh(ps), 0.5 * math.pi * np.cosh(t) * np.cosh(ps)
+
+    return _ref_doubly_exponential(f, nw, abs_tol, rel_tol)
+
+
+def _ref_exp_sinh(f, abs_tol=1e-10, rel_tol=1e-9, shift=0.0):
+    def nw(t):
+        ps = math.pi * np.sinh(t)
+        y = np.exp(ps)
+        return shift + y, math.pi * np.cosh(t) * y
+
+    return _ref_doubly_exponential(f, nw, abs_tol, rel_tol)
+
+
+def _ref_integrate_line(f, spec=QuadratureSpec(), x_center=0.0, scale=1.0):
+    if math.isinf(spec.halfwidth):
+        if x_center != 0.0 or scale != 1.0:
+            v, e, c = _ref_sinh_sinh(lambda t: f(x_center + scale * t), spec.abs_tol, spec.rel_tol)
+            return v * scale, e * scale, c
+        return _ref_sinh_sinh(f, spec.abs_tol, spec.rel_tol)
+    if spec.scheme == "tanh_sinh":
+        res = tanh_sinh(f, -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol)
+    else:
+        res = adaptive_simpson(
+            f, -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol, spec.max_depth
+        )
+    return res.value, res.error, res.converged
+
+
+def _ref_hardy_norm(f, phi, spec=QuadratureSpec()):
+    """Per-height Hardy norm: one line integral per height of the grid."""
+    x_scale = float(getattr(f, "natural_scale", 1.0))
+    x_center = float(getattr(f, "natural_center", 0.0))
+    f_abs = f.abs_value if hasattr(f, "abs_value") else f
+    ys = default_height_grid()
+
+    def line_modular(slice_abs, scale, width):
+        return _ref_integrate_line(
+            lambda x: phi(np.abs(slice_abs(x)) / scale), spec, x_center, width
+        )[0]
+
+    modulars = np.empty(ys.size)
+    luxes = np.empty(ys.size)
+    for i, y in enumerate(ys):
+        slice_abs = lambda x, y=y: f_abs(x, np.full_like(np.asarray(x, float), y))
+        width = x_scale + y
+        modulars[i] = line_modular(slice_abs, 1.0, width)
+        if isinstance(phi, Power):
+            luxes[i] = modulars[i] ** (1.0 / phi.p)
+        else:
+            luxes[i] = luxembourg(lambda lam: line_modular(slice_abs, lam, width))
+    i = int(np.argmax(modulars))
+    return float(np.max(modulars)), float(np.max(luxes)), float(ys[i])
+
+
+def _assert_same_norm(f, phi, spec=QuadratureSpec()):
+    got = hardy_norm(f, phi, spec=spec)
+    want = _ref_hardy_norm(f, phi, spec)
+    assert (got.modular_sup, got.luxembourg_sup, got.y_at_modular_max) == want
+    assert got.heights == tuple(default_height_grid())
+
+
+# -- hardy_norm, bitwise -----------------------------------------------------
+
+class TestHardyNormBitwise:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x0=st.floats(-4.0, 4.0),
+        k=st.integers(-10, 10),
+        phi=st.sampled_from(PHIS[:3]),
+    )
+    def test_power_kernels(self, x0, k, phi):
+        _assert_same_norm(HardyKernel(complex(x0, 2.0 ** k), phi), phi)
+
+    @settings(max_examples=4, deadline=None)
+    @given(x0=st.floats(-4.0, 4.0), k=st.integers(-10, 10))
+    def test_powerlog_kernels(self, x0, k):
+        phi = PHIS[3]
+        _assert_same_norm(HardyKernel(complex(x0, 2.0 ** k), phi), phi)
+
+    def test_simple_pole(self):
+        f = lambda x, y: (x ** 2 + (np.asarray(y) + 1.0) ** 2) ** -0.5
+        _assert_same_norm(f, Power(2))
+
+    def test_zero_function(self):
+        zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+        _assert_same_norm(zero, Power(2))
+        assert hardy_norm(zero, Power(2)).luxembourg_sup == 0.0
+
+    def test_poisson_of_step(self):
+        g = StepFunction1D(np.array([-1.0, 0.0, 2.0]), np.array([3.0, -1.0]))
+        _assert_same_norm(PoissonOfStep(g), Power(2))
+
+    @pytest.mark.parametrize("scheme", ["adaptive_simpson", "tanh_sinh"])
+    def test_finite_halfwidth(self, scheme):
+        spec = QuadratureSpec(scheme=scheme, halfwidth=40.0)
+        _assert_same_norm(HardyKernel(0.7 + 0.5j, Power(2)), Power(2), spec)
+
+
+# -- the one-row engines, bitwise --------------------------------------------
+
+LINE_INTEGRANDS = [
+    lambda x: np.exp(-x * x),
+    lambda x: 1.0 / (x * x + 1.0),
+    lambda x: (x * x + 1.0) ** -2,
+    lambda x: (x * x + 0.25) ** (-1.5 / 2),
+    lambda x: 0.3 / ((x - 0.3) ** 2 + 0.09),
+    lambda x: ((x >= 0) & (x <= 1)).astype(float),
+    lambda x: x * 0.0,
+]
+HALF_LINE_INTEGRANDS = [
+    lambda u: u / (1 + u) ** 3,
+    lambda y: y / (2.0 + y) ** 3,
+    lambda y: 1.0 / np.sqrt(y) / (1.0 + y),
+]
+
+
+def _triple(res):
+    return res.value, res.error, res.converged
+
+
+class TestOneRowBitwise:
+    @pytest.mark.parametrize("i", range(len(LINE_INTEGRANDS)))
+    @pytest.mark.parametrize("tols", [(1e-10, 1e-9), (1e-14, 1e-14)])
+    def test_sinh_sinh(self, i, tols):
+        f = LINE_INTEGRANDS[i]
+        assert _triple(sinh_sinh(f, *tols)) == _ref_sinh_sinh(f, *tols)
+
+    @pytest.mark.parametrize("i", range(len(HALF_LINE_INTEGRANDS)))
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_exp_sinh(self, i, shift):
+        f = HALF_LINE_INTEGRANDS[i]
+        assert _triple(exp_sinh(f, shift=shift)) == _ref_exp_sinh(f, shift=shift)
+
+    @pytest.mark.parametrize("i", range(len(LINE_INTEGRANDS)))
+    @pytest.mark.parametrize("center_scale", [(0.0, 1.0), (0.3, 0.3), (-2.0, 5.0), (0.0, 1e-3)])
+    def test_integrate_line(self, i, center_scale):
+        f = LINE_INTEGRANDS[i]
+        res = integrate_line(f, QuadratureSpec(), *center_scale)
+        assert _triple(res) == _ref_integrate_line(f, QuadratureSpec(), *center_scale)
+        assert res.note == "untruncated"
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.7])
+    def test_kernel_lines(self, alpha):
+        for y in (0.01, 1.0, 30.0):
+            f = lambda x: (x * x + y * y) ** (-alpha / 2)
+            assert _triple(integrate_line(f)) == _ref_integrate_line(f)
+            assert _triple(integrate_line(f, x_center=0.0, scale=y)) == _ref_integrate_line(
+                f, x_center=0.0, scale=y
+            )
+
+    def test_scalar_results_are_python_scalars(self):
+        res = sinh_sinh(LINE_INTEGRANDS[0])
+        assert type(res.value) is float and type(res.error) is float
+        assert type(res.converged) is bool
+
+
+# -- the row entry point -----------------------------------------------------
+
+def _easy(x):
+    return 1.0 / (x * x + 1.0)  # three levels
+
+
+def _slow(x):
+    return ((x >= 0) & (x <= 1)).astype(float)  # jumps: every level, unconverged
+
+
+class TestRows:
+    def test_rows_equal_one_row_calls(self):
+        spec = QuadratureSpec()
+        rows_f = [_easy, _slow, _easy, _slow]
+        scales = np.array([1.0, 2.0, 0.1, 1.0])
+        x_center = 0.25
+        seen = []
+
+        def f(X, rows):
+            seen.append(rows.copy())
+            return np.stack([rows_f[r](X[i]) for i, r in enumerate(rows)])
+
+        got = integrate_line_rows(f, spec, x_center, scales)
+        for r, g in enumerate(rows_f):
+            one = integrate_line(g, spec, x_center, scales[r])
+            assert (got.values[r], got.errors[r], bool(got.converged[r])) == _triple(one)
+        assert got.note == "untruncated"
+
+        # the easy rows are frozen once they converge: they stop appearing
+        for r in (0, 2):
+            calls = [0]
+
+            def counted(x, g=rows_f[r]):
+                calls[0] += 1
+                return g(x)
+
+            integrate_line(counted, spec, x_center, scales[r])
+            assert sum(r in rows for rows in seen) == calls[0]
+            assert calls[0] < len(seen)
+        assert all(1 in rows and 3 in rows for rows in seen)
+
+    def test_unconverged_rows_are_flagged(self):
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        got = integrate_line_rows(
+            lambda X, rows: (X * X + 1.0) ** -0.51, spec, 0.0, np.ones(2)
+        )
+        assert not np.any(got.converged)
+        one = integrate_line(lambda x: (x * x + 1.0) ** -0.51, spec)
+        assert not one.converged and got.values[0] == one.value
+
+    @pytest.mark.parametrize("scheme", ["adaptive_simpson", "tanh_sinh"])
+    def test_finite_window_loops_rows(self, scheme):
+        spec = QuadratureSpec(scheme=scheme, halfwidth=10.0)
+        cs = np.array([0.5, 1.0, 2.0])
+        got = integrate_line_rows(
+            lambda X, rows: 1.0 / (X * X + cs[rows, None] ** 2), spec, 0.0, cs
+        )
+        for r, c in enumerate(cs):
+            one = integrate_line(lambda x: 1.0 / (x * x + c * c), spec)
+            assert (got.values[r], got.errors[r], bool(got.converged[r])) == _triple(one)
+        assert got.note == one.note
+
+
+# -- status and closed forms of hardy_norm -----------------------------------
+
+class TestHardyNormStatus:
+    def test_well_posed_kernel_converges(self):
+        hn = hardy_norm(HardyKernel(0.7 + 0.5j, Power(2)), Power(2))
+        assert hn.converged
+        assert 0.0 <= hn.error <= 1e-6 * hn.modular_sup
+
+    def test_unresolved_rows_are_reported(self):
+        """The lowest slices of a Poisson extension are near-steps: no level
+        of the rule meets the default tolerance on them."""
+        g = StepFunction1D(np.array([-1.0, 0.0, 2.0]), np.array([3.0, -1.0]))
+        hn = hardy_norm(PoissonOfStep(g), Power(2))
+        assert not hn.converged
+        assert hn.error > 1e-6 * hn.modular_sup
+
+    def test_error_follows_the_tolerance(self):
+        """A kernel's rows reach estimates that repeat exactly, so even a
+        1e-300 tolerance is met, with error 0."""
+        f = HardyKernel(0.7 + 0.5j, Power(2))
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        strict = hardy_norm(f, Power(2), spec=spec)
+        assert strict.converged and strict.error == 0.0
+        loose = hardy_norm(f, Power(2), spec=QuadratureSpec(abs_tol=1e-2, rel_tol=1e-2))
+        assert loose.converged and loose.error > strict.error
+
+
+class TestRowClosedForm:
+    @staticmethod
+    def _rows(p, k, spec):
+        phi = Power(p)
+        y0 = 2.0 ** k
+        f = HardyKernel(complex(0.7, y0), phi)
+        ys = default_height_grid()
+        got = integrate_line_rows(
+            lambda X, r: phi(f.abs_value(X, ys[r, None])), spec, 0.7, y0 + ys
+        )
+        want = f.amplitude ** p * y0 ** (2 * p) * beta(0.5, p - 0.5) * (ys + y0) ** (1 - 2 * p)
+        assert np.all(got.converged)
+        return got.values, want
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("k", range(-8, 9, 2))
+    def test_power_hardy_kernel_rows(self, p, k):
+        """Each height's line modular of a Power(p) Hardy kernel is
+        ``A^p y0^(2p) B(1/2, p - 1/2) (h + y0)^(1 - 2p)``, the closed form
+        the benchmark's volume oracle also states.  With the absolute
+        tolerance out of the way every row meets 1e-8 relative."""
+        got, want = self._rows(p, k, QuadratureSpec(abs_tol=1e-300))
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [-8, 0, 8])
+    def test_default_tolerance_rows(self, p, k):
+        """With the default spec a row stops once it is within ``abs_tol``:
+        rows whose modular is far below it are good to ``abs_tol`` only."""
+        spec = QuadratureSpec()
+        got, want = self._rows(p, k, spec)
+        assert np.all(np.abs(got - want) <= 1e-8 * want + spec.abs_tol)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "hardy_norm's height grid starts at 1e-4, above the sup of low kernels "
+    "(CHANGES.md, FOUND: spaces.hardy_norm undershoots the norm for low base points)"
+))
+def test_low_base_point_norm():
+    hn = hardy_norm(HardyKernel(2.0 ** -12 * 1j, Power(2)), Power(2))
+    assert abs(hn.luxembourg_sup - math.sqrt(math.pi / 2)) <= 1e-6
