@@ -15,6 +15,7 @@ from the config hash).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -108,45 +109,26 @@ def _check_keys(config: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
 
-def _quadrature(config: dict) -> QuadratureSpec:
-    q = config.get("quadrature", {})
-    extra = set(q) - {"abs_tol", "rel_tol", "y_min", "halfwidth", "scheme", "max_depth", "y_max"}
+# config sections that set up a dataclass, by key
+_SECTIONS = {"quadrature": QuadratureSpec, "box_family": BoxFamily, "grid": LogGrid}
+
+
+def _section(config: dict, key: str):
+    """The dataclass of config section ``key``.  Its numeric fields are the
+    allowed keys, with their defaults and types."""
+    given = config.get(key, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    cls = _SECTIONS[key]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if isinstance(f.default, (int, float))}
+    extra = set(given) - set(defaults)
     if extra:
-        raise ConfigError(f"unknown quadrature keys {sorted(extra)}")
-    return QuadratureSpec(
-        scheme=q.get("scheme", "adaptive_simpson"),
-        abs_tol=float(q.get("abs_tol", 1e-10)),
-        rel_tol=float(q.get("rel_tol", 1e-9)),
-        max_depth=int(q.get("max_depth", 24)),
-        halfwidth=float(q.get("halfwidth", math.inf)),
-        y_min=float(q.get("y_min", 1e-6)),
-        y_max=float(q.get("y_max", math.inf)),
-    )
-
-
-def _box_family(config: dict) -> BoxFamily:
-    b = config.get("box_family", {})
-    extra = set(b) - {"j_min", "j_max", "extent", "step_fraction"}
-    if extra:
-        raise ConfigError(f"unknown box_family keys {sorted(extra)}")
-    return BoxFamily(
-        j_min=int(b.get("j_min", -10)),
-        j_max=int(b.get("j_max", 10)),
-        extent=float(b.get("extent", 16.0)),
-        step_fraction=float(b.get("step_fraction", 0.25)),
-    )
-
-
-def _grid(config: dict) -> LogGrid:
-    g = config.get("grid", {})
-    extra = set(g) - {"t_min", "t_max", "points"}
-    if extra:
-        raise ConfigError(f"unknown grid keys {sorted(extra)}")
-    return LogGrid(
-        t_min=float(g.get("t_min", 1e-6)),
-        t_max=float(g.get("t_max", 1e6)),
-        points=int(g.get("points", 512)),
-    )
+        raise ConfigError(f"unknown {key} keys {sorted(extra)}")
+    try:
+        return cls(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} values: {exc}") from exc
 
 
 def _expectation(config: dict, key: str, actual, records: list, name: str) -> bool:
@@ -192,7 +174,7 @@ def _explicit_family(specs, phi1, mode: str, alpha: float, spec: QuadratureSpec)
 def _run_classify(config: dict):
     _check_keys(config, {"phi", "grid", "expect_nabla2", "expect_tilde"})
     phi = parse_growth(config["phi"])
-    cls = classify(phi, _grid(config))
+    cls = classify(phi, _section(config, "grid"))
     records = [
         _record(
             "doubling",
@@ -238,7 +220,9 @@ def _run_carleson_test(config: dict):
     mu = parse_measure(config["measure"])
     phi = parse_growth(config["phi"])
     s = float(config.get("s", 1.0))
-    sweep = carleson_box_constant(mu, phi, s, _box_family(config), _quadrature(config))
+    sweep = carleson_box_constant(
+        mu, phi, s, _section(config, "box_family"), _section(config, "quadrature")
+    )
     verdict = "carleson" if sweep.finite else "not_carleson"
     records = [_record(
         "box-sweep",
@@ -270,8 +254,8 @@ def _run_equivalence(config: dict):
         mode=config.get("mode", "hardy"),
         alpha=float(config.get("alpha", 0.0)),
         s=config.get("s"),
-        box_family=_box_family(config),
-        spec=_quadrature(config),
+        box_family=_section(config, "box_family"),
+        spec=_section(config, "quadrature"),
     )
     records = [_record(
         "equivalence",
@@ -298,7 +282,7 @@ def _run_embed(config: dict):
         config.get("variant", "hardy_to_bergman"),
         float(config.get("alpha", 0.0)),
         None if config.get("beta") is None else float(config["beta"]),
-        _grid(config),
+        _section(config, "grid"),
     )
     verdict = "holds" if res.holds else "fails"
     records = [_record(
@@ -321,7 +305,7 @@ def _run_multiplier(config: dict):
     variant = config.get("variant", "hardy_to_bergman")
     alpha = float(config.get("alpha", 0.0))
     beta = None if config.get("beta") is None else float(config["beta"])
-    prof = omega_profile(phi1, phi2, variant, alpha, beta, _grid(config))
+    prof = omega_profile(phi1, phi2, variant, alpha, beta, _section(config, "grid"))
     composed = derived_pair(phi1, phi2)[0]
     verdict = multiplier_space(
         prof, classify(phi1), classify(phi2), classify(composed)
@@ -347,7 +331,7 @@ def _run_weak(config: dict):
     phi2 = parse_growth(config["phi2"])
     mode = config.get("mode", "hardy")
     alpha = float(config.get("alpha", 0.0))
-    spec = _quadrature(config)
+    spec = _section(config, "quadrature")
     if mode == "hardy":
         weak_family = weak_hardy_family(phi1, spec=spec)
         strong_family = hardy_test_family(phi1, spec=spec)

@@ -39,6 +39,7 @@ from .integrals import (
     integrate_box,
     integrate_halfplane,
     tanh_sinh,
+    _tanh_sinh_rows,
 )
 
 __all__ = [
@@ -267,16 +268,14 @@ class DensityMeasure(_HeightMeasure):
                                lambda lo: segment(lo, h))
 
     def _integrate_box(self, g, region: CarlesonBox, spec: QuadratureSpec) -> float:
-        """Nested tanh-sinh: a line integral across the box per height."""
+        """Nested tanh-sinh: the line integrals across the box at all the
+        heights of an outer level come from one row call."""
         def slab(ys_: np.ndarray) -> np.ndarray:
-            out = np.empty_like(np.atleast_1d(ys_), dtype=float)
-            for i, y in enumerate(np.atleast_1d(ys_)):
-                line = tanh_sinh(
-                    lambda xs: g(xs, np.full_like(xs, float(y))),
-                    region.a, region.b, spec.abs_tol, spec.rel_tol,
-                )
-                out[i] = line.value * float(self.profile(np.asarray([y]))[0])
-            return out
+            lines = _tanh_sinh_rows(
+                lambda xs, rows: g(xs, ys_[rows, None]),
+                region.a, region.b, ys_.size, spec.abs_tol, spec.rel_tol,
+            )[0]
+            return lines * self.profile(ys_)
 
         return tanh_sinh(slab, 0.0, region.length, spec.abs_tol, spec.rel_tol).value
 

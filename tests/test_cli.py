@@ -229,6 +229,31 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, values", [
+        ("quadrature", {"abs_tol": -1}),
+        ("quadrature", {"abs_tol": "abc"}),
+        ("quadrature", {"y_min": 0}),
+        ("quadrature", {"halfwidth": -3}),
+        ("quadrature", {"y_max": -1}),
+        ("quadrature", {"rel_tol": math.nan}),
+        # the engine knobs are gone: adaptive Simpson is the one finite-window engine
+        ("quadrature", {"scheme": "tanh_sinh"}),
+        ("quadrature", {"max_depth": 24}),
+        ("quadrature", 1e-10),
+        ("box_family", {"j_min": "abc"}),
+        ("box_family", {"step_fraction": 0.9}),
+        ("grid", {"points": 3}),
+    ])
+    def test_bad_section_is_config_error(self, tmp_path, capsys, section, values):
+        if section == "grid":
+            cfg = {"command": "classify-growth", "phi": "power(2)"}
+        else:
+            cfg = {"command": "carleson-test", "measure": {"kind": "weighted_volume"},
+                   "phi": "power(1)", "s": 1.0}
+        path = write_config(tmp_path, {**cfg, section: values})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_json_output_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "classify-growth", "phi": "power(3)"})
         out = tmp_path / "report.json"

@@ -1,7 +1,14 @@
 """The row-batched double-exponential driver: ``sinh_sinh``, ``exp_sinh``,
 ``integrate_line`` and ``hardy_norm`` against loop copies of the one-row
 level loop and of the per-height Hardy norm, bitwise; per-row convergence
-and freezing; and the closed form of every row's Hardy line modular."""
+and freezing; and the closed form of every row's Hardy line modular.
+
+The double-exponential maps are shared by the row-batched level loop and
+the product rule, so the product rule (``integrate_halfplane``,
+``integrate_box``) is held bitwise to a loop copy of its earlier per-level
+node generators, ``tanh_sinh`` to a loop copy of its earlier level loop
+(1e-15 relative, same ``converged`` flags), and the row-batched density box
+integral bitwise to its earlier per-height loop."""
 
 import math
 
@@ -10,19 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczhp.config import parse_density
 from orliczhp.growth import Power, PowerLog
 from orliczhp.integrals import (
     QuadratureSpec,
     adaptive_simpson,
     beta,
     exp_sinh,
+    integrate_box,
+    integrate_halfplane,
     integrate_line,
     integrate_line_rows,
     sinh_sinh,
     tanh_sinh,
 )
 from orliczhp.maximal import StepFunction1D
+from orliczhp.measure import CarlesonBox, DensityMeasure, RestrictedMeasure
 from orliczhp.spaces import (
+    BergmanKernel,
     HardyKernel,
     PoissonOfStep,
     default_height_grid,
@@ -91,12 +103,7 @@ def _ref_integrate_line(f, spec=QuadratureSpec(), x_center=0.0, scale=1.0):
             v, e, c = _ref_sinh_sinh(lambda t: f(x_center + scale * t), spec.abs_tol, spec.rel_tol)
             return v * scale, e * scale, c
         return _ref_sinh_sinh(f, spec.abs_tol, spec.rel_tol)
-    if spec.scheme == "tanh_sinh":
-        res = tanh_sinh(f, -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol)
-    else:
-        res = adaptive_simpson(
-            f, -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol, spec.max_depth
-        )
+    res = adaptive_simpson(f, -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol)
     return res.value, res.error, res.converged
 
 
@@ -164,9 +171,8 @@ class TestHardyNormBitwise:
         g = StepFunction1D(np.array([-1.0, 0.0, 2.0]), np.array([3.0, -1.0]))
         _assert_same_norm(PoissonOfStep(g), Power(2))
 
-    @pytest.mark.parametrize("scheme", ["adaptive_simpson", "tanh_sinh"])
-    def test_finite_halfwidth(self, scheme):
-        spec = QuadratureSpec(scheme=scheme, halfwidth=40.0)
+    def test_finite_halfwidth(self):
+        spec = QuadratureSpec(halfwidth=40.0)
         _assert_same_norm(HardyKernel(0.7 + 0.5j, Power(2)), Power(2), spec)
 
 
@@ -278,9 +284,8 @@ class TestRows:
         one = integrate_line(lambda x: (x * x + 1.0) ** -0.51, spec)
         assert not one.converged and got.values[0] == one.value
 
-    @pytest.mark.parametrize("scheme", ["adaptive_simpson", "tanh_sinh"])
-    def test_finite_window_loops_rows(self, scheme):
-        spec = QuadratureSpec(scheme=scheme, halfwidth=10.0)
+    def test_finite_window_loops_rows(self):
+        spec = QuadratureSpec(halfwidth=10.0)
         cs = np.array([0.5, 1.0, 2.0])
         got = integrate_line_rows(
             lambda X, rows: 1.0 / (X * X + cs[rows, None] ** 2), spec, 0.0, cs
@@ -359,3 +364,293 @@ class TestRowClosedForm:
 def test_low_base_point_norm():
     hn = hardy_norm(HardyKernel(2.0 ** -12 * 1j, Power(2)), Power(2))
     assert abs(hn.luxembourg_sup - math.sqrt(math.pi / 2)) <= 1e-6
+
+
+# -- loop copies of the earlier node generators and product rule -------------
+
+def _ref_ts_nodes(level, a, b):
+    h = 2.0 ** (-level)
+    t = np.arange(-int(3.8 / h), int(3.8 / h) + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    half = 0.5 * (b - a)
+    offset = half * 2.0 / (np.exp(2.0 * np.abs(u)) + 1.0)
+    x = np.where(t >= 0, b - offset, a + offset)
+    w = h * half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    return x, w
+
+
+def _ref_ss_nodes(level):
+    h = 2.0 ** (-level)
+    t = np.arange(-int(6.0 / h), int(6.0 / h) + 1) * h
+    ps = math.pi * np.sinh(t)
+    return 0.5 * np.sinh(ps), h * 0.5 * math.pi * np.cosh(t) * np.cosh(ps)
+
+
+def _ref_es_nodes(level, shift=0.0):
+    h = 2.0 ** (-level)
+    t = np.arange(-int(6.0 / h), int(6.0 / h) + 1) * h
+    y = np.exp(math.pi * np.sinh(t))
+    return shift + y, h * math.pi * np.cosh(t) * y
+
+
+def _ref_safe_products(fv, w):
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = fv * w
+    return np.where((fv == 0.0) | (w == 0.0), 0.0, prod)
+
+
+def _ref_product_rule(f, x_nodes, y_nodes, abs_tol, rel_tol, max_level=8):
+    prev = None
+    err = math.inf
+    for level in range(3, max_level + 1):
+        x, wx = x_nodes(level)
+        y, wy = y_nodes(level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f(x[None, :], y[:, None]), dtype=float)
+            weights = wy[:, None] * wx[None, :]
+        value = float(np.sum(_ref_safe_products(vals, weights)))
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= abs_tol + rel_tol * abs(value):
+                return value, err, True
+        prev = value
+    return (prev if prev is not None else 0.0), err, False
+
+
+def _ref_weighted(f, alpha, weight=None):
+    def g(x, y):
+        w = y ** alpha if alpha != 0.0 else 1.0
+        if weight is not None:
+            w = w * weight(y)
+        return _ref_safe_products(np.asarray(f(x, y), dtype=float), w)
+
+    return g
+
+
+def _ref_integrate_halfplane(f, alpha, spec, y_lo=0.0, y_hi=math.inf, weight=None,
+                             x_center=0.0, scale=1.0):
+    if math.isinf(spec.halfwidth):
+        def x_nodes(lvl):
+            x, w = _ref_ss_nodes(lvl)
+            return x_center + scale * x, scale * w
+    else:
+        x_nodes = lambda lvl: _ref_ts_nodes(lvl, -spec.halfwidth, spec.halfwidth)
+    top = min(y_hi, spec.y_max)
+    if math.isinf(top):
+        def y_nodes(lvl):
+            y, w = _ref_es_nodes(lvl)
+            return y_lo + scale * y, scale * w
+    else:
+        y_nodes = lambda lvl: _ref_ts_nodes(lvl, y_lo, top)
+    return _ref_product_rule(_ref_weighted(f, alpha, weight), x_nodes, y_nodes,
+                             spec.abs_tol, spec.rel_tol)
+
+
+def _ref_integrate_box(f, alpha, x_lo, x_hi, y_hi, spec, y_lo=0.0):
+    return _ref_product_rule(
+        _ref_weighted(f, alpha),
+        lambda lvl: _ref_ts_nodes(lvl, x_lo, x_hi),
+        lambda lvl: _ref_ts_nodes(lvl, y_lo, y_hi),
+        spec.abs_tol, spec.rel_tol,
+    )
+
+
+def _ref_tanh_sinh(f, a, b, abs_tol=1e-10, rel_tol=1e-9, max_level=12):
+    if not (b > a):
+        return 0.0, 0.0, True
+    half = 0.5 * (b - a)
+    t_cut = 3.8
+    prev = None
+    value = 0.0
+    converged = False
+    err = math.inf
+    for level in range(2, max_level + 1):
+        h = 2.0 ** (-level)
+        j = np.arange(-int(t_cut / h), int(t_cut / h) + 1)
+        if prev is not None:
+            j = j[j % 2 != 0]
+        t = j * h
+        u = 0.5 * math.pi * np.sinh(t)
+        w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+        offset = half * 2.0 / (np.exp(2.0 * np.abs(u)) + 1.0)
+        x = np.where(t >= 0, b - offset, a + offset)
+        contrib = float(np.sum(np.asarray(f(x), dtype=float) * w * half))
+        if prev is None:
+            prev = contrib
+            value = contrib
+            continue
+        value = 0.5 * prev + contrib
+        err = abs(value - prev)
+        if err <= abs_tol + rel_tol * abs(value):
+            converged = True
+            prev = value
+            break
+        prev = value
+    return value, min(err, abs(value)), converged
+
+
+# -- the product rule, bitwise -----------------------------------------------
+
+def _kernel(kind, x0, y0, phi):
+    """``phi(|K|)`` for a Hardy or Bergman kernel at ``x0 + i y0``, or a
+    bare rational kernel when ``phi`` is None."""
+    if kind == "hardy":
+        k = HardyKernel(complex(x0, y0), phi)
+    elif kind == "bergman":
+        k = BergmanKernel(complex(x0, y0), phi, 0.5)
+    else:
+        return lambda x, y: ((x - x0) ** 2 + (y + y0) ** 2) ** -1.5
+    return lambda x, y: phi(k.abs_value(x, y))
+
+
+KERNELS = st.sampled_from(["hardy", "bergman", "rational"])
+WINDOWS = st.sampled_from([
+    (math.inf, math.inf), (6.0, math.inf), (math.inf, 3.0), (6.0, 3.0), (0.5, 0.25),
+])
+
+
+class TestProductRuleBitwise:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=KERNELS,
+        x0=st.floats(-4.0, 4.0),
+        k=st.integers(-6, 6),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, -0.5]),
+        window=WINDOWS,
+        hinted=st.booleans(),
+    )
+    def test_integrate_halfplane(self, kind, x0, k, alpha, window, hinted):
+        y0 = 2.0 ** k
+        f = _kernel(kind, x0, y0, Power(2))
+        spec = QuadratureSpec(halfwidth=window[0], y_max=window[1])
+        hint = (x0, y0) if hinted else (0.0, 1.0)
+        got = integrate_halfplane(f, alpha, spec, x_center=hint[0], scale=hint[1])
+        want = _ref_integrate_halfplane(f, alpha, spec, x_center=hint[0], scale=hint[1])
+        assert _triple(got) == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=KERNELS,
+        x0=st.floats(-2.0, 2.0),
+        y_lo=st.sampled_from([1e-6, 0.25, 1.0]),
+        top=st.sampled_from([1.0, 4.0, math.inf]),
+        a=st.floats(-0.9, 1.0),
+    )
+    def test_weighted_height_segments(self, kind, x0, y_lo, top, a):
+        """Density segments: an extra height weight over ``(y_lo, y_hi)``."""
+        if not top > y_lo:
+            top = math.inf
+        f = _kernel(kind, x0, 0.5, Power(2))
+        weight = lambda y: np.asarray(y, dtype=float) ** a
+        spec = QuadratureSpec()
+        got = integrate_halfplane(f, 0.0, spec, y_lo=y_lo, y_hi=top, weight=weight,
+                                  x_center=x0, scale=0.5)
+        want = _ref_integrate_halfplane(f, 0.0, spec, y_lo=y_lo, y_hi=top, weight=weight,
+                                        x_center=x0, scale=0.5)
+        assert _triple(got) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=KERNELS,
+        x0=st.floats(-2.0, 2.0),
+        k=st.integers(-4, 4),
+        alpha=st.sampled_from([0.0, 1.0, 2.5, -0.5]),
+        box=st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+        y_lo=st.sampled_from([0.0, 0.005]),
+    )
+    def test_integrate_box(self, kind, x0, k, alpha, box, y_lo):
+        x_lo, width, height = box
+        f = _kernel(kind, x0, 2.0 ** k, Power(3))
+        spec = QuadratureSpec()
+        got = integrate_box(f, alpha, x_lo, x_lo + width, y_lo + height, spec, y_lo)
+        want = _ref_integrate_box(f, alpha, x_lo, x_lo + width, y_lo + height, spec, y_lo)
+        assert _triple(got) == want
+
+
+# -- tanh_sinh against its earlier level loop --------------------------------
+
+FINITE_INTEGRANDS = [
+    lambda x: 1.0 / np.sqrt(x),
+    lambda x: x ** -0.9,
+    lambda x: np.log(x) ** 2,
+    lambda x: 1.0 / (x * x + 1e-4),
+    lambda x: 1.0 / ((x + 1e-3) * (1.001 - x)),
+    lambda x: np.exp(-x) * np.cos(7.0 * x),
+    lambda x: ((x >= 0.3) & (x <= 0.6)).astype(float),  # jumps: unconverged
+    lambda x: x * 0.0,
+]
+
+
+def _same_to_1e15(got, want):
+    assert got.converged == want[2]
+    assert abs(got.value - want[0]) <= 1e-15 * abs(want[0])
+
+
+class TestTanhSinhAgainstLoop:
+    @pytest.mark.parametrize("i", range(len(FINITE_INTEGRANDS)))
+    @pytest.mark.parametrize("tols", [(1e-10, 1e-9), (1e-14, 1e-14), (1e-300, 1e-300)])
+    def test_unit_interval(self, i, tols):
+        f = FINITE_INTEGRANDS[i]
+        _same_to_1e15(tanh_sinh(f, 0.0, 1.0, *tols), _ref_tanh_sinh(f, 0.0, 1.0, *tols))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-5.0, 5.0),
+        width=st.floats(1e-4, 50.0),
+        c=st.floats(-6.0, 6.0),
+        d=st.floats(1e-3, 3.0),
+        p=st.sampled_from([-0.5, 1.0, 1.5, 2.0]),
+    )
+    def test_kernels_on_intervals(self, a, width, c, d, p):
+        f = lambda x: ((x - c) ** 2 + d * d) ** (-p)
+        _same_to_1e15(tanh_sinh(f, a, a + width), _ref_tanh_sinh(f, a, a + width))
+
+    def test_empty_interval(self):
+        assert _triple(tanh_sinh(np.exp, 1.0, 1.0)) == (0.0, 0.0, True)
+
+
+# -- the density box integral: one row call per outer level ------------------
+
+def _ref_density_box(base, g, region, spec):
+    """The earlier ``DensityMeasure._integrate_box``: one ``tanh_sinh`` line
+    integral across the box per height."""
+    def slab(ys_):
+        out = np.empty_like(np.atleast_1d(ys_), dtype=float)
+        for i, y in enumerate(np.atleast_1d(ys_)):
+            line = tanh_sinh(
+                lambda xs: g(xs, np.full_like(xs, float(y))),
+                region.a, region.b, spec.abs_tol, spec.rel_tol,
+            )
+            out[i] = line.value * float(base.profile(np.asarray([y]))[0])
+        return out
+
+    return tanh_sinh(slab, 0.0, region.length, spec.abs_tol, spec.rel_tol).value
+
+
+DENSITIES = [
+    "y^-0.5",
+    "y^2",
+    "3 * y^0.5",
+    "y^3 / powerlog(2, 1, 7.389)(y)",
+    "1 / (y^2 * compose_inv(power(4), power(2))(1/y))",
+]
+
+
+class TestDensityBoxRows:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        expr=st.sampled_from(DENSITIES),
+        kind=KERNELS,
+        x0=st.floats(-2.0, 2.0),
+        k=st.integers(-4, 3),
+        center=st.floats(-2.0, 2.0),
+        length=st.floats(0.05, 4.0),
+        phi=st.sampled_from(PHIS),
+    )
+    def test_restricted_density_integrals(self, expr, kind, x0, k, center, length, phi):
+        base = DensityMeasure(parse_density(expr), expr)
+        region = CarlesonBox(center, length)
+        g = _kernel(kind, x0, 2.0 ** k, phi)
+        spec = QuadratureSpec()
+        got = RestrictedMeasure(base, region).integrate(g, spec)
+        assert got == _ref_density_box(base, g, region, spec)
