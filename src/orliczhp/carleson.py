@@ -37,7 +37,7 @@ import numpy as np
 
 from .growth import ComposedInverse, GrowthFunction, Power, _edge_trend, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
-from .maximal import StepFunction1D, nontangential_maximal
+from .maximal import StepFunction1D, level_sets, nontangential_maximal
 from .measure import (
     AtomicMeasure,
     BoxFamily,
@@ -707,8 +707,6 @@ def levelset_comparison_bergman(
 ) -> LevelSetReport:
     """Same comparison through the weighted dyadic level sets: the level
     set is a disjoint union of boxes, so both sides are exact sums."""
-    from .maximal import level_sets
-
     rows = []
     worst = 0.0
     for lam in lambda_grid:

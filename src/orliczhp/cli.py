@@ -27,17 +27,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, parse_growth, parse_measure
-from .corpus import random_step_1d, random_step_2d
 from .growth import LogGrid, classify, derived_pair
 from .integrals import QuadratureSpec
-from .maximal import (
-    DyadicGrid,
-    dyadic_maximal,
-    hl_maximal,
-    translated_box_table,
-    weighted_dyadic_maximal_batch,
-    weighted_maximal_over_boxes,
-)
+from .maximal import maximal_suite
 from .measure import BoxFamily, carleson_box_constant
 from .carleson import (
     embedding_constant,
@@ -366,58 +358,29 @@ def _run_weak(config: dict):
     return records, dominated
 
 
-def _finest_cells(grid: DyadicGrid, window: tuple[float, float]) -> np.ndarray:
-    """Centres of the grid's finest cells under the top-scale intervals
-    meeting ``window`` (plus at most one past their right end, where the
-    maximal vanishes).  The dyadic maximal is constant on each cell, so
-    ``|{M_d f > lam}|`` is the cell width times a count."""
-    a, b = grid.intervals_at(grid.j_max, *window)
-    starts, stops = grid.intervals_at(grid.j_min, float(a[0]), float(b[-1]))
-    return 0.5 * (starts + stops)
+def _positive_int(config: dict, key: str, default: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return value
 
 
 @_command("maximal-suite")
 def _run_maximal(config: dict):
     _check_keys(config, {"n_functions", "n_probes", "n_levels", "alphas"})
     seed = int(config.get("seed", 0))
-    n_functions = int(config.get("n_functions", 50))
-    n_probes = int(config.get("n_probes", 50))
-    n_levels = int(config.get("n_levels", 10))
-    alphas = [float(a) for a in config.get("alphas", [0.0, 1.0])]
-    rng = np.random.default_rng(seed)
-    grids = (DyadicGrid(0.0, -4, 6), DyadicGrid(1.0 / 3.0, -4, 6))
-
-    onethird_bad = weak_bad = compare_bad = 0
-    for _ in range(n_functions):
-        f = random_step_1d(rng)
-        probes = rng.uniform(*f.window, n_probes)
-        m_full = np.array([hl_maximal(f, float(x)) for x in probes])
-        m_dyadic = dyadic_maximal(f, grids[0], probes) + dyadic_maximal(f, grids[1], probes)
-        onethird_bad += int(np.sum(m_full > 6.0 * m_dyadic + 1e-12))
-
-        top = float(np.max(np.abs(f.values)))
-        if top > 0:
-            fa = np.abs(f.values)
-            widths = np.diff(f.edges)
-            cells = [
-                (2.0 ** grid.j_min, dyadic_maximal(f, grid, _finest_cells(grid, f.window)))
-                for grid in grids
-            ]
-            for lam in np.geomspace(top / 100.0, top * 0.999, n_levels):
-                bound = (2.0 / lam) * float(np.sum(fa[fa > lam / 2] * widths[fa > lam / 2]))
-                for width, m_cells in cells:
-                    if width * np.count_nonzero(m_cells > lam) > bound + 1e-12:
-                        weak_bad += 1
-
-    for _ in range(max(1, n_functions // 4)):
-        f2 = random_step_2d(rng)
-        xs = rng.uniform(f2.x_edges[0], f2.x_edges[-1], n_probes)
-        ys = rng.uniform(f2.y_edges[0] + 1e-6, f2.y_edges[-1] * 0.999, n_probes)
-        for alpha in alphas:
-            table = translated_box_table(f2, alpha, -3, 4, extent=6.0)
-            full = weighted_maximal_over_boxes(table, (xs, ys))
-            dyad = weighted_dyadic_maximal_batch(f2, alpha, xs, ys, -3, 4)
-            compare_bad += int(np.sum((full > 1e-12) & (dyad < full / 68.0 - 1e-12)))
+    n_functions = _positive_int(config, "n_functions", 50)
+    n_probes = _positive_int(config, "n_probes", 50)
+    n_levels = _positive_int(config, "n_levels", 10)
+    alphas = config.get("alphas", [0.0, 1.0])
+    if not (isinstance(alphas, list) and alphas and all(
+        isinstance(a, (int, float)) and not isinstance(a, bool)
+        and math.isfinite(a) and a > -1 for a in alphas
+    )):
+        raise ConfigError(f"alphas must be a nonempty list of numbers > -1, got {alphas!r}")
+    onethird_bad, weak_bad, compare_bad = maximal_suite(
+        seed, n_functions, n_probes, n_levels, [float(a) for a in alphas]
+    )
 
     values = {
         "one_third_violations": onethird_bad,

@@ -376,11 +376,10 @@ def exp_sinh(
     f: Callable[[np.ndarray], np.ndarray],
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-9,
-    shift: float = 0.0,
 ) -> IntegralResult:
-    """Integral over (shift, inf) by the exp-sinh rule; absorbs integrable
-    power singularities at the lower endpoint."""
-    return _one_row(f, _EXP_SINH.affine(shift, 1.0), abs_tol, rel_tol)
+    """Integral over (0, inf) by the exp-sinh rule; absorbs integrable
+    power singularities at 0."""
+    return _one_row(f, _EXP_SINH, abs_tol, rel_tol)
 
 
 def _product_rule(

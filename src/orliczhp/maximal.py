@@ -1,7 +1,8 @@
 """Maximal operators over step functions: Hardy-Littlewood and shifted
 dyadic maximal functions on the line, their weighted analogues over
 Carleson boxes in the half-plane, level-set decompositions, the
-nontangential maximal function, and the Poisson extension.
+nontangential maximal function, the Poisson extension, and the seeded
+maximal suite that checks the three dyadic inequalities.
 
 Step functions are the universal test class here because every supremum
 and level set is exactly computable for them: the average of a step
@@ -11,14 +12,15 @@ endpoints in the breakpoint set plus the evaluation point itself.
 
 The two shifted dyadic grids are ``2^j([0,1) + m + (-1)^j beta)`` for
 ``beta in {0, 1/3}``; together they dominate the full maximal function up
-to the factor 6 exercised in the tests.
+to the factor 6 exercised in the tests.  Both level-set decompositions
+are one top-down search that averages a whole scale per array call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "level_sets",
     "nontangential_maximal",
     "PoissonExtension",
+    "maximal_suite",
 ]
 
 
@@ -75,9 +78,6 @@ class StepFunction1D:
         """F with F[i] = integral of |f| over (-inf, edges[i]]."""
         widths = np.diff(self.edges)
         return np.concatenate([[0.0], np.cumsum(np.abs(self.values) * widths)])
-
-    def abs_integral(self) -> float:
-        return float(self.abs_prefix()[-1])
 
     def scaled(self, c: float) -> "StepFunction1D":
         return StepFunction1D(self.edges, c * self.values)
@@ -154,6 +154,34 @@ def dyadic_maximal(f: StepFunction1D, grid: DyadicGrid, x) -> np.ndarray:
     return best
 
 
+def _maximal_intervals(
+    grid: DyadicGrid,
+    window: tuple[float, float],
+    average: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    lam: float,
+) -> list[tuple[float, float]]:
+    """Maximal grid intervals under the top-scale intervals meeting
+    ``window`` whose ``average(j, a, b)`` exceeds ``lam``, sorted.  Each
+    scale is averaged in one call; the next scale's intervals whose
+    midpoints lie in an interval not taken are opened (the grid nests)."""
+    if lam <= 0:
+        raise ValueError("level must be positive")
+    taken: list[tuple[float, float]] = []
+    a, b = grid.intervals_at(grid.j_max, *window)
+    for j in range(grid.j_max, grid.j_min - 1, -1):
+        hit = average(j, a, b) > lam
+        taken += zip(a[hit].tolist(), b[hit].tolist())
+        a, b = a[~hit], b[~hit]
+        if j == grid.j_min or a.size == 0:
+            break
+        a_next, b_next = grid.intervals_at(j - 1, float(a[0]), float(b[-1]))
+        mid = 0.5 * (a_next + b_next)
+        parent = np.searchsorted(a, mid, side="right") - 1
+        under = (parent >= 0) & (mid < b[parent])
+        a, b = a_next[under], b_next[under]
+    return sorted(taken)
+
+
 def dyadic_level_intervals(
     f: StepFunction1D, grid: DyadicGrid, lam: float
 ) -> list[tuple[float, float]]:
@@ -162,30 +190,10 @@ def dyadic_level_intervals(
     Their union is exactly ``{dyadic maximal > lam}`` for the same scale
     range, so level-set measures of the dyadic maximal are cell-exact.
     """
-    if lam <= 0:
-        raise ValueError("level must be positive")
     F = _interp_prefix(f)
-    x_lo, x_hi = f.window
-    taken: list[tuple[float, float]] = []
-
-    def descend(j: int, a: float, b: float) -> None:
-        if (F(b) - F(a)) / (b - a) > lam:
-            taken.append((a, b))
-            return
-        if j == grid.j_min:
-            return
-        for aa, bb in zip(*grid.intervals_at(j - 1, a, b - 1e-12)):
-            if bb <= a or aa >= b:
-                continue
-            descend(j - 1, aa, bb)
-
-    # top-scale intervals covering the support window
-    seen = set()
-    for a, b in zip(*grid.intervals_at(grid.j_max, x_lo, x_hi)):
-        if (a, b) not in seen:
-            seen.add((a, b))
-            descend(grid.j_max, float(a), float(b))
-    return sorted(taken)
+    return _maximal_intervals(
+        grid, f.window, lambda j, a, b: (F(b) - F(a)) / (b - a), lam
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +239,6 @@ class StepFunction2D:
         return out
 
 
-def _x_overlap(xe: np.ndarray, a: float, b: float) -> np.ndarray:
-    return np.clip(np.minimum(xe[1:], b) - np.maximum(xe[:-1], a), 0.0, None)
-
-
 def _y_overlap_weighted(ye: np.ndarray, y0: float, y1: float, alpha: float) -> np.ndarray:
     lo = np.maximum(ye[:-1], y0)
     hi = np.minimum(ye[1:], y1)
@@ -242,17 +246,22 @@ def _y_overlap_weighted(ye: np.ndarray, y0: float, y1: float, alpha: float) -> n
     return (hi ** (1.0 + alpha) - lo ** (1.0 + alpha)) / (1.0 + alpha)
 
 
+def _box_averages(f: StepFunction2D, alpha: float, length: float, a, b):
+    """Averages of |f| over the boxes ``[a, b) x (0, length)`` against the
+    ``y^alpha`` volume, summed over cell overlaps (exact on one cell);
+    ``a`` and ``b`` are floats, or arrays with a trailing axis of one."""
+    xe = f.x_edges
+    wx = np.clip(np.minimum(xe[1:], b) - np.maximum(xe[:-1], a), 0.0, None)
+    wy = _y_overlap_weighted(f.y_edges, 0.0, length, alpha)
+    return (wx @ np.abs(f.values) @ wy) / (length ** (2.0 + alpha) / (1.0 + alpha))
+
+
 def weighted_box_average(
     f: StepFunction2D, alpha: float, a: float, b: float
 ) -> float:
     """Average of |f| over the box ``[a, b) x (0, b-a)`` against the
     ``y^alpha`` volume, cell-exact."""
-    length = b - a
-    wx = _x_overlap(f.x_edges, a, b)
-    wy = _y_overlap_weighted(f.y_edges, 0.0, length, alpha)
-    integral = float(wx @ np.abs(f.values) @ wy)
-    vol = length ** (2.0 + alpha) / (1.0 + alpha)
-    return integral / vol
+    return float(_box_averages(f, alpha, b - a, a, b))
 
 
 def weighted_dyadic_maximal(
@@ -264,25 +273,7 @@ def weighted_dyadic_maximal(
 ) -> float:
     """Supremum of weighted box averages over standard dyadic intervals
     whose box contains ``z = (x, y)``."""
-    x, y = z
-    grid = DyadicGrid(0.0, j_min, j_max)
-    best = 0.0
-    j_start = max(j_min, math.ceil(math.log2(y)) if y > 0 else j_min)
-    for j in range(j_start, j_max + 1):
-        if 2.0 ** j <= y:
-            continue
-        a, b = grid.interval_containing(j, x)
-        best = max(best, weighted_box_average(f, alpha, float(a), float(b)))
-    return best
-
-
-def _scale_prefix(f: StepFunction2D, alpha: float, length: float):
-    """Prefix integral in x of ``int_0^length |f| y^alpha dy``; evaluating
-    its increments gives every box integral at this scale in one interp."""
-    wy = _y_overlap_weighted(f.y_edges, 0.0, length, alpha)
-    per_cell = (np.abs(f.values) @ wy) * np.diff(f.x_edges)
-    prefix = np.concatenate([[0.0], np.cumsum(per_cell)])
-    return f.x_edges, prefix
+    return float(weighted_dyadic_maximal_batch(f, alpha, [z[0]], [z[1]], j_min, j_max)[0])
 
 
 def translated_box_table(
@@ -301,12 +292,10 @@ def translated_box_table(
         step = length * step_fraction
         n = int(math.floor(2.0 * extent / step))
         starts = -extent + step * np.arange(n + 1)
-        edges, prefix = _scale_prefix(f, alpha, length)
-        integrals = np.interp(starts + length, edges, prefix) - np.interp(starts, edges, prefix)
-        vol = length ** (2.0 + alpha) / (1.0 + alpha)
         a_list.append(starts)
         len_list.append(np.full_like(starts, length))
-        avg_list.append(integrals / vol)
+        a = starts[:, None]
+        avg_list.append(_box_averages(f, alpha, length, a, a + length))
     return np.concatenate(a_list), np.concatenate(len_list), np.concatenate(avg_list)
 
 
@@ -324,11 +313,9 @@ def weighted_dyadic_maximal_batch(
     best = np.zeros_like(xs)
     for j in range(j_min, j_max + 1):
         length = 2.0 ** j
-        edges, prefix = _scale_prefix(f, alpha, length)
-        a = length * np.floor(xs / length)
-        vals = np.interp(a + length, edges, prefix) - np.interp(a, edges, prefix)
-        vol = length ** (2.0 + alpha) / (1.0 + alpha)
-        best = np.maximum(best, np.where(ys < length, vals / vol, 0.0))
+        a = length * np.floor(xs / length)[..., None]
+        averages = _box_averages(f, alpha, length, a, a + length)
+        best = np.maximum(best, np.where(ys < length, averages, 0.0))
     return best
 
 
@@ -358,25 +345,11 @@ def level_sets(
     """Disjoint maximal standard dyadic intervals whose box average of |f|
     exceeds ``lam``; the union of their boxes is the dyadic level set over
     this scale range."""
-    if lam <= 0:
-        raise ValueError("level must be positive")
-    grid = DyadicGrid(0.0, j_min, j_max)
-    x_lo, x_hi = float(f.x_edges[0]), float(f.x_edges[-1])
-    taken: list[tuple[float, float]] = []
-
-    def descend(j: int, a: float, b: float) -> None:
-        if weighted_box_average(f, alpha, a, b) > lam:
-            taken.append((a, b))
-            return
-        if j == j_min:
-            return
-        mid = 0.5 * (a + b)
-        descend(j - 1, a, mid)
-        descend(j - 1, mid, b)
-
-    for a, b in zip(*grid.intervals_at(j_max, x_lo, x_hi)):
-        descend(j_max, float(a), float(b))
-    return sorted(taken)
+    window = (float(f.x_edges[0]), float(f.x_edges[-1]))
+    return _maximal_intervals(
+        DyadicGrid(0.0, j_min, j_max), window,
+        lambda j, a, b: _box_averages(f, alpha, 2.0 ** j, a[:, None], b[:, None]), lam,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +409,67 @@ class PoissonExtension:
 
     def abs(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         return lambda x, y: np.abs(self(x, y))
+
+
+# ---------------------------------------------------------------------------
+# The maximal suite
+# ---------------------------------------------------------------------------
+
+def _finest_cells(grid: DyadicGrid, window: tuple[float, float]) -> np.ndarray:
+    """Centres of the grid's finest cells under the top-scale intervals
+    meeting ``window`` (and at most one past them, where the maximal
+    vanishes): ``|{M_d f > lam}|`` is the cell width times a count."""
+    a, b = grid.intervals_at(grid.j_max, *window)
+    starts, stops = grid.intervals_at(grid.j_min, float(a[0]), float(b[-1]))
+    return 0.5 * (starts + stops)
+
+
+def maximal_suite(
+    seed: int,
+    n_functions: int,
+    n_probes: int,
+    n_levels: int,
+    alphas: Sequence[float],
+) -> tuple[int, int, int]:
+    """Violation counts of the one-third trick (factor 6), the dyadic weak
+    type (constant 2) and the weighted dyadic comparison (factor 68) on
+    ``n_functions`` seeded step functions on the line and
+    ``max(1, n_functions // 4)`` on the half-plane."""
+    # corpus builds its step functions from this module
+    from .corpus import random_step_1d, random_step_2d
+
+    rng = np.random.default_rng(seed)
+    grids = (DyadicGrid(0.0, -4, 6), DyadicGrid(1.0 / 3.0, -4, 6))
+
+    onethird_bad = weak_bad = compare_bad = 0
+    for _ in range(n_functions):
+        f = random_step_1d(rng)
+        probes = rng.uniform(*f.window, n_probes)
+        m_full = np.array([hl_maximal(f, float(x)) for x in probes])
+        m_dyadic = dyadic_maximal(f, grids[0], probes) + dyadic_maximal(f, grids[1], probes)
+        onethird_bad += int(np.sum(m_full > 6.0 * m_dyadic + 1e-12))
+
+        top = float(np.max(np.abs(f.values)))
+        if top > 0:
+            fa = np.abs(f.values)
+            widths = np.diff(f.edges)
+            cells = [
+                (2.0 ** grid.j_min, dyadic_maximal(f, grid, _finest_cells(grid, f.window)))
+                for grid in grids
+            ]
+            for lam in np.geomspace(top / 100.0, top * 0.999, n_levels):
+                bound = (2.0 / lam) * float(np.sum(fa[fa > lam / 2] * widths[fa > lam / 2]))
+                for width, m_cells in cells:
+                    if width * np.count_nonzero(m_cells > lam) > bound + 1e-12:
+                        weak_bad += 1
+
+    for _ in range(max(1, n_functions // 4)):
+        f2 = random_step_2d(rng)
+        xs = rng.uniform(f2.x_edges[0], f2.x_edges[-1], n_probes)
+        ys = rng.uniform(f2.y_edges[0] + 1e-6, f2.y_edges[-1] * 0.999, n_probes)
+        for alpha in alphas:
+            table = translated_box_table(f2, alpha, -3, 4, extent=6.0)
+            full = weighted_maximal_over_boxes(table, (xs, ys))
+            dyad = weighted_dyadic_maximal_batch(f2, alpha, xs, ys, -3, 4)
+            compare_bad += int(np.sum((full > 1e-12) & (dyad < full / 68.0 - 1e-12)))
+    return onethird_bad, weak_bad, compare_bad

@@ -303,7 +303,6 @@ def hardy_norm(
     phi: GrowthFunction,
     heights: Optional[np.ndarray] = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    fast_power: bool = True,
 ) -> HardyNormResult:
     """Sup over a geometric height grid of line modulars (modular form) and
     of line Luxembourg norms (norm form).  The grid sup is a lower bound of
@@ -313,8 +312,8 @@ def hardy_norm(
     The line modulars of all heights come from one ``integrate_line_rows``
     call, one row per height, each row on the width ``natural_scale + y``.
     ``converged`` is true only if every row converged, and ``error`` is the
-    worst row's error estimate.  A non-power ``phi`` (or
-    ``fast_power=False``) bisects each height's Luxembourg norm on its own
+    worst row's error estimate.  A ``Power`` phi takes each height's
+    Luxembourg norm in closed form; any other phi bisects it on its own
     line modulars."""
     x_scale = float(getattr(f, "natural_scale", 1.0))
     x_center = float(getattr(f, "natural_center", 0.0))
@@ -325,7 +324,7 @@ def hardy_norm(
         lambda X, r: phi(np.abs(f_abs(X, ys[r, None]))), spec, x_center, widths
     )
     modulars = rows.values
-    if fast_power and isinstance(phi, Power):
+    if isinstance(phi, Power):
         luxes = [m ** (1.0 / phi.p) for m in modulars.tolist()]
     else:
         luxes = [
@@ -360,12 +359,12 @@ def bergman_norm(
     phi: GrowthFunction,
     alpha: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    fast_power: bool = True,
 ) -> BergmanNormResult:
-    """Half-plane modular against ``y^alpha`` and its Luxembourg norm."""
+    """Half-plane modular against ``y^alpha`` and its Luxembourg norm, in
+    closed form for a ``Power`` phi and by bisection otherwise."""
     mu = WeightedVolume(alpha)
     mod = modular_halfplane(f, phi, mu, spec)
-    if fast_power and isinstance(phi, Power):
+    if isinstance(phi, Power):
         lux = mod ** (1.0 / phi.p) if mod > 0 else 0.0
     else:
         lux = luxembourg(

@@ -8,18 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from orliczhp.corpus import random_atoms, random_step_1d, random_step_2d
+from orliczhp.corpus import random_atoms, random_step_1d
 from orliczhp.growth import Power, PowerLog, classify, conjugate, derived_pair
 from orliczhp.integrals import beta, integrate_line, line_kernel_value
-from orliczhp.maximal import (
-    DyadicGrid,
-    dyadic_level_intervals,
-    dyadic_maximal,
-    hl_maximal,
-    translated_box_table,
-    weighted_dyadic_maximal_batch,
-    weighted_maximal_over_boxes,
-)
+from orliczhp.maximal import maximal_suite
 from orliczhp.measure import (
     AtomicMeasure,
     BoxFamily,
@@ -114,59 +106,17 @@ def test_03_kernel_norm_bounds():
 
 def test_04_maximal_suite():
     t0 = time.monotonic()
-    rng = np.random.default_rng(20260809)
-    grids = (DyadicGrid(0.0, -4, 6), DyadicGrid(1.0 / 3.0, -4, 6))
-    n_functions = 200
-
-    # the dyadic maximal over a finite scale range is a step function on
-    # the grid's finest cells, so level-set sizes are exact cell counts
-    cell_centers = {}
-    for grid in grids:
-        starts, stops = grid.intervals_at(grid.j_min, -192.0, 192.0)
-        cell_centers[grid.beta] = 0.5 * (starts + stops)
-    cell_width = 2.0 ** grids[0].j_min
-
-    onethird_bad = weak_bad = 0
-    for _ in range(n_functions):
-        f = random_step_1d(rng)
-        probes = rng.uniform(*f.window, 100)
-        m_full = np.array([hl_maximal(f, float(x)) for x in probes])
-        m_dyadic = dyadic_maximal(f, grids[0], probes) + dyadic_maximal(f, grids[1], probes)
-        onethird_bad += int(np.sum(m_full > 6.0 * m_dyadic + 1e-12))
-
-        top = float(np.max(np.abs(f.values)))
-        if top > 0:
-            widths = np.diff(f.edges)
-            fa = np.abs(f.values)
-            lams = np.geomspace(top / 100.0, top * 0.999, 20)
-            for grid in grids:
-                md = dyadic_maximal(f, grid, cell_centers[grid.beta])
-                sizes = cell_width * np.count_nonzero(
-                    md[None, :] > lams[:, None], axis=1
-                )
-                bounds = (2.0 / lams) * np.array([
-                    float(np.sum(fa[fa > lam / 2] * widths[fa > lam / 2]))
-                    for lam in lams
-                ])
-                weak_bad += int(np.sum(sizes > bounds + 1e-12))
-
-    compare_bad = 0
-    for _ in range(n_functions):
-        f2 = random_step_2d(rng)
-        xs = rng.uniform(-4.0, 4.0, 50)
-        ys = rng.uniform(1e-3, 3.9, 50)
-        for alpha in (0.0, 1.0):
-            table = translated_box_table(f2, alpha, -3, 4, extent=6.0)
-            full = weighted_maximal_over_boxes(table, (xs, ys))
-            dyad = weighted_dyadic_maximal_batch(f2, alpha, xs, ys, -3, 4)
-            compare_bad += int(np.sum((full > 1e-12) & (dyad < full / 68.0 - 1e-12)))
+    n_functions = 800
+    onethird_bad, weak_bad, compare_bad = maximal_suite(
+        20260809, n_functions=n_functions, n_probes=100, n_levels=20, alphas=(0.0, 1.0)
+    )
 
     elapsed = time.monotonic() - t0
     assert onethird_bad == 0
     assert weak_bad == 0
     assert compare_bad == 0
     assert elapsed <= 60.0
-    report(4, f"maximal suite on {n_functions} random step functions: "
+    report(4, f"maximal suite on {n_functions} + {n_functions // 4} random step functions: "
               f"0 violations (factor 6 / constant 2 / factor 68), {elapsed:.1f}s")
 
 

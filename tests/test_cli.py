@@ -254,6 +254,23 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [
+        {"alphas": [-2.0]},
+        {"alphas": [-1.0]},
+        {"alphas": "01"},
+        {"alphas": []},
+        {"n_functions": -3},
+        {"n_functions": "abc"},
+        {"n_probes": -1},
+        {"n_levels": -2},
+        {"n_levels": 0},
+    ])
+    def test_bad_maximal_suite_is_config_error(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, {"command": "maximal-suite", "n_functions": 2,
+                                       "n_probes": 5, "n_levels": 2, **values})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_json_output_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "classify-growth", "phi": "power(3)"})
         out = tmp_path / "report.json"

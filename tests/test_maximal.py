@@ -1,8 +1,16 @@
+import ast
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orliczhp import cli, maximal
 from orliczhp.corpus import random_step_1d, random_step_2d
 from orliczhp.growth import Power
 from orliczhp.maximal import (
@@ -14,10 +22,12 @@ from orliczhp.maximal import (
     dyadic_maximal,
     hl_maximal,
     level_sets,
+    maximal_suite,
     nontangential_maximal,
     translated_box_table,
     weighted_box_average,
     weighted_dyadic_maximal,
+    weighted_dyadic_maximal_batch,
     weighted_maximal_over_boxes,
 )
 
@@ -264,3 +274,306 @@ class TestPoisson:
         ys = np.linspace(1e-3, 1 - 1e-3, 21)
         vals = P(xs[:, None], ys[None, :])
         assert np.all(vals > lam)
+
+
+# -- references: copies of the per-interval recursions that
+# ``maximal._maximal_intervals`` replaced, and of the maximal suite as the
+# CLI ran it before ``maximal.maximal_suite``
+
+def _ref_dyadic_level_intervals(f, grid, lam):
+    prefix = f.abs_prefix()
+
+    def F(t):
+        return np.interp(t, f.edges, prefix)
+
+    x_lo, x_hi = f.window
+    taken = []
+
+    def descend(j, a, b):
+        if (F(b) - F(a)) / (b - a) > lam:
+            taken.append((a, b))
+            return
+        if j == grid.j_min:
+            return
+        for aa, bb in zip(*grid.intervals_at(j - 1, a, b - 1e-12)):
+            if bb <= a or aa >= b:
+                continue
+            descend(j - 1, aa, bb)
+
+    for a, b in zip(*grid.intervals_at(grid.j_max, x_lo, x_hi)):
+        descend(grid.j_max, float(a), float(b))
+    return sorted(taken)
+
+
+def _ref_height_weights(f, alpha, length):
+    lo = np.maximum(f.y_edges[:-1], 0.0)
+    hi = np.maximum(np.minimum(f.y_edges[1:], length), lo)
+    return (hi ** (1.0 + alpha) - lo ** (1.0 + alpha)) / (1.0 + alpha)
+
+
+def _ref_box_average(f, alpha, a, b, wy=None):
+    """The cell-overlap box average the level-set recursion used; ``wy``
+    depends on the box length only, so a caller may pass it in."""
+    length = b - a
+    if wy is None:
+        wy = _ref_height_weights(f, alpha, length)
+    xe = f.x_edges
+    wx = np.clip(np.minimum(xe[1:], b) - np.maximum(xe[:-1], a), 0.0, None)
+    return float(wx @ np.abs(f.values) @ wy) / (length ** (2.0 + alpha) / (1.0 + alpha))
+
+
+def _ref_level_sets(f, alpha, lam, j_min=-6, j_max=8):
+    grid = DyadicGrid(0.0, j_min, j_max)
+    wys = {}  # height weights per box length, computed once
+    taken = []
+
+    def descend(j, a, b):
+        if j not in wys:
+            wys[j] = _ref_height_weights(f, alpha, b - a)
+        if _ref_box_average(f, alpha, a, b, wys[j]) > lam:
+            taken.append((a, b))
+            return
+        if j == j_min:
+            return
+        mid = 0.5 * (a + b)
+        descend(j - 1, a, mid)
+        descend(j - 1, mid, b)
+
+    for a, b in zip(*grid.intervals_at(j_max, float(f.x_edges[0]), float(f.x_edges[-1]))):
+        descend(j_max, float(a), float(b))
+    return sorted(taken)
+
+
+def _ref_finest_cells(grid, window):
+    a, b = grid.intervals_at(grid.j_max, *window)
+    starts, stops = grid.intervals_at(grid.j_min, float(a[0]), float(b[-1]))
+    return 0.5 * (starts + stops)
+
+
+def _ref_suite_counts(seed, n_functions, n_probes, n_levels, alphas):
+    rng = np.random.default_rng(seed)
+    grids = (DyadicGrid(0.0, -4, 6), DyadicGrid(1.0 / 3.0, -4, 6))
+
+    onethird_bad = weak_bad = compare_bad = 0
+    for _ in range(n_functions):
+        f = random_step_1d(rng)
+        probes = rng.uniform(*f.window, n_probes)
+        m_full = np.array([maximal.hl_maximal(f, float(x)) for x in probes])
+        m_dyadic = maximal.dyadic_maximal(f, grids[0], probes) + maximal.dyadic_maximal(f, grids[1], probes)
+        onethird_bad += int(np.sum(m_full > 6.0 * m_dyadic + 1e-12))
+
+        top = float(np.max(np.abs(f.values)))
+        if top > 0:
+            fa = np.abs(f.values)
+            widths = np.diff(f.edges)
+            cells = [
+                (2.0 ** grid.j_min, maximal.dyadic_maximal(f, grid, _ref_finest_cells(grid, f.window)))
+                for grid in grids
+            ]
+            for lam in np.geomspace(top / 100.0, top * 0.999, n_levels):
+                bound = (2.0 / lam) * float(np.sum(fa[fa > lam / 2] * widths[fa > lam / 2]))
+                for width, m_cells in cells:
+                    if width * np.count_nonzero(m_cells > lam) > bound + 1e-12:
+                        weak_bad += 1
+
+    for _ in range(max(1, n_functions // 4)):
+        f2 = random_step_2d(rng)
+        xs = rng.uniform(f2.x_edges[0], f2.x_edges[-1], n_probes)
+        ys = rng.uniform(f2.y_edges[0] + 1e-6, f2.y_edges[-1] * 0.999, n_probes)
+        for alpha in alphas:
+            table = maximal.translated_box_table(f2, alpha, -3, 4, extent=6.0)
+            full = maximal.weighted_maximal_over_boxes(table, (xs, ys))
+            dyad = maximal.weighted_dyadic_maximal_batch(f2, alpha, xs, ys, -3, 4)
+            compare_bad += int(np.sum((full > 1e-12) & (dyad < full / 68.0 - 1e-12)))
+    return onethird_bad, weak_bad, compare_bad
+
+
+def _ref_run_maximal(config):
+    """The CLI command as it was, over the reference counts."""
+    seed = int(config.get("seed", 0))
+    n_functions = int(config.get("n_functions", 50))
+    onethird_bad, weak_bad, compare_bad = _ref_suite_counts(
+        seed, n_functions, int(config.get("n_probes", 50)),
+        int(config.get("n_levels", 10)), [float(a) for a in config.get("alphas", [0.0, 1.0])],
+    )
+    values = {
+        "one_third_violations": onethird_bad,
+        "weak_type_violations": weak_bad,
+        "dyadic_comparison_violations": compare_bad,
+        "n_functions": n_functions,
+        "seed": seed,
+    }
+    passed = onethird_bad == 0 and weak_bad == 0 and compare_bad == 0
+    records = [cli._record(
+        "maximal-suite",
+        "one-third trick (factor 6), weak type (constant 2), dyadic "
+        "comparison (factor 68) on seeded random step functions",
+        {"seed": seed, "n_functions": n_functions},
+        values,
+        "pass" if passed else "fail",
+    )]
+    return records, passed
+
+
+def _benchmark_maximal_config(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.cli_configs(seed)["maximal"]
+
+
+def _body(report):
+    return cli.canonical_json({k: v for k, v in report.items() if k != "timing"})
+
+
+# scale ranges shorter than the defaults: the maximal suite's and two more
+J_RANGES = [(-4, 6), (-3, 4), (-1, 2)]
+# levels as fractions of max |f|: ties at simple fractions, and the rest
+LEVELS = st.one_of(st.sampled_from([1.0, 0.75, 0.5, 0.25]), st.floats(0.01, 1.0))
+
+
+def _planted_step_2d(seed):
+    """A random 2-D step function whose maximum sits in the bottom row, so
+    the boxes inside that cell average exactly max |f|."""
+    f = random_step_2d(np.random.default_rng(seed))
+    values = f.values.copy()
+    values[seed % values.shape[0], 0] = 2.0 * float(np.max(np.abs(values)) or 1.0)
+    return StepFunction2D(f.x_edges, f.y_edges, values)
+
+
+class TestOneSearch:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), beta=st.sampled_from([0.0, 1.0 / 3.0]),
+           j_range=st.sampled_from(J_RANGES), u=LEVELS)
+    def test_dyadic_level_intervals_equal_recursion(self, seed, beta, j_range, u):
+        f = random_step_1d(np.random.default_rng(seed))
+        grid = DyadicGrid(beta, *j_range)
+        lam = u * float(np.max(np.abs(f.values)) or 1.0)
+        assert dyadic_level_intervals(f, grid, lam) == _ref_dyadic_level_intervals(f, grid, lam)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans(),
+           alpha=st.sampled_from([0.0, 1.0]), j_range=st.sampled_from(J_RANGES), u=LEVELS)
+    def test_level_sets_equal_recursion(self, seed, planted, alpha, j_range, u):
+        f = _planted_step_2d(seed) if planted else random_step_2d(np.random.default_rng(seed))
+        lam = u * float(np.max(np.abs(f.values)) or 1.0)
+        assert level_sets(f, alpha, lam, *j_range) == _ref_level_sets(f, alpha, lam, *j_range)
+
+    # the recursions take about a second per call on the default range
+    # (-6, 8), so it gets one case each
+    def test_dyadic_level_intervals_default_range(self):
+        f = random_step_1d(np.random.default_rng(5))
+        lam = 0.6 * float(np.max(np.abs(f.values)))
+        grid = DyadicGrid(1.0 / 3.0)
+        assert dyadic_level_intervals(f, grid, lam) == _ref_dyadic_level_intervals(f, grid, lam) != []
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_level_sets_tie_at_the_top(self, alpha):
+        # boxes inside the planted cell average exactly lam: none is taken
+        f = _planted_step_2d(11)
+        lam = float(np.max(f.values))
+        assert level_sets(f, alpha, lam, -4, 6) == _ref_level_sets(f, alpha, lam, -4, 6) == []
+
+    def test_level_sets_default_range(self):
+        f = _planted_step_2d(3)
+        lam = 0.5 * float(np.max(f.values))
+        assert level_sets(f, 1.0, lam) == _ref_level_sets(f, 1.0, lam) != []
+
+    def test_nonpositive_level_rejected(self):
+        f = random_step_1d(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            dyadic_level_intervals(f, DyadicGrid(), 0.0)
+        with pytest.raises(ValueError):
+            level_sets(random_step_2d(np.random.default_rng(0)), 0.0, -1.0)
+
+
+class TestBoxAverages:
+    """The box table, the batched dyadic maximal and the level sets share
+    one cell-overlap box average; each value is the per-box average."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_table_matches_per_box_average(self, alpha):
+        f = random_step_2d(np.random.default_rng(21))
+        a, length, avg = translated_box_table(f, alpha, -3, 4, extent=6.0)
+        want = [_ref_box_average(f, alpha, x, x + h) for x, h in zip(a, length)]
+        np.testing.assert_allclose(avg, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_batch_matches_per_box_average(self, alpha):
+        rng = np.random.default_rng(22)
+        f = random_step_2d(rng)
+        xs, ys = rng.uniform(-4, 4, 30), rng.uniform(1e-3, 3.9, 30)
+        want = [
+            max(_ref_box_average(f, alpha, h * math.floor(x / h), h * math.floor(x / h) + h)
+                if y < h else 0.0 for h in 2.0 ** np.arange(-3, 5))
+            for x, y in zip(xs, ys)
+        ]
+        np.testing.assert_allclose(
+            weighted_dyadic_maximal_batch(f, alpha, xs, ys, -3, 4), want, rtol=1e-14, atol=0)
+
+    def test_box_inside_one_cell_is_exact(self):
+        # cells are 1/4 wide and 1/8 high: a box of side 1/8 on the bottom
+        # row averages its cell's value exactly, with no rounding
+        f = _planted_step_2d(7)
+        top = float(np.max(f.values))
+        i = 7 % f.values.shape[0]
+        a = float(f.x_edges[i])
+        assert weighted_box_average(f, 1.0, a, a + 0.125) == top
+        table = translated_box_table(f, 1.0, -3, -3, extent=4.0)
+        assert np.max(table[2]) == top
+
+
+class TestMaximalSuite:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_and_report_equal_reference(self, seed, monkeypatch):
+        config = {"command": "maximal-suite", "seed": seed, "n_functions": 4,
+                  "n_probes": 10, "n_levels": 4}
+        assert maximal_suite(seed, 4, 10, 4, [0.0, 1.0]) == _ref_suite_counts(
+            seed, 4, 10, 4, [0.0, 1.0])
+        body = _body(cli.run(config))
+        monkeypatch.setitem(cli._COMMANDS, "maximal-suite", _ref_run_maximal)
+        assert body == _body(cli.run(config))
+
+    @pytest.mark.parametrize("factor", [0.1, 3.0])
+    def test_counts_follow_each_draw(self, factor, monkeypatch):
+        # the theorems keep every count at zero; scaled dyadic maximals break
+        # them at some points only, so the counts pin each draw and its order
+        dyadic, batch = maximal.dyadic_maximal, maximal.weighted_dyadic_maximal_batch
+        monkeypatch.setattr(maximal, "dyadic_maximal", lambda *a: factor * dyadic(*a))
+        monkeypatch.setattr(maximal, "weighted_dyadic_maximal_batch", lambda *a: 0.015 * batch(*a))
+        got = maximal_suite(3, 8, 20, 6, [0.0, 1.0])
+        assert got == _ref_suite_counts(3, 8, 20, 6, [0.0, 1.0])
+        assert got[0 if factor < 1 else 1] > 0 and 0 < got[2] < 80
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_benchmark_config_equal_reference(self, seed, monkeypatch):
+        config = _benchmark_maximal_config(seed)
+        body = _body(cli.run(config))
+        assert json.loads(body)["suite_verdict"] == "pass"
+        monkeypatch.setitem(cli._COMMANDS, "maximal-suite", _ref_run_maximal)
+        assert body == _body(cli.run(config))
+
+
+class TestOneImplementation:
+    """Each maximal-operator concept has one home: the CLI calls only the
+    suite, and the level-set searches share one loop."""
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_cli_imports_only_the_suite(self):
+        imported = set()
+        for node in ast.walk(self._tree(cli)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("maximal"):
+                imported |= {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom) and node.module is None:
+                assert "maximal" not in {alias.name for alias in node.names}
+        assert imported == {"maximal_suite"}
+
+    def test_no_nested_descend(self):
+        names = [node.name for node in ast.walk(self._tree(maximal))
+                 if isinstance(node, ast.FunctionDef)]
+        assert "descend" not in names
