@@ -321,6 +321,12 @@ def weak_hardy_family(
     return members
 
 
+# A modular within this band above 1 passes ``modular <= 1``: matched
+# volumes have a modular of exactly 1 at a grid K by construction, and
+# quadrature rounding must not move their K up one grid step.
+_MODULAR_TIE_BAND = 8 * math.ulp(1.0)
+
+
 def _first_admissible(
     n: int, ok: Callable[[int], bool], guess: Optional[int] = None
 ) -> Optional[int]:
@@ -394,8 +400,11 @@ def embedding_constant(
     point at or above it and confirms that index with the real integral
     there and one step below (three modulars per member instead of about
     ten).  The prediction only seeds the search: the index is decided by
-    the probes, as in the bisection.  A member with no admissible grid
-    ``K`` (including detected divergence at every ``K``) reports ``inf``.
+    the probes, as in the bisection.  A modular up to 8 ulps above 1
+    (``_MODULAR_TIE_BAND``) counts as ``<= 1``, so a member whose modular is
+    exactly 1 at a grid ``K`` keeps that ``K`` under quadrature rounding.  A
+    member with no admissible grid ``K`` (including detected divergence at
+    every ``K``) reports ``inf``.
     """
     ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     per_member: list[tuple[str, float]] = []
@@ -410,7 +419,7 @@ def embedding_constant(
             val = modular_halfplane(
                 member.f, phi2, mu, spec, scale=ks[i] * member.source_norm
             )
-            return val <= 1.0
+            return val <= 1.0 + _MODULAR_TIE_BAND
 
         guess = None
         if isinstance(phi2, Power):

@@ -368,7 +368,9 @@ def _positive_int(config: dict, key: str, default: int) -> int:
 @_command("maximal-suite")
 def _run_maximal(config: dict):
     _check_keys(config, {"n_functions", "n_probes", "n_levels", "alphas"})
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     n_functions = _positive_int(config, "n_functions", 50)
     n_probes = _positive_int(config, "n_probes", 50)
     n_levels = _positive_int(config, "n_levels", 10)

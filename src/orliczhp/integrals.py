@@ -25,8 +25,11 @@ converged is frozen and no longer evaluated.  ``tanh_sinh``, ``sinh_sinh``,
 ``exp_sinh`` and ``integrate_line`` are its one-row cases;
 ``integrate_line_rows`` exposes the stack for families of line integrals
 (one row per height in ``spaces.hardy_norm``).  The product rule
-``_product_rule`` evaluates the tensor grid of two maps level by level for
-half-plane and box integrals.
+``_product_rule`` integrates over the tensor grid of two maps for half-plane
+and box integrals with nested levels: the coarse level is the full grid, and
+each finer level adds only the new nodes inside a window of each axis that
+drops the coarse nodes below 1e-20 of the sum (the tail truncation of
+Takahasi-Mori and Bailey-Jeyabalan-Li).
 """
 
 from __future__ import annotations
@@ -213,12 +216,20 @@ class _DEMap(NamedTuple):
     t_cut: float
     max_level: int
 
-    def level(self, level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def level(
+        self,
+        level: int,
+        new_only: bool = False,
+        t_lo: float = -math.inf,
+        t_hi: float = math.inf,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Abscissae and weights ``h dx/dt`` of the trapezoid rule with step
-        ``h = 2^-level``; ``new_only`` keeps the nodes that halving the step
-        adds (the odd multiples of ``h``)."""
+        ``h = 2^-level`` at the nodes ``t = j h`` with ``|t| <= t_cut`` and
+        ``t_lo <= t <= t_hi``; ``new_only`` keeps the nodes that halving the
+        step adds (the odd multiples of ``h``)."""
         h = 2.0 ** (-level)
-        j = np.arange(-int(self.t_cut / h), int(self.t_cut / h) + 1)
+        lo = math.ceil(max(t_lo, -self.t_cut) / h)
+        j = np.arange(lo, math.floor(min(t_hi, self.t_cut) / h) + 1)
         if new_only:
             j = j[j % 2 != 0]
         x, dxdt = self.nodes(j * h)
@@ -382,6 +393,25 @@ def exp_sinh(
     return _one_row(f, _EXP_SINH, abs_tol, rel_tol)
 
 
+# The product rule's coarse level, and the share of the coarse sum a coarse
+# node must carry for its row or column to be refined past that level.
+_COARSE_LEVEL = 3
+_TRIM_SHARE = 1e-20
+_TRIM_PAD = 1
+
+
+def _coarse_window(significant: np.ndarray) -> tuple[float, float]:
+    """The ``t``-window of the significant nodes of one axis of the coarse
+    grid ``t = j 2^-3``, ``|j| <= n``, padded by ``_TRIM_PAD`` nodes; a side
+    that reaches the outermost coarse node stays open up to ``t_cut``."""
+    n = significant.size // 2
+    idx = np.flatnonzero(significant)
+    lo, hi = int(idx[0]) - _TRIM_PAD, int(idx[-1]) + _TRIM_PAD
+    h = 2.0 ** -_COARSE_LEVEL
+    return (-math.inf if lo <= 0 else (lo - n) * h,
+            math.inf if hi >= 2 * n else (hi - n) * h)
+
+
 def _product_rule(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     alpha: float,
@@ -392,16 +422,22 @@ def _product_rule(
     max_level: int = 8,
 ) -> IntegralResult:
     """Tensor-product double-exponential rule for ``f(x, y) * y^alpha``,
-    times ``weight(y)`` when given, recomputed per level until two
-    consecutive levels agree; ``f(X, Y)`` is evaluated on full outer grids
-    so the cost is a handful of large vectorized calls."""
+    times ``weight(y)`` when given, with nested levels.
+
+    The coarse level (step ``2^-3``) is the full tensor grid.  Each axis then
+    keeps the window of ``t`` whose coarse nodes carry more than
+    ``_TRIM_SHARE`` of the coarse sum, padded by ``_TRIM_PAD`` coarse nodes
+    and open up to ``t_cut`` on a side that reaches the outermost coarse
+    node (the tail truncation of Takahasi-Mori and Bailey-Jeyabalan-Li).
+    Each finer level evaluates only the new (odd) nodes inside the windows,
+    ``value = previous / 4 + new``, until two consecutive levels agree.  A
+    coarse sum of 0 or not finite keeps the full grid, so the divergence
+    probes see every node.  ``f(X, Y)`` is evaluated on outer-product
+    blocks, two per level."""
     if alpha <= -1:
         raise QuadratureDomainError(f"weight exponent must exceed -1, got {alpha}")
-    prev = None
-    err = math.inf
-    for level in range(3, max_level + 1):
-        x, wx = x_map.level(level)
-        y, wy = y_map.level(level)
+
+    def block(x, wx, y, wy) -> np.ndarray:
         y = y[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             w = y ** alpha if alpha != 0.0 else 1.0
@@ -409,13 +445,36 @@ def _product_rule(
                 w = w * weight(y)
             vals = _safe_products(np.asarray(f(x[None, :], y), dtype=float), w)
             weights = wy[:, None] * wx[None, :]
-        value = float(np.sum(_safe_products(vals, weights)))
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= spec.abs_tol + spec.rel_tol * abs(value):
-                return IntegralResult(value, err, True)
-        prev = value
-    return IntegralResult(prev if prev is not None else 0.0, err, False)
+        return _safe_products(vals, weights)
+
+    x, wx = x_map.level(_COARSE_LEVEL)
+    y, wy = y_map.level(_COARSE_LEVEL)
+    coarse = block(x, wx, y, wy)
+    value = float(np.sum(coarse))
+    x_window = y_window = (-math.inf, math.inf)
+    if value != 0.0 and math.isfinite(value):
+        big = np.abs(coarse) > _TRIM_SHARE * abs(value)
+        x_window = _coarse_window(np.any(big, axis=0))
+        y_window = _coarse_window(np.any(big, axis=1))
+        x, wx = x_map.level(_COARSE_LEVEL, False, *x_window)
+        y, wy = y_map.level(_COARSE_LEVEL, False, *y_window)
+    err = math.inf
+    for level in range(_COARSE_LEVEL + 1, max_level + 1):
+        # halving h: old nodes keep a quarter of their weight, new nodes are
+        # the odd ones on either axis, summed in one pairwise pass
+        xn, wxn = x_map.level(level, True, *x_window)
+        yn, wyn = y_map.level(level, True, *y_window)
+        wx = 0.5 * wx
+        y, wy = np.concatenate([y, yn]), np.concatenate([0.5 * wy, wyn])
+        new = float(np.sum(np.concatenate([
+            block(x, wx, yn, wyn).ravel(), block(xn, wxn, y, wy).ravel()
+        ])))
+        prev, value = value, 0.25 * value + new
+        err = abs(value - prev)
+        if err <= spec.abs_tol + spec.rel_tol * abs(value):
+            return IntegralResult(value, err, True)
+        x, wx = np.concatenate([x, xn]), np.concatenate([wx, wxn])
+    return IntegralResult(value, err, False)
 
 
 # ---------------------------------------------------------------------------

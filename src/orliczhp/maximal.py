@@ -61,6 +61,9 @@ class StepFunction1D:
             raise ValueError("cell values must be finite")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
+        prefix = np.concatenate([[0.0], np.cumsum(np.abs(values) * np.diff(edges))])
+        prefix.flags.writeable = False
+        object.__setattr__(self, "_abs_prefix", prefix)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -75,9 +78,9 @@ class StepFunction1D:
         return out
 
     def abs_prefix(self) -> np.ndarray:
-        """F with F[i] = integral of |f| over (-inf, edges[i]]."""
-        widths = np.diff(self.edges)
-        return np.concatenate([[0.0], np.cumsum(np.abs(self.values) * widths)])
+        """F with F[i] = integral of |f| over (-inf, edges[i]] (computed once,
+        read-only)."""
+        return self._abs_prefix
 
     def scaled(self, c: float) -> "StepFunction1D":
         return StepFunction1D(self.edges, c * self.values)

@@ -264,6 +264,10 @@ class TestMainExitCodes:
         {"n_probes": -1},
         {"n_levels": -2},
         {"n_levels": 0},
+        {"seed": "abc"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
     ])
     def test_bad_maximal_suite_is_config_error(self, tmp_path, capsys, values):
         path = write_config(tmp_path, {"command": "maximal-suite", "n_functions": 2,

@@ -1,8 +1,8 @@
 """The seeded grid searches: ``_first_admissible`` with and without a
 guess, the power-``phi2`` embedding search against closed forms and linear
-scans, the weak-type constant against a per-pair reference, and the
-height-by-height nontangential maximal function against per-probe
-evaluation."""
+scans and its tie band at a modular of 1, the weak-type constant against a
+per-pair reference, and the height-by-height nontangential maximal function
+against per-probe evaluation."""
 
 import math
 
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from orliczhp import carleson
 from orliczhp.carleson import (
     _first_admissible,
+    bergman_test_family,
     default_k_grid,
     embedding_constant,
     hardy_test_family,
@@ -144,6 +145,26 @@ class TestPowerEmbeddingSearch:
         res = embedding_constant(mu, phi2, fam)
         assert res.per_member[0][1] == math.inf
         assert res.trend == "unbounded_member"
+
+
+class TestModularTie:
+    """Matched volumes have a modular of exactly 1 at K = 1 (a grid point):
+    a few ulps of quadrature rounding must not move K, a real excess must."""
+
+    @pytest.mark.parametrize("factor, want", [
+        (1.0, 1.0),
+        (1.0 + 2 * 2.0 ** -52, 1.0),
+        (1.0 - 2 * 2.0 ** -53, 1.0),
+        (1.0 + 1e-12, KS[101]),
+    ])
+    def test_tie_band(self, factor, want, monkeypatch):
+        assert KS[100] == 1.0
+        fam = bergman_test_family(Power(2), 0.0, heights=(0.25, 1.0, 4.0))
+        real = carleson.modular_halfplane
+        monkeypatch.setattr(carleson, "modular_halfplane",
+                            lambda *args, **kwargs: factor * real(*args, **kwargs))
+        res = embedding_constant(WeightedVolume(0.0), Power(2), fam)
+        assert [k for _, k in res.per_member] == [want] * len(fam)
 
 
 def _weak_reference(mu, phi2, family, lams, cs, pixels):

@@ -4,11 +4,12 @@ level loop and of the per-height Hardy norm, bitwise; per-row convergence
 and freezing; and the closed form of every row's Hardy line modular.
 
 The double-exponential maps are shared by the row-batched level loop and
-the product rule, so the product rule (``integrate_halfplane``,
-``integrate_box``) is held bitwise to a loop copy of its earlier per-level
-node generators, ``tanh_sinh`` to a loop copy of its earlier level loop
-(1e-15 relative, same ``converged`` flags), and the row-batched density box
-integral bitwise to its earlier per-height loop."""
+the product rule.  The nested, window-trimmed product rule
+(``integrate_halfplane``, ``integrate_box``) is held to a loop copy of the
+full-grid rule that rebuilds every level from its earlier node generators
+(1e-14 relative, same ``converged`` flags), ``tanh_sinh`` to a loop copy of
+its earlier level loop (1e-15 relative, same ``converged`` flags), and the
+row-batched density box integral bitwise to its earlier per-height loop."""
 
 import math
 
@@ -488,7 +489,7 @@ def _ref_tanh_sinh(f, a, b, abs_tol=1e-10, rel_tol=1e-9, max_level=12):
     return value, min(err, abs(value)), converged
 
 
-# -- the product rule, bitwise -----------------------------------------------
+# -- the product rule against the full-grid loop -----------------------------
 
 def _kernel(kind, x0, y0, phi):
     """``phi(|K|)`` for a Hardy or Bergman kernel at ``x0 + i y0``, or a
@@ -508,13 +509,22 @@ WINDOWS = st.sampled_from([
 ])
 
 
+def _same_to_1e14(got, want):
+    assert got.converged == want[2]
+    assert abs(got.value - want[0]) <= 1e-14 * abs(want[0])
+
+
 class TestProductRuleBitwise:
+    """The nested rule refines only the coarse-trimmed window, so it sums
+    the full-grid loop's nodes in another order and drops the ones below
+    1e-20 of the coarse sum: equal to 1e-14 with the same flags."""
+
     @settings(max_examples=30, deadline=None)
     @given(
         kind=KERNELS,
         x0=st.floats(-4.0, 4.0),
         k=st.integers(-6, 6),
-        alpha=st.sampled_from([0.0, 0.5, 1.0, -0.5]),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, -0.5, -0.9]),
         window=WINDOWS,
         hinted=st.booleans(),
     )
@@ -525,7 +535,7 @@ class TestProductRuleBitwise:
         hint = (x0, y0) if hinted else (0.0, 1.0)
         got = integrate_halfplane(f, alpha, spec, x_center=hint[0], scale=hint[1])
         want = _ref_integrate_halfplane(f, alpha, spec, x_center=hint[0], scale=hint[1])
-        assert _triple(got) == want
+        _same_to_1e14(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -534,26 +544,28 @@ class TestProductRuleBitwise:
         y_lo=st.sampled_from([1e-6, 0.25, 1.0]),
         top=st.sampled_from([1.0, 4.0, math.inf]),
         a=st.floats(-0.9, 1.0),
+        hinted=st.booleans(),
     )
-    def test_weighted_height_segments(self, kind, x0, y_lo, top, a):
+    def test_weighted_height_segments(self, kind, x0, y_lo, top, a, hinted):
         """Density segments: an extra height weight over ``(y_lo, y_hi)``."""
         if not top > y_lo:
             top = math.inf
         f = _kernel(kind, x0, 0.5, Power(2))
         weight = lambda y: np.asarray(y, dtype=float) ** a
         spec = QuadratureSpec()
+        hint = (x0, 0.5) if hinted else (0.0, 1.0)
         got = integrate_halfplane(f, 0.0, spec, y_lo=y_lo, y_hi=top, weight=weight,
-                                  x_center=x0, scale=0.5)
+                                  x_center=hint[0], scale=hint[1])
         want = _ref_integrate_halfplane(f, 0.0, spec, y_lo=y_lo, y_hi=top, weight=weight,
-                                        x_center=x0, scale=0.5)
-        assert _triple(got) == want
+                                        x_center=hint[0], scale=hint[1])
+        _same_to_1e14(got, want)
 
     @settings(max_examples=25, deadline=None)
     @given(
         kind=KERNELS,
         x0=st.floats(-2.0, 2.0),
         k=st.integers(-4, 4),
-        alpha=st.sampled_from([0.0, 1.0, 2.5, -0.5]),
+        alpha=st.sampled_from([0.0, 1.0, 2.5, -0.5, -0.9]),
         box=st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
         y_lo=st.sampled_from([0.0, 0.005]),
     )
@@ -563,7 +575,21 @@ class TestProductRuleBitwise:
         spec = QuadratureSpec()
         got = integrate_box(f, alpha, x_lo, x_lo + width, y_lo + height, spec, y_lo)
         want = _ref_integrate_box(f, alpha, x_lo, x_lo + width, y_lo + height, spec, y_lo)
-        assert _triple(got) == want
+        _same_to_1e14(got, want)
+
+    @pytest.mark.parametrize("y_max", [1.0, 3.0])
+    def test_window_edge_reaches_t_cut(self, y_max):
+        """A window that reaches the outermost coarse node stays open up to
+        ``t_cut``: the finer tanh-sinh levels add nodes between the last
+        coarse node (t = 3.75) and t_cut = 3.8, and at alpha = -0.9 the
+        mass they carry next to y = 0 is about 5e-4 of the integral."""
+        f = _kernel("bergman", 0.3, 0.5, Power(2))
+        spec = QuadratureSpec(halfwidth=2.0, y_max=y_max)
+        _same_to_1e14(integrate_halfplane(f, -0.9, spec),
+                      _ref_integrate_halfplane(f, -0.9, spec))
+        ones = lambda x, y: np.ones(np.broadcast(x, y).shape)
+        _same_to_1e14(integrate_box(ones, -0.9, 0.0, 1.0, y_max, spec),
+                      _ref_integrate_box(ones, -0.9, 0.0, 1.0, y_max, spec))
 
 
 # -- tanh_sinh against its earlier level loop --------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -175,3 +176,69 @@ class TestPointwiseBound:
         zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
         with pytest.raises(ValueError):
             pointwise_bound_check(zero, Power(2), 0.0, [(0.0, 1.0)], lux_norm=0.0)
+
+
+def _kernel_modular(amp, y0, e, q, a):
+    """``int (amp y0^e / |w - conj(z0)|^e)^q y^a dA`` in closed form:
+    ``amp^q B(1/2, (eq-1)/2) B(a+1, eq-a-2) y0^(a+2)``, for eq > a + 2."""
+    return amp ** q * beta(0.5, (e * q - 1) / 2) * beta(a + 1, e * q - a - 2) * y0 ** (a + 2)
+
+
+class _CountingKernel:
+    """A kernel whose ``abs_value`` counts the integrand points it gets."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+        self.natural_scale = f.natural_scale
+        self.natural_center = f.natural_center
+
+    def abs_value(self, x, y):
+        self.points += np.broadcast(x, y).size
+        return self.f.abs_value(x, y)
+
+
+def _kernel_cases(kind):
+    for a in (-0.5, 0.0, 1.0):
+        e = 2.0 if kind == "hardy" else 4.0 + 2.0 * a
+        for q in (1, 2, 3, 4):
+            if e * q - a - 2 <= 0:
+                continue  # the modular diverges
+            for k in range(-14, 15, 2):
+                y0 = 2.0 ** k
+                f = (HardyKernel(complex(0.37 * k, y0), Power(2)) if kind == "hardy"
+                     else BergmanKernel(complex(0.37 * k, y0), Power(2), a))
+                yield f, a, q, _kernel_modular(f.amplitude, y0, e, q, a)
+
+
+# a bergman-kernel modular reaches the default tolerance within this many
+# integrand points; the full tensor grids of levels 3-5 are 194,883
+BERGMAN_MODULAR_POINT_BUDGET = 60_000
+
+
+class TestKernelModularOracle:
+    """Half-plane modulars of Hardy and Bergman kernels on ``y^a dA`` against
+    the beta closed form, at the default quadrature spec.  The modular is
+    taken at the scale where the closed form is 1, as the embedding search
+    takes it."""
+
+    def test_closed_form_against_mpmath(self):
+        with mp.workdps(30):
+            want = mp.quad(
+                lambda y: mp.quad(lambda x: ((x - 0.3) ** 2 + (y + 1) ** 2) ** -2,
+                                  [-mp.inf, 0.3, mp.inf]),
+                [0, 1, mp.inf],
+            )
+        assert abs(_kernel_modular(1.0, 1.0, 2.0, 2, 0.0) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("kind", ["hardy", "bergman"])
+    def test_modulars_match_closed_form(self, kind):
+        for f, a, q, want in _kernel_cases(kind):
+            got = modular_halfplane(f, Power(q), WeightedVolume(a), scale=want ** (1.0 / q))
+            assert abs(got - 1.0) <= 1e-10, (kind, f.z0, a, q)
+
+    def test_bergman_point_budget(self):
+        for f, a, q, want in _kernel_cases("bergman"):
+            counted = _CountingKernel(f)
+            modular_halfplane(counted, Power(q), WeightedVolume(a), scale=want ** (1.0 / q))
+            assert counted.points <= BERGMAN_MODULAR_POINT_BUDGET, (f.z0, a, q, counted.points)
