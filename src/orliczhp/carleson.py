@@ -303,20 +303,18 @@ def bergman_test_family(
 def weak_hardy_family(
     phi1: GrowthFunction,
     heights: Sequence[float] = DEFAULT_KERNEL_HEIGHTS,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     x_window: float = 64.0,
     n_cells: int = 2048,
 ) -> list[NormedMember]:
-    """Hardy kernels normalized by the Luxembourg norm of the sampled
-    nontangential maximal function (the weak-type normalizer)."""
+    """Hardy kernels normalized by the Luxembourg norm of their nontangential
+    maximal function (the weak-type normalizer): the exact cone supremum
+    ``HardyKernel.cone_sup`` at the centres of ``n_cells`` line cells."""
     members = []
     edges = np.linspace(-x_window, x_window, n_cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     for y0 in heights:
         f = HardyKernel(complex(0.0, y0), phi1)
-        star = nontangential_maximal(f.abs_value, centers)
-        star_step = StepFunction1D(edges, star)
-        norm = luxembourg_step_line(star_step, phi1, fast_power=True)
+        norm = luxembourg_step_line(StepFunction1D(edges, f.cone_sup(centers)), phi1)
         members.append(NormedMember(f"hardy_kernel(y0={y0:g})*", f, norm, y0))
     return members
 

@@ -324,8 +324,9 @@ def _run_weak(config: dict):
     mode = config.get("mode", "hardy")
     alpha = float(config.get("alpha", 0.0))
     spec = _section(config, "quadrature")
+    lams = _number_list(config, "lambda_grid", 0.0) if "lambda_grid" in config else None
     if mode == "hardy":
-        weak_family = weak_hardy_family(phi1, spec=spec)
+        weak_family = weak_hardy_family(phi1)
         strong_family = hardy_test_family(phi1, spec=spec)
     elif mode == "bergman":
         weak_family = bergman_test_family(phi1, alpha, spec=spec)
@@ -335,9 +336,6 @@ def _run_weak(config: dict):
     if "family" in config:
         weak_family = _explicit_family(config["family"], phi1, mode, alpha, spec)
         strong_family = weak_family
-    lams = None
-    if "lambda_grid" in config:
-        lams = np.asarray([float(v) for v in config["lambda_grid"]])
     weak = weak_type_constant(mu, phi2, weak_family, lambda_grid=lams)
     strong = embedding_constant(mu, phi2, strong_family, spec)
     dominated = all(
@@ -358,6 +356,16 @@ def _run_weak(config: dict):
     return records, dominated
 
 
+def _number_list(config: dict, key: str, above: float, default=None) -> list[float]:
+    values = config.get(key, default)
+    if not (isinstance(values, list) and values and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) and v > above for v in values
+    )):
+        raise ConfigError(f"{key} must be a nonempty list of numbers > {above:g}, got {values!r}")
+    return [float(v) for v in values]
+
+
 def _positive_int(config: dict, key: str, default: int) -> int:
     value = config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -374,14 +382,9 @@ def _run_maximal(config: dict):
     n_functions = _positive_int(config, "n_functions", 50)
     n_probes = _positive_int(config, "n_probes", 50)
     n_levels = _positive_int(config, "n_levels", 10)
-    alphas = config.get("alphas", [0.0, 1.0])
-    if not (isinstance(alphas, list) and alphas and all(
-        isinstance(a, (int, float)) and not isinstance(a, bool)
-        and math.isfinite(a) and a > -1 for a in alphas
-    )):
-        raise ConfigError(f"alphas must be a nonempty list of numbers > -1, got {alphas!r}")
+    alphas = _number_list(config, "alphas", -1.0, [0.0, 1.0])
     onethird_bad, weak_bad, compare_bad = maximal_suite(
-        seed, n_functions, n_probes, n_levels, [float(a) for a in alphas]
+        seed, n_functions, n_probes, n_levels, alphas
     )
 
     values = {

@@ -368,7 +368,8 @@ def nontangential_maximal(
 ) -> np.ndarray:
     """Supremum of |f| over the truncated cone ``|t - x| < y`` sampled
     geometrically in y and uniformly across the aperture; a lower bound of
-    the true supremum.
+    the true supremum for any ``|f|``, and the oracle that the closed form
+    ``HardyKernel.cone_sup`` is tested against.
 
     Evaluated one height at a time over every probe, with a running
     maximum (the maximum is exact, so the order changes no value).  Each

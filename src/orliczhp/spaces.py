@@ -3,10 +3,10 @@
 The modular of ``f`` against a growth function ``phi`` and a measure is
 ``int phi(|f|) dmu``; the Luxembourg norm is the infimum of ``lam > 0``
 with modular of ``f/lam`` at most 1, computed by bisection on ``lam``
-(monotone, since phi is nondecreasing).  For a pure power ``phi = t^p``
-the norm has the closed form ``modular(f)^(1/p)``, offered as an optional
-fast path; the default route stays the bisection so the two can be played
-against each other in tests.
+(monotone, since phi is nondecreasing).  For a pure power ``phi = c t^p``
+the norm has the closed form ``modular(f)^(1/p)`` (``_power_luxembourg``),
+which every norm here takes for a ``Power`` phi; ``luxembourg`` itself
+always bisects, so tests can play the two against each other.
 
 Hardy-type norms take a supremum of line modulars over a geometric grid of
 heights, Bergman-type norms integrate over the half-plane against
@@ -95,6 +95,14 @@ class HardyKernel:
         y0 = self.z0.imag
         d2 = (x - self.z0.real) ** 2 + (y + y0) ** 2
         return self._amp * y0 ** 2 / d2
+
+    def cone_sup(self, x, y_range: tuple[float, float] = (1e-3, 1e3)) -> np.ndarray:
+        """Exact sup of ``|f|`` over the cone ``|t - x| < y``, ``y`` in ``y_range``.
+        Minimised over ``t`` (``d = |x - x0|``) the denominator is convex in ``y``,
+        ``max(d - y, 0)^2 + (y + y0)^2``, so ``y = clip((d - y0) / 2)`` maximises."""
+        y0, d = self.z0.imag, np.abs(np.atleast_1d(x) - self.z0.real)
+        y = np.clip(0.5 * (d - y0), *y_range)
+        return self._amp * y0 ** 2 / (np.maximum(d - y, 0.0) ** 2 + (y + y0) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,22 +235,10 @@ def luxembourg(
     tol: float = 1e-10,
     lam_lo: float = 1e-12,
     lam_hi: float = 1e12,
-    fast_phi: Optional[GrowthFunction] = None,
     max_iter: int = 200,
 ) -> float:
-    """``inf { lam > 0 : modular_at(lam) <= 1 }`` by bisection in log-lam.
-
-    ``modular_at(lam)`` must be nonincreasing in ``lam``.  When ``fast_phi``
-    is a pure power the closed form ``modular_at(1)^(1/p)`` is returned
-    instead (exact for every measure); by default the bisection runs.
-    """
-    if fast_phi is not None and isinstance(fast_phi, Power):
-        m1 = modular_at(1.0)
-        if m1 == 0.0:
-            return 0.0
-        if math.isinf(m1):
-            return math.inf
-        return m1 ** (1.0 / fast_phi.p)
+    """``inf { lam > 0 : modular_at(lam) <= 1 }`` by bisection in log-lam;
+    ``modular_at(lam)`` must be nonincreasing in ``lam``."""
     if modular_at(lam_lo) <= 1.0:
         return 0.0
     hi_val = modular_at(lam_hi)
@@ -265,18 +261,20 @@ def luxembourg(
     return hi
 
 
-def luxembourg_step_line(
-    f: StepFunction1D, phi: GrowthFunction, tol: float = 1e-10,
-    fast_power: bool = False,
-) -> float:
-    """Luxembourg norm of a line step function (exact cell modulars)."""
+def _power_luxembourg(modular: float, p: float) -> float:
+    """Luxembourg norm for ``phi = c t^p`` from the modular at scale 1, exact
+    by homogeneity; a modular of 0 or ``inf`` gives the same norm."""
+    return modular ** (1.0 / p)
+
+
+def luxembourg_step_line(f: StepFunction1D, phi: GrowthFunction, tol: float = 1e-10) -> float:
+    """Luxembourg norm of a line step function (exact cell modulars); in
+    closed form for a ``Power`` phi, by bisection (to ``tol``) otherwise."""
     if not np.any(f.values):
         return 0.0
-    return luxembourg(
-        lambda lam: step_modular_line(f, phi, scale=lam),
-        tol=tol,
-        fast_phi=phi if fast_power else None,
-    )
+    if isinstance(phi, Power):
+        return _power_luxembourg(step_modular_line(f, phi), phi.p)
+    return luxembourg(lambda lam: step_modular_line(f, phi, scale=lam), tol=tol)
 
 
 def default_height_grid(lo: float = 1e-4, hi: float = 1e4, per_decade: int = 8) -> np.ndarray:
@@ -325,7 +323,7 @@ def hardy_norm(
     )
     modulars = rows.values
     if isinstance(phi, Power):
-        luxes = [m ** (1.0 / phi.p) for m in modulars.tolist()]
+        luxes = [_power_luxembourg(m, phi.p) for m in modulars.tolist()]
     else:
         luxes = [
             luxembourg(
@@ -365,7 +363,7 @@ def bergman_norm(
     mu = WeightedVolume(alpha)
     mod = modular_halfplane(f, phi, mu, spec)
     if isinstance(phi, Power):
-        lux = mod ** (1.0 / phi.p) if mod > 0 else 0.0
+        lux = _power_luxembourg(mod, phi.p)
     else:
         lux = luxembourg(
             lambda lam: modular_halfplane(f, phi, mu, spec, scale=lam)

@@ -275,6 +275,18 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lambda_grid", [
+        ["a"], 3, [-1, 1], [], [0.0], [True], [1.0, math.inf],
+    ])
+    def test_bad_lambda_grid_is_config_error(self, tmp_path, capsys, lambda_grid):
+        path = write_config(tmp_path, {
+            "command": "weak-test",
+            "measure": {"kind": "atomic", "atoms": [[0.0, 1.0, 1.0]]},
+            "phi1": "power(2)", "phi2": "power(4)", "lambda_grid": lambda_grid,
+        })
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_json_output_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "classify-growth", "phi": "power(3)"})
         out = tmp_path / "report.json"
