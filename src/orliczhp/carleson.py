@@ -368,6 +368,16 @@ def default_k_grid(lo: float = 1e-4, hi: float = 1e4, per_decade: int = 25) -> n
     return np.geomspace(lo, hi, n)
 
 
+def _search_grid(name: str, grid, default: np.ndarray) -> np.ndarray:
+    """``grid`` as floats (``default`` when None).  A search over an empty,
+    non-finite or nonpositive grid would return a value that means nothing,
+    so such a grid is a ``ValueError``."""
+    values = default if grid is None else np.asarray(grid, dtype=float)
+    if not (values.ndim == 1 and values.size and np.all(np.isfinite(values) & (values > 0))):
+        raise ValueError(f"{name} must be a nonempty 1-d array of finite positive numbers")
+    return values
+
+
 @dataclass(frozen=True)
 class EmbeddingResult:
     family_constant: float
@@ -404,7 +414,7 @@ def embedding_constant(
     member with no admissible grid ``K`` (including detected divergence at
     every ``K``) reports ``inf``.
     """
-    ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
+    ks = _search_grid("k_grid", k_grid, default_k_grid())
     per_member: list[tuple[str, float]] = []
     heights: list[float] = []
     k_values: list[float] = []
@@ -628,11 +638,8 @@ def weak_type_constant(
     once per member; each ``(C, lambda)`` probe is then a masked sum.  The
     ``C`` grid is bisected without a seed.
     """
-    lams = (
-        np.geomspace(1e-3, 1e3, 25) if lambda_grid is None
-        else np.asarray(lambda_grid, dtype=float)
-    )
-    cs = default_k_grid() if c_grid is None else np.asarray(c_grid, dtype=float)
+    lams = _search_grid("lambda_grid", lambda_grid, np.geomspace(1e-3, 1e3, 25))
+    cs = _search_grid("c_grid", c_grid, default_k_grid())
     xs, ys, masses = _mass_points(mu, pixels)
     per_member: list[tuple[str, float]] = []
     for member in family:

@@ -107,7 +107,8 @@ _SECTIONS = {"quadrature": QuadratureSpec, "box_family": BoxFamily, "grid": LogG
 
 def _section(config: dict, key: str):
     """The dataclass of config section ``key``.  Its numeric fields are the
-    allowed keys, with their defaults and types."""
+    allowed keys, with their defaults and types: an int field takes a JSON
+    integer and a float field a JSON number; a bool is neither."""
     given = config.get(key, {})
     if not isinstance(given, dict):
         raise ConfigError(f"{key} must be a JSON object")
@@ -117,9 +118,14 @@ def _section(config: dict, key: str):
     extra = set(given) - set(defaults)
     if extra:
         raise ConfigError(f"unknown {key} keys {sorted(extra)}")
+    for k, v in given.items():
+        is_int = isinstance(defaults[k], int)
+        if isinstance(v, bool) or not isinstance(v, int if is_int else (int, float)):
+            kind = "integer" if is_int else "number"
+            raise ConfigError(f"{key}.{k} must be a JSON {kind}, got {v!r}")
     try:
         return cls(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key} values: {exc}") from exc
 
 

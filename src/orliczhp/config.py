@@ -20,6 +20,7 @@ Parse errors raise :class:`ConfigError` with a position diagnostic.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,19 @@ __all__ = ["ConfigError", "parse_growth", "parse_density", "parse_measure", "par
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
+
+
+@contextmanager
+def _rejected_values(what: str):
+    """Re-raise a value that a constructor or conversion rejects (a
+    ``ValueError``, ``TypeError`` or missing key or index) as a
+    ``ConfigError`` naming ``what``; a ``ConfigError`` passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, LookupError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 _TOKEN_RE = re.compile(
@@ -227,8 +241,9 @@ def _combine(f, g, op):
 
 
 def parse_growth(text: str) -> GrowthFunction:
-    p = _Parser(text)
-    g = p.growth()
+    with _rejected_values(f"growth literal {text!r}"):
+        p = _Parser(text)
+        g = p.growth()
     if not p.done():
         raise ConfigError(f"trailing input in growth literal {text!r}")
     return g
@@ -255,10 +270,8 @@ def parse_box(spec) -> CarlesonBox:
         center, length = spec.get("center"), spec.get("length")
     else:
         raise ConfigError(f"cannot parse box from {spec!r}")
-    try:
+    with _rejected_values(f"box {spec!r}"):
         return CarlesonBox(float(center), float(length))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad box {spec!r}: {exc}") from exc
 
 
 def parse_test_function(spec):
@@ -274,7 +287,7 @@ def parse_test_function(spec):
         raise ConfigError(f"test function spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     keys = set(spec) - {"kind"}
-    try:
+    with _rejected_values(f"test function spec {spec!r}"):
         if kind == "hardy_kernel":
             if keys - {"z0", "phi"}:
                 raise ConfigError(f"unknown hardy_kernel keys {sorted(keys)}")
@@ -299,8 +312,6 @@ def parse_test_function(spec):
                 np.asarray(spec["values"], dtype=float),
             )
             return PoissonOfStep(g)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad test function spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown test function kind {kind!r}")
 
 
@@ -310,44 +321,38 @@ def parse_measure(spec) -> UpperHalfPlaneMeasure:
         raise ConfigError(f"measure spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     keys = set(spec) - {"kind"}
-    if kind == "atomic":
-        if keys - {"atoms"}:
-            raise ConfigError(f"unknown atomic keys {sorted(keys - {'atoms'})}")
-        atoms = spec.get("atoms", [])
-        if atoms:
-            xs, ys, ms = zip(*[(float(a[0]), float(a[1]), float(a[2])) for a in atoms])
-        else:
-            xs, ys, ms = (), (), ()
-        try:
+    with _rejected_values(f"{kind} measure"):
+        if kind == "atomic":
+            if keys - {"atoms"}:
+                raise ConfigError(f"unknown atomic keys {sorted(keys - {'atoms'})}")
+            atoms = spec.get("atoms", [])
+            if atoms:
+                xs, ys, ms = zip(*[(float(a[0]), float(a[1]), float(a[2])) for a in atoms])
+            else:
+                xs, ys, ms = (), (), ()
             return AtomicMeasure(xs, ys, ms)
-        except ValueError as exc:
-            raise ConfigError(f"bad atomic measure: {exc}") from exc
-    if kind == "weighted_volume":
-        if keys - {"alpha"}:
-            raise ConfigError(f"unknown weighted_volume keys {sorted(keys - {'alpha'})}")
-        return WeightedVolume(float(spec.get("alpha", 0.0)))
-    if kind == "density":
-        if keys - {"expr"}:
-            raise ConfigError(f"unknown density keys {sorted(keys - {'expr'})}")
-        return DensityMeasure(parse_density(spec["expr"]), label=spec["expr"])
-    if kind == "section6":
-        if keys - {"phi1", "phi2", "variant", "alpha"}:
-            raise ConfigError(f"unknown section6 keys {sorted(keys)}")
-        from .multipliers import section6_measure
+        if kind == "weighted_volume":
+            if keys - {"alpha"}:
+                raise ConfigError(f"unknown weighted_volume keys {sorted(keys - {'alpha'})}")
+            return WeightedVolume(float(spec.get("alpha", 0.0)))
+        if kind == "density":
+            if keys - {"expr"}:
+                raise ConfigError(f"unknown density keys {sorted(keys - {'expr'})}")
+            return DensityMeasure(parse_density(spec["expr"]), label=spec["expr"])
+        if kind == "section6":
+            if keys - {"phi1", "phi2", "variant", "alpha"}:
+                raise ConfigError(f"unknown section6 keys {sorted(keys)}")
+            from .multipliers import section6_measure
 
-        mu, _ = section6_measure(
-            parse_growth(spec["phi1"]),
-            parse_growth(spec["phi2"]),
-            spec.get("variant", "hardy_to_bergman"),
-            float(spec.get("alpha", 0.0)),
-        )
-        return mu
-    if kind == "restricted":
-        if keys - {"base", "region"}:
-            raise ConfigError(f"unknown restricted keys {sorted(keys)}")
-        base, region = parse_measure(spec["base"]), parse_box(spec["region"])
-        try:
-            return RestrictedMeasure(base, region)
-        except ValueError as exc:
-            raise ConfigError(f"bad restricted measure: {exc}") from exc
+            mu, _ = section6_measure(
+                parse_growth(spec["phi1"]),
+                parse_growth(spec["phi2"]),
+                spec.get("variant", "hardy_to_bergman"),
+                float(spec.get("alpha", 0.0)),
+            )
+            return mu
+        if kind == "restricted":
+            if keys - {"base", "region"}:
+                raise ConfigError(f"unknown restricted keys {sorted(keys)}")
+            return RestrictedMeasure(parse_measure(spec["base"]), parse_box(spec["region"]))
     raise ConfigError(f"unknown measure kind {kind!r}")

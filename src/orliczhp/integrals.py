@@ -8,15 +8,16 @@ adaptive quadrature:
 * ``int_0^inf y^a / (t + y)^b dy = B(a+1, b-a-1) * t^(a-b+1)`` for
   ``a > -1`` and ``b - a > 1``.
 
-Quadrature engines: a batched adaptive Simpson rule for finite windows of
-the line, and three double-exponential changes of variables (Takahasi-Mori):
-tanh-sinh on a finite interval (absorbing endpoint singularities), sinh-sinh
-on the whole line and exp-sinh on a half line.  Each map is defined once,
-as ``t -> (x, dx/dt)`` with its own cutoff ``t_cut``, and feeds both the
-level loop and the product rule below.  The double-exponential rules reach
-the tolerance without a truncation radius for power-decaying integrands, so
-nothing here depends on a cutoff except the explicit divergence probes
-driven by their callers.
+Quadrature engines: three double-exponential changes of variables
+(Takahasi-Mori): tanh-sinh on a finite interval (absorbing endpoint
+singularities), sinh-sinh on the whole line and exp-sinh on a half line.
+Each map is defined once, as ``t -> (x, dx/dt)`` with its own cutoff
+``t_cut``, and feeds both the level loop and the product rule below.  The
+double-exponential rules reach the tolerance without a truncation window
+for power-decaying integrands, so a line integral always covers the whole
+line and a half-plane integral the whole width; only a finite height
+segment asked for by the caller (density segments, divergence probes) or
+the rectangle of ``integrate_box`` limits the domain.
 
 The row-batched level loop ``_doubly_exponential`` integrates a stack of
 rows at once, halving the step and reusing the previous nodes: each row has
@@ -46,7 +47,6 @@ __all__ = [
     "beta",
     "line_kernel_value",
     "halfplane_kernel_value",
-    "adaptive_simpson",
     "tanh_sinh",
     "sinh_sinh",
     "exp_sinh",
@@ -64,20 +64,13 @@ class QuadratureDomainError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and cutoffs for the quadrature engines.
-
-    ``halfwidth``/``y_max`` of ``inf`` select the compactified (untruncated)
-    path; finite values integrate the stated window only (adaptive Simpson
-    on ``[-halfwidth, halfwidth]`` for line integrals), and the result
-    carries a truncation note.  ``y_min`` is the lower height cutoff used
-    when a half-plane integral is probed for divergence at the real axis.
-    """
+    """Tolerances of the quadrature engines, and the lower height cutoff
+    ``y_min`` used when a half-plane integral is probed for divergence at
+    the real axis.  The integrals themselves are never truncated."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    halfwidth: float = math.inf
     y_min: float = 1e-6
-    y_max: float = math.inf
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so each test is a negated range check
@@ -85,8 +78,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive and finite")
         if not 0 < self.y_min < math.inf:
             raise ValueError("y_min must be positive and finite")
-        if not (self.halfwidth > 0 and self.y_max > 0):
-            raise ValueError("halfwidth and y_max must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -97,7 +88,6 @@ class IntegralResult:
     value: float
     error: float
     converged: bool
-    note: str = ""
 
     def __float__(self) -> float:
         return self.value
@@ -140,70 +130,6 @@ def halfplane_kernel_value(alpha: float, beta_exp: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
-
-_SIMPSON_DEPTH = 24
-
-
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-9,
-) -> IntegralResult:
-    """Batched adaptive Simpson on [a, b] for a vectorized integrand.
-
-    All panels at a given depth are refined in one array pass, so ``f`` is
-    called once per depth (at most 24) on whole arrays.  The returned error
-    is the summed Richardson estimate of the accepted panels.
-    """
-    if not (b > a):
-        return IntegralResult(0.0, 0.0, True)
-    total_width = b - a
-    n0 = 8
-    edges = np.linspace(a, b, n0 + 1)
-    left = edges[:-1]
-    right = edges[1:]
-    mid = 0.5 * (left + right)
-    fl = np.asarray(f(left), dtype=float)
-    fm = np.asarray(f(mid), dtype=float)
-    fr = np.asarray(f(right), dtype=float)
-    coarse = (right - left) / 6.0 * (fl + 4.0 * fm + fr)
-
-    value = 0.0
-    err_acc = 0.0
-    converged = True
-    for depth in range(_SIMPSON_DEPTH):
-        lm = 0.5 * (left + mid)
-        rm = 0.5 * (mid + right)
-        flm = np.asarray(f(lm), dtype=float)
-        frm = np.asarray(f(rm), dtype=float)
-        h = right - left
-        s_left = h / 12.0 * (fl + 4.0 * flm + fm)
-        s_right = h / 12.0 * (fm + 4.0 * frm + fr)
-        fine = s_left + s_right
-        err = (fine - coarse) / 15.0
-        tol_panel = abs_tol * (h / total_width) + rel_tol * np.abs(fine)
-        done = np.abs(err) <= tol_panel
-        if depth == _SIMPSON_DEPTH - 1:
-            done = np.ones_like(done, dtype=bool)
-            if np.any(np.abs(err) > tol_panel):
-                converged = False
-        value += float(np.sum(fine[done] + err[done]))
-        err_acc += float(np.sum(np.abs(err[done])))
-        keep = ~done
-        if not np.any(keep):
-            break
-        # split surviving panels in two
-        left = np.concatenate([left[keep], mid[keep]])
-        right = np.concatenate([mid[keep], right[keep]])
-        fl = np.concatenate([fl[keep], fm[keep]])
-        fr = np.concatenate([fm[keep], fr[keep]])
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        coarse = np.concatenate([s_left[keep], s_right[keep]])
-    return IntegralResult(value, err_acc, converged)
-
 
 # -- the double-exponential maps ---------------------------------------------
 
@@ -488,7 +414,6 @@ class LineRowsResult:
     values: np.ndarray
     errors: np.ndarray
     converged: np.ndarray
-    note: str = ""
 
 
 def integrate_line_rows(
@@ -498,38 +423,21 @@ def integrate_line_rows(
     scales=1.0,
 ) -> LineRowsResult:
     """Integrals over the real line of a stack of integrands, one row per
-    entry of ``scales``.
+    entry of ``scales``, by the sinh-sinh rule.
 
-    With ``spec.halfwidth = inf`` (the default) the sinh-sinh rule covers
-    the whole line, so power-decaying integrands carry no truncation error.
-    ``f(X, rows)`` gets the ``(rows.size, n)`` abscissae
+    The rule covers the whole line, so power-decaying integrands carry no
+    truncation error.  ``f(X, rows)`` gets the ``(rows.size, n)`` abscissae
     ``x_center + scales[rows, None] * x`` of the rows still running and
     their indices, and returns their values; each row has its own
     convergence test, so ``x_center``/``scales`` recenter a row's nodes on
-    its integrand's natural scale.  A finite ``spec.halfwidth`` integrates
-    ``[-R, R]`` row by row with adaptive Simpson, where ``X`` is that
-    window's own ``(1, n)`` abscissae, and notes the truncation.
+    its integrand's natural scale.
     """
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    if math.isinf(spec.halfwidth):
-        values, errors, converged = _doubly_exponential(
-            lambda x, rows: f(x_center + scales[rows, None] * x, rows),
-            _SINH_SINH, spec.abs_tol, spec.rel_tol, scales.size,
-        )
-        return LineRowsResult(values * scales, errors * scales, converged, "untruncated")
-    results = [
-        adaptive_simpson(
-            lambda x, row=np.array([r]): np.ravel(f(x[None, :], row)),
-            -spec.halfwidth, spec.halfwidth, spec.abs_tol, spec.rel_tol,
-        )
-        for r in range(scales.size)
-    ]
-    return LineRowsResult(
-        np.array([res.value for res in results]),
-        np.array([res.error for res in results]),
-        np.array([res.converged for res in results], dtype=bool),
-        f"truncated to |x| <= {spec.halfwidth:g}",
+    values, errors, converged = _doubly_exponential(
+        lambda x, rows: f(x_center + scales[rows, None] * x, rows),
+        _SINH_SINH, spec.abs_tol, spec.rel_tol, scales.size,
     )
+    return LineRowsResult(values * scales, errors * scales, converged)
 
 
 def integrate_line(
@@ -541,9 +449,7 @@ def integrate_line(
     """Integral of ``f`` over the real line: the one-row case of
     ``integrate_line_rows``."""
     rows = integrate_line_rows(lambda X, r: f(X[0]), spec, x_center, scale)
-    return IntegralResult(
-        float(rows.values[0]), float(rows.errors[0]), bool(rows.converged[0]), rows.note
-    )
+    return IntegralResult(float(rows.values[0]), float(rows.errors[0]), bool(rows.converged[0]))
 
 
 def integrate_halfplane(
@@ -570,20 +476,11 @@ def integrate_halfplane(
     """
     if scale <= 0:
         raise ValueError("scale hint must be positive")
-    if math.isinf(spec.halfwidth):
-        x_map = _SINH_SINH.affine(x_center, scale)
-    else:
-        x_map = _tanh_sinh_map(-spec.halfwidth, spec.halfwidth)
-    top = min(y_hi, spec.y_max)
-    if math.isinf(top):
+    if math.isinf(y_hi):
         y_map = _EXP_SINH.affine(y_lo, scale)
     else:
-        y_map = _tanh_sinh_map(y_lo, top)
-    res = _product_rule(f, alpha, x_map, y_map, spec, weight)
-    note = "untruncated" if (y_lo == 0.0 and math.isinf(top)) else (
-        f"height range ({y_lo:g}, {top:g})"
-    )
-    return IntegralResult(res.value, res.error, res.converged, note)
+        y_map = _tanh_sinh_map(y_lo, y_hi)
+    return _product_rule(f, alpha, _SINH_SINH.affine(x_center, scale), y_map, spec, weight)
 
 
 def integrate_box(

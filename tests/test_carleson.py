@@ -91,6 +91,14 @@ class TestEmbedding:
         res = embedding_constant(WeightedVolume(1.0), Power(3), fam)
         assert res.finite
 
+    @pytest.mark.parametrize("k_grid", [
+        np.array([]), np.array([math.nan, 1.0]), np.array([1.0, math.inf]), np.array([-2.0]),
+    ])
+    def test_vacuous_k_grid_is_rejected(self, k_grid):
+        fam = hardy_test_family(Power(2), heights=(1.0,))
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            embedding_constant(WeightedVolume(0.0), Power(4), fam, k_grid=k_grid)
+
 
 class TestVerifyEquivalence:
     def test_matched_volume_carleson(self):
@@ -172,6 +180,20 @@ class TestWeakType:
         got = res.per_member[0][1]
         assert got >= exact / 10 ** (1.0 / 25.0)
         assert got <= exact * 10 ** (1.0 / 25.0) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("grids", [
+        {"lambda_grid": np.array([])},
+        {"lambda_grid": np.array([math.nan])},
+        {"lambda_grid": np.array([math.inf])},
+        {"lambda_grid": np.array([-1.0, 1.0])},
+        {"c_grid": np.array([])},
+        {"c_grid": np.array([0.0, 1.0])},
+    ])
+    def test_vacuous_grid_is_rejected(self, grids):
+        mu = AtomicMeasure((0.0,), (1.0,), (1.0,))
+        fam = weak_hardy_family(Power(2), heights=(1.0,))
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            weak_type_constant(mu, Power(4), fam, **grids)
 
     def test_weak_below_strong_memberwise(self):
         phi1, phi2 = Power(2), Power(4)

@@ -236,13 +236,20 @@ class TestMainExitCodes:
         ("quadrature", {"halfwidth": -3}),
         ("quadrature", {"y_max": -1}),
         ("quadrature", {"rel_tol": math.nan}),
-        # the engine knobs are gone: adaptive Simpson is the one finite-window engine
+        # the engine knobs and the truncation windows are gone
         ("quadrature", {"scheme": "tanh_sinh"}),
         ("quadrature", {"max_depth": 24}),
         ("quadrature", 1e-10),
         ("box_family", {"j_min": "abc"}),
         ("box_family", {"step_fraction": 0.9}),
         ("grid", {"points": 3}),
+        # values are not coerced: an int field takes a JSON integer, a float
+        # field a JSON number, and a bool is neither
+        ("grid", {"points": 8.7}),
+        ("grid", {"points": "64"}),
+        ("box_family", {"j_min": -3.5}),
+        ("quadrature", {"abs_tol": True}),
+        ("quadrature", {"rel_tol": "1e-9"}),
     ])
     def test_bad_section_is_config_error(self, tmp_path, capsys, section, values):
         if section == "grid":
@@ -251,6 +258,27 @@ class TestMainExitCodes:
             cfg = {"command": "carleson-test", "measure": {"kind": "weighted_volume"},
                    "phi": "power(1)", "s": 1.0}
         path = write_config(tmp_path, {**cfg, section: values})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", [
+        "power(-1)", "power(2, 0)", "powerlog(2, 1, 1)", "tabulated((1, 0))",
+    ])
+    def test_out_of_range_growth_literal_is_config_error(self, tmp_path, capsys, phi):
+        path = write_config(tmp_path, {"command": "classify-growth", "phi": phi})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", [
+        {"kind": "atomic", "atoms": [[0, "a", 1]]},
+        {"kind": "atomic", "atoms": [[0, 1]]},
+        {"kind": "weighted_volume", "alpha": -2},
+        {"kind": "weighted_volume", "alpha": "abc"},
+        {"kind": "section6", "phi1": "power(2)", "phi2": "power(4)", "alpha": "x"},
+    ])
+    def test_out_of_range_measure_is_config_error(self, tmp_path, capsys, measure):
+        path = write_config(tmp_path, {"command": "carleson-test", "measure": measure,
+                                       "phi": "power(1)", "s": 1.0})
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
