@@ -15,7 +15,6 @@ from the config hash).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -26,12 +25,17 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, parse_growth, parse_measure
+from .config import (
+    GROWTH, REQUIRED, VARIANT, WEIGHT, ConfigError, enum, integer, list_of, number,
+    parse_measure, parse_test_function, section,
+)
+from .config import parse_fields as _parse_fields, pick as _pick  # not part of cli's API
 from .growth import LogGrid, classify, derived_pair
 from .integrals import QuadratureSpec
 from .maximal import maximal_suite
 from .measure import BoxFamily, carleson_box_constant
 from .carleson import (
+    NormedMember,
     embedding_constant,
     hardy_test_family,
     bergman_test_family,
@@ -40,6 +44,7 @@ from .carleson import (
     weak_type_constant,
 )
 from .multipliers import embed_check, multiplier_space, omega_profile
+from .spaces import bergman_norm, hardy_norm
 
 EXIT_PASS = 0
 EXIT_ASSERT = 1
@@ -88,52 +93,35 @@ def _record(name: str, claim: str, inputs: dict, values: dict,
     }
 
 
-def _command(name):
+# schema entries shared by the commands: key -> (parser, default or REQUIRED)
+_SEED = (integer(0), 0)
+_MEASURE = (lambda spec: parse_measure(spec), REQUIRED)  # see config.GROWTH
+_BOXES = (section(BoxFamily), BoxFamily())
+_QUADRATURE = (section(QuadratureSpec), QuadratureSpec())
+_GRID = (section(LogGrid), LogGrid())
+_CARLESON = (enum("carleson", "not_carleson"), None)
+_EMBEDDING = dict(phi1=GROWTH, phi2=GROWTH, variant=VARIANT, alpha=WEIGHT,
+                  beta=(number(-1.0), None), grid=_GRID)
+
+
+def _command(name: str, **schema):
+    """Register a handler under ``name``.  The config's keys are ``schema``'s
+    plus ``command`` and ``seed`` (a nonnegative integer); the handler gets
+    the raw config, for the report, and its own keys' typed values."""
+    full = {"command": (str, REQUIRED), "seed": _SEED, **schema}
+
     def deco(fn):
-        _COMMANDS[name] = fn
+        _COMMANDS[name] = lambda config: fn(config, **{
+            key: value for key, value in _parse_fields(config, full, name).items()
+            if key in schema})
         return fn
     return deco
 
 
-def _check_keys(config: dict, allowed: set[str]) -> None:
-    unknown = set(config) - allowed - {"command", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
-
-# config sections that set up a dataclass, by key
-_SECTIONS = {"quadrature": QuadratureSpec, "box_family": BoxFamily, "grid": LogGrid}
-
-
-def _section(config: dict, key: str):
-    """The dataclass of config section ``key``.  Its numeric fields are the
-    allowed keys, with their defaults and types: an int field takes a JSON
-    integer and a float field a JSON number; a bool is neither."""
-    given = config.get(key, {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"{key} must be a JSON object")
-    cls = _SECTIONS[key]
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if isinstance(f.default, (int, float))}
-    extra = set(given) - set(defaults)
-    if extra:
-        raise ConfigError(f"unknown {key} keys {sorted(extra)}")
-    for k, v in given.items():
-        is_int = isinstance(defaults[k], int)
-        if isinstance(v, bool) or not isinstance(v, int if is_int else (int, float)):
-            kind = "integer" if is_int else "number"
-            raise ConfigError(f"{key}.{k} must be a JSON {kind}, got {v!r}")
-    try:
-        return cls(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {key} values: {exc}") from exc
-
-
-def _expectation(config: dict, key: str, actual, records: list, name: str) -> bool:
-    """Record an expectation check; absent expectations always pass."""
-    if key not in config:
+def _expectation(name: str, expected, actual, records: list) -> bool:
+    """Record an expectation check; an absent (None) expectation passes."""
+    if expected is None:
         return True
-    expected = config[key]
     ok = expected == actual
     records.append(_record(
         name, f"expected {expected!r}", {"expected": expected},
@@ -142,15 +130,10 @@ def _expectation(config: dict, key: str, actual, records: list, name: str) -> bo
     return ok
 
 
-def _explicit_family(specs, phi1, mode: str, alpha: float, spec: QuadratureSpec):
+def _explicit_family(specs, functions, phi1, mode: str, alpha: float, spec: QuadratureSpec):
     """Normed test family from explicit test-function specs."""
-    from .carleson import NormedMember
-    from .config import parse_test_function
-    from .spaces import bergman_norm, hardy_norm
-
     members = []
-    for i, fn_spec in enumerate(specs):
-        f = parse_test_function(fn_spec)
+    for i, (fn_spec, f) in enumerate(zip(specs, functions)):
         if mode == "hardy":
             norm = hardy_norm(f, phi1, spec=spec).luxembourg_sup
         else:
@@ -158,7 +141,7 @@ def _explicit_family(specs, phi1, mode: str, alpha: float, spec: QuadratureSpec)
         if norm <= 0:
             raise ConfigError(f"family member {i} has zero norm in the source space")
         members.append(NormedMember(
-            f"{fn_spec.get('kind', 'member')}[{i}]", f, norm,
+            f"{fn_spec['kind']}[{i}]", f, norm,
             float(getattr(f, "natural_scale", 1.0)),
         ))
     return members
@@ -168,11 +151,10 @@ def _explicit_family(specs, phi1, mode: str, alpha: float, spec: QuadratureSpec)
 # Command handlers: each returns (records, passed)
 # ---------------------------------------------------------------------------
 
-@_command("classify-growth")
-def _run_classify(config: dict):
-    _check_keys(config, {"phi", "grid", "expect_nabla2", "expect_tilde"})
-    phi = parse_growth(config["phi"])
-    cls = classify(phi, _section(config, "grid"))
+@_command("classify-growth", phi=GROWTH, grid=_GRID,
+          expect_nabla2=(enum(True, False), None), expect_tilde=(enum(True, False), None))
+def _run_classify(config: dict, phi, grid, expect_nabla2, expect_tilde):
+    cls = classify(phi, grid)
     records = [
         _record(
             "doubling",
@@ -207,20 +189,15 @@ def _run_classify(config: dict):
             "info",
         ),
     ]
-    ok = _expectation(config, "expect_nabla2", cls.nabla2_passed, records, "expect_nabla2")
-    ok &= _expectation(config, "expect_tilde", cls.tilde_passed, records, "expect_tilde")
+    ok = _expectation("expect_nabla2", expect_nabla2, cls.nabla2_passed, records)
+    ok &= _expectation("expect_tilde", expect_tilde, cls.tilde_passed, records)
     return records, ok
 
 
-@_command("carleson-test")
-def _run_carleson_test(config: dict):
-    _check_keys(config, {"measure", "phi", "s", "box_family", "quadrature", "expect"})
-    mu = parse_measure(config["measure"])
-    phi = parse_growth(config["phi"])
-    s = float(config.get("s", 1.0))
-    sweep = carleson_box_constant(
-        mu, phi, s, _section(config, "box_family"), _section(config, "quadrature")
-    )
+@_command("carleson-test", measure=_MEASURE, phi=GROWTH, s=(number(0.0), 1.0),
+          box_family=_BOXES, quadrature=_QUADRATURE, expect=_CARLESON)
+def _run_carleson_test(config: dict, measure, phi, s, box_family, quadrature, expect):
+    sweep = carleson_box_constant(measure, phi, s, box_family, quadrature)
     verdict = "carleson" if sweep.finite else "not_carleson"
     records = [_record(
         "box-sweep",
@@ -236,25 +213,19 @@ def _run_carleson_test(config: dict):
         },
         "info",
     )]
-    ok = _expectation(config, "expect", verdict, records, "expect")
+    ok = _expectation("expect", expect, verdict, records)
     return records, ok
 
 
-@_command("equivalence")
-def _run_equivalence(config: dict):
-    _check_keys(config, {"measure", "phi1", "phi2", "mode", "alpha", "s",
-                         "box_family", "quadrature", "expect"})
-    mu = parse_measure(config["measure"])
-    phi1 = parse_growth(config["phi1"])
-    phi2 = parse_growth(config["phi2"])
-    rep = verify_equivalence(
-        mu, phi1, phi2,
-        mode=config.get("mode", "hardy"),
-        alpha=float(config.get("alpha", 0.0)),
-        s=config.get("s"),
-        box_family=_section(config, "box_family"),
-        spec=_section(config, "quadrature"),
-    )
+@_command("equivalence", measure=_MEASURE, phi1=GROWTH, phi2=GROWTH,
+          mode=(enum("hardy", "bergman", "raw"), "hardy"), alpha=WEIGHT,
+          s=(number(0.0), None), box_family=_BOXES, quadrature=_QUADRATURE, expect=_CARLESON)
+def _run_equivalence(config: dict, measure, phi1, phi2, mode, alpha, s, box_family,
+                     quadrature, expect):
+    if mode == "raw" and s is None:
+        raise ConfigError("equivalence mode raw needs s")
+    rep = verify_equivalence(measure, phi1, phi2, mode=mode, alpha=alpha, s=s,
+                             box_family=box_family, spec=quadrature)
     records = [_record(
         "equivalence",
         "box, kernel, and embedding verdicts agree (finite together)",
@@ -267,21 +238,15 @@ def _run_equivalence(config: dict):
     if rep.carleson is not None:
         verdict = "carleson" if rep.carleson else "not_carleson"
     ok = rep.coherent
-    ok &= _expectation(config, "expect", verdict, records, "expect")
+    ok &= _expectation("expect", expect, verdict, records)
     return records, ok
 
 
-@_command("embed-check")
-def _run_embed(config: dict):
-    _check_keys(config, {"phi1", "phi2", "variant", "alpha", "beta", "grid", "expect"})
-    res = embed_check(
-        parse_growth(config["phi1"]),
-        parse_growth(config["phi2"]),
-        config.get("variant", "hardy_to_bergman"),
-        float(config.get("alpha", 0.0)),
-        None if config.get("beta") is None else float(config["beta"]),
-        _section(config, "grid"),
-    )
+@_command("embed-check", **_EMBEDDING, expect=(enum("holds", "fails"), None))
+def _run_embed(config: dict, phi1, phi2, variant, alpha, beta, grid, expect):
+    if variant == "bergman_to_bergman" and beta is None:
+        raise ConfigError("variant bergman_to_bergman needs beta")
+    res = embed_check(phi1, phi2, variant, alpha, beta, grid)
     verdict = "holds" if res.holds else "fails"
     records = [_record(
         "embed-check",
@@ -291,19 +256,16 @@ def _run_embed(config: dict):
          "witness": res.witness, "edge": res.edge},
         "info",
     )]
-    ok = _expectation(config, "expect", verdict, records, "expect")
+    ok = _expectation("expect", expect, verdict, records)
     return records, ok
 
 
-@_command("multiplier-classify")
-def _run_multiplier(config: dict):
-    _check_keys(config, {"phi1", "phi2", "variant", "alpha", "beta", "grid", "expect"})
-    phi1 = parse_growth(config["phi1"])
-    phi2 = parse_growth(config["phi2"])
-    variant = config.get("variant", "hardy_to_bergman")
-    alpha = float(config.get("alpha", 0.0))
-    beta = None if config.get("beta") is None else float(config["beta"])
-    prof = omega_profile(phi1, phi2, variant, alpha, beta, _section(config, "grid"))
+@_command("multiplier-classify", **_EMBEDDING, expect=(enum(
+    "H_infinity", "zero_space", "H_infinity_omega", "out_of_theorem"), None))
+def _run_multiplier(config: dict, phi1, phi2, variant, alpha, beta, grid, expect):
+    if variant == "bergman_to_bergman" and beta is None:
+        raise ConfigError("variant bergman_to_bergman needs beta")
+    prof = omega_profile(phi1, phi2, variant, alpha, beta, grid)
     composed = derived_pair(phi1, phi2)[0]
     verdict = multiplier_space(
         prof, classify(phi1), classify(phi2), classify(composed)
@@ -316,34 +278,27 @@ def _run_multiplier(config: dict):
          **verdict.as_dict()},
         "info",
     )]
-    ok = _expectation(config, "expect", verdict.space, records, "expect")
+    ok = _expectation("expect", expect, verdict.space, records)
     return records, ok
 
 
-@_command("weak-test")
-def _run_weak(config: dict):
-    _check_keys(config, {"measure", "phi1", "phi2", "mode", "alpha",
-                         "quadrature", "lambda_grid", "family"})
-    mu = parse_measure(config["measure"])
-    phi1 = parse_growth(config["phi1"])
-    phi2 = parse_growth(config["phi2"])
-    mode = config.get("mode", "hardy")
-    alpha = float(config.get("alpha", 0.0))
-    spec = _section(config, "quadrature")
-    lams = _number_list(config, "lambda_grid", 0.0) if "lambda_grid" in config else None
-    if mode == "hardy":
+@_command("weak-test", measure=_MEASURE, phi1=GROWTH, phi2=GROWTH,
+          mode=(enum("hardy", "bergman"), "hardy"), alpha=WEIGHT, quadrature=_QUADRATURE,
+          lambda_grid=(list_of(number(0.0)), None),
+          family=(list_of(parse_test_function), None))
+def _run_weak(config: dict, measure, phi1, phi2, mode, alpha, quadrature, lambda_grid,
+              family):
+    if family is not None:
+        weak_family = _explicit_family(config["family"], family, phi1, mode, alpha, quadrature)
+        strong_family = weak_family
+    elif mode == "hardy":
         weak_family = weak_hardy_family(phi1)
-        strong_family = hardy_test_family(phi1, spec=spec)
-    elif mode == "bergman":
-        weak_family = bergman_test_family(phi1, alpha, spec=spec)
-        strong_family = weak_family
+        strong_family = hardy_test_family(phi1, spec=quadrature)
     else:
-        raise ConfigError(f"unknown weak-test mode {mode!r}")
-    if "family" in config:
-        weak_family = _explicit_family(config["family"], phi1, mode, alpha, spec)
+        weak_family = bergman_test_family(phi1, alpha, spec=quadrature)
         strong_family = weak_family
-    weak = weak_type_constant(mu, phi2, weak_family, lambda_grid=lams)
-    strong = embedding_constant(mu, phi2, strong_family, spec)
+    weak = weak_type_constant(measure, phi2, weak_family, lambda_grid=lambda_grid)
+    strong = embedding_constant(measure, phi2, strong_family, quadrature)
     dominated = all(
         wk <= sk * (1 + 1e-6)
         for (_, wk), (_, sk) in zip(weak.per_member, strong.per_member)
@@ -362,33 +317,10 @@ def _run_weak(config: dict):
     return records, dominated
 
 
-def _number_list(config: dict, key: str, above: float, default=None) -> list[float]:
-    values = config.get(key, default)
-    if not (isinstance(values, list) and values and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        and math.isfinite(v) and v > above for v in values
-    )):
-        raise ConfigError(f"{key} must be a nonempty list of numbers > {above:g}, got {values!r}")
-    return [float(v) for v in values]
-
-
-def _positive_int(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return value
-
-
-@_command("maximal-suite")
-def _run_maximal(config: dict):
-    _check_keys(config, {"n_functions", "n_probes", "n_levels", "alphas"})
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    n_functions = _positive_int(config, "n_functions", 50)
-    n_probes = _positive_int(config, "n_probes", 50)
-    n_levels = _positive_int(config, "n_levels", 10)
-    alphas = _number_list(config, "alphas", -1.0, [0.0, 1.0])
+@_command("maximal-suite", seed=_SEED, n_functions=(integer(1), 50),
+          n_probes=(integer(1), 50), n_levels=(integer(1), 10),
+          alphas=(list_of(number(-1.0)), [0.0, 1.0]))
+def _run_maximal(config: dict, seed, n_functions, n_probes, n_levels, alphas):
     onethird_bad, weak_bad, compare_bad = maximal_suite(
         seed, n_functions, n_probes, n_levels, alphas
     )
@@ -412,12 +344,11 @@ def _run_maximal(config: dict):
     return records, passed
 
 
-@_command("suite")
-def _run_suite(config: dict):
-    _check_keys(config, {"runs"})
+@_command("suite", runs=(list_of(lambda run: run), REQUIRED))
+def _run_suite(config: dict, runs):
     records = []
     all_ok = True
-    for i, sub in enumerate(config.get("runs", [])):
+    for i, sub in enumerate(runs):
         sub_records, ok = _dispatch(sub)
         for r in sub_records:
             r = dict(r)
@@ -428,14 +359,7 @@ def _run_suite(config: dict):
 
 
 def _dispatch(config: dict):
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    command = config.get("command")
-    if command not in _COMMANDS:
-        raise ConfigError(
-            f"unknown command {command!r}; choose from {sorted(_COMMANDS)}"
-        )
-    return _COMMANDS[command](config)
+    return _pick(config, "command", _COMMANDS, "config")(config)
 
 
 def run(config: dict) -> dict:
@@ -490,7 +414,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
 
     try:

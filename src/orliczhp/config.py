@@ -1,4 +1,4 @@
-"""Literal grammars for config files.
+"""Literal grammars and typed schemas for config files.
 
 Growth functions are written as nested literals:
 
@@ -11,14 +11,19 @@ Densities are arithmetic expressions in ``y`` over those literals, e.g.
     1 / (y^2 * compose_inv(power(4), power(2))(1/y))
 
 with ``*``, ``/``, parentheses, ``y^<exponent>``, numbers, and growth
-literals applied to a subexpression of ``y``.  Measures and boxes are
-plain JSON structures; see :func:`parse_measure`.
+literals applied to a subexpression of ``y``.
 
-Parse errors raise :class:`ConfigError` with a position diagnostic.
+Measures, test functions and boxes are JSON objects, each checked against
+a schema ``key -> (parser, default or REQUIRED)`` by :func:`parse_fields`.
+A measure or test function names its ``kind``: see the kind tables
+:data:`MEASURE_KINDS` and :data:`TEST_FUNCTION_KINDS`.  The CLI declares one
+schema per command the same way.  Every rejection raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 from contextlib import contextmanager
 from typing import Callable
@@ -33,6 +38,7 @@ from .growth import (
     ReciprocalReflected,
     Tabulated,
 )
+from .maximal import StepFunction1D
 from .measure import (
     AtomicMeasure,
     CarlesonBox,
@@ -41,6 +47,8 @@ from .measure import (
     UpperHalfPlaneMeasure,
     WeightedVolume,
 )
+from .multipliers import section6_measure
+from .spaces import BergmanKernel, HardyKernel, IndicatorScaled, PoissonOfStep
 
 __all__ = ["ConfigError", "parse_growth", "parse_density", "parse_measure", "parse_box"]
 
@@ -52,13 +60,13 @@ class ConfigError(ValueError):
 @contextmanager
 def _rejected_values(what: str):
     """Re-raise a value that a constructor or conversion rejects (a
-    ``ValueError``, ``TypeError`` or missing key or index) as a
+    ``ValueError``, ``TypeError``, overflow or missing key or index) as a
     ``ConfigError`` naming ``what``; a ``ConfigError`` passes unchanged."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, LookupError) as exc:
+    except (ValueError, TypeError, LookupError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -260,99 +268,145 @@ def parse_density(text: str) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
+# ---------------------------------------------------------------------------
+# Schemas
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def parse_fields(spec, schema: dict, what: str) -> dict:
+    """The typed values of the JSON object ``spec`` under ``schema``
+    (``key -> (parser, default or REQUIRED)``), one per schema key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
+    unknown = set(spec) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
+
+    def value(key, parse, default):
+        if key in spec:
+            with _rejected_values(f"{what}.{key}"):
+                return parse(spec[key])
+        if default is REQUIRED:
+            raise ConfigError(f"{what} needs {key!r}")
+        return default
+
+    return {key: value(key, *entry) for key, entry in schema.items()}
+
+
+def number(above: float = -math.inf):
+    """Parser of a finite JSON number above ``above``, as a float."""
+    def parse(v) -> float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not above < v < math.inf:
+            raise ValueError(f"expected a finite number > {above:g}, got {v!r}")
+        return float(v)
+    return parse
+
+
+def integer(least: float = -math.inf):
+    """Parser of a JSON integer at least ``least``."""
+    def parse(v) -> int:
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            raise ValueError(f"expected an integer >= {least:g}, got {v!r}")
+        return v
+    return parse
+
+
+def enum(*choices):
+    """Parser of one of ``choices`` (strings or bools; 1 is not True)."""
+    def parse(v):
+        if not isinstance(v, (str, bool)) or v not in choices:
+            raise ValueError(f"expected one of {list(choices)}, got {v!r}")
+        return v
+    return parse
+
+
+def list_of(parse, least: int = 1, most: float = math.inf):
+    """Parser of a JSON list of ``least`` to ``most`` items, each through ``parse``."""
+    def parse_list(v) -> list:
+        if not isinstance(v, list) or not least <= len(v) <= most:
+            raise ValueError(f"expected a list of {least} to {most:g} items, got {v!r}")
+        return [parse(item) for item in v]
+    return parse_list
+
+
+def text(v) -> str:
+    """Parser of a JSON string."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def section(cls):
+    """Parser of a JSON object that sets up the dataclass ``cls``.  Its
+    numeric fields are the keys, with their defaults: an int field takes a
+    JSON integer and a float field a finite JSON number."""
+    schema = {f.name: (integer() if isinstance(f.default, int) else number(), f.default)
+              for f in dataclasses.fields(cls) if isinstance(f.default, (int, float))}
+    return lambda spec: cls(**parse_fields(spec, schema, cls.__name__))
+
+
+# called through the module name, so that a wrapper bound to it sees every call
+GROWTH = (lambda text: parse_growth(text), REQUIRED)
+WEIGHT = (number(-1.0), 0.0)  # a weight exponent alpha > -1
+VARIANT = (enum("hardy_to_bergman", "bergman_to_bergman"), "hardy_to_bergman")
+
+
 def parse_box(spec) -> CarlesonBox:
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        center, length = spec
-    elif isinstance(spec, dict):
-        extra = set(spec) - {"center", "length"}
-        if extra:
-            raise ConfigError(f"unknown box keys {sorted(extra)}")
-        center, length = spec.get("center"), spec.get("length")
-    else:
-        raise ConfigError(f"cannot parse box from {spec!r}")
-    with _rejected_values(f"box {spec!r}"):
-        return CarlesonBox(float(center), float(length))
+        spec = dict(zip(("center", "length"), spec))
+    schema = {"center": (number(), REQUIRED), "length": (number(0.0), REQUIRED)}
+    return CarlesonBox(*parse_fields(spec, schema, "box").values())
 
 
-def parse_test_function(spec):
-    """Test function from its JSON structure.
+def pick(spec, key: str, table: dict, what: str):
+    """The entry of ``table`` that the string ``spec[key]`` names."""
+    name = spec.get(key) if isinstance(spec, dict) else None
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{what} needs a {key!r} in {sorted(table)}, got {name!r}")
+    return table[name]
 
-    Kinds: ``hardy_kernel`` (z0, phi), ``bergman_kernel`` (z0, phi, alpha),
-    ``indicator`` (lam, box), ``poisson_of_step`` (edges, values).
-    """
-    from .maximal import StepFunction1D
-    from .spaces import BergmanKernel, HardyKernel, IndicatorScaled, PoissonOfStep
 
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"test function spec must be an object with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    keys = set(spec) - {"kind"}
-    with _rejected_values(f"test function spec {spec!r}"):
-        if kind == "hardy_kernel":
-            if keys - {"z0", "phi"}:
-                raise ConfigError(f"unknown hardy_kernel keys {sorted(keys)}")
-            x0, y0 = spec["z0"]
-            return HardyKernel(complex(x0, y0), parse_growth(spec["phi"]))
-        if kind == "bergman_kernel":
-            if keys - {"z0", "phi", "alpha"}:
-                raise ConfigError(f"unknown bergman_kernel keys {sorted(keys)}")
-            x0, y0 = spec["z0"]
-            return BergmanKernel(
-                complex(x0, y0), parse_growth(spec["phi"]), float(spec.get("alpha", 0.0))
-            )
-        if kind == "indicator":
-            if keys - {"lam", "box"}:
-                raise ConfigError(f"unknown indicator keys {sorted(keys)}")
-            return IndicatorScaled(float(spec["lam"]), parse_box(spec["box"]))
-        if kind == "poisson_of_step":
-            if keys - {"edges", "values"}:
-                raise ConfigError(f"unknown poisson_of_step keys {sorted(keys)}")
-            g = StepFunction1D(
-                np.asarray(spec["edges"], dtype=float),
-                np.asarray(spec["values"], dtype=float),
-            )
-            return PoissonOfStep(g)
-    raise ConfigError(f"unknown test function kind {kind!r}")
+def _parse_kind(spec, kinds: dict, what: str):
+    """The object ``spec`` builds from a kind table ``kind -> (schema, constructor)``."""
+    schema, build = pick(spec, "kind", kinds, what)
+    what = f"{spec['kind']} {what}"
+    fields = parse_fields({k: v for k, v in spec.items() if k != "kind"}, schema, what)
+    with _rejected_values(what):
+        return build(**fields)
 
 
 def parse_measure(spec) -> UpperHalfPlaneMeasure:
-    """Measure from its JSON structure; see the module docstring."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"measure spec must be an object with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    keys = set(spec) - {"kind"}
-    with _rejected_values(f"{kind} measure"):
-        if kind == "atomic":
-            if keys - {"atoms"}:
-                raise ConfigError(f"unknown atomic keys {sorted(keys - {'atoms'})}")
-            atoms = spec.get("atoms", [])
-            if atoms:
-                xs, ys, ms = zip(*[(float(a[0]), float(a[1]), float(a[2])) for a in atoms])
-            else:
-                xs, ys, ms = (), (), ()
-            return AtomicMeasure(xs, ys, ms)
-        if kind == "weighted_volume":
-            if keys - {"alpha"}:
-                raise ConfigError(f"unknown weighted_volume keys {sorted(keys - {'alpha'})}")
-            return WeightedVolume(float(spec.get("alpha", 0.0)))
-        if kind == "density":
-            if keys - {"expr"}:
-                raise ConfigError(f"unknown density keys {sorted(keys - {'expr'})}")
-            return DensityMeasure(parse_density(spec["expr"]), label=spec["expr"])
-        if kind == "section6":
-            if keys - {"phi1", "phi2", "variant", "alpha"}:
-                raise ConfigError(f"unknown section6 keys {sorted(keys)}")
-            from .multipliers import section6_measure
+    """Measure from an object with a ``kind`` of :data:`MEASURE_KINDS`."""
+    return _parse_kind(spec, MEASURE_KINDS, "measure")
 
-            mu, _ = section6_measure(
-                parse_growth(spec["phi1"]),
-                parse_growth(spec["phi2"]),
-                spec.get("variant", "hardy_to_bergman"),
-                float(spec.get("alpha", 0.0)),
-            )
-            return mu
-        if kind == "restricted":
-            if keys - {"base", "region"}:
-                raise ConfigError(f"unknown restricted keys {sorted(keys)}")
-            return RestrictedMeasure(parse_measure(spec["base"]), parse_box(spec["region"]))
-    raise ConfigError(f"unknown measure kind {kind!r}")
+
+def parse_test_function(spec):
+    """Test function from an object with a ``kind`` of :data:`TEST_FUNCTION_KINDS`."""
+    return _parse_kind(spec, TEST_FUNCTION_KINDS, "test function")
+
+
+POINT = (lambda v: complex(*list_of(number(), 2, 2)(v)), REQUIRED)  # [x, y]
+
+MEASURE_KINDS = {
+    "atomic": ({"atoms": (list_of(list_of(number(), 3, 3), 0), [])},  # [x, y, mass]
+               lambda atoms: AtomicMeasure(*(zip(*atoms) if atoms else ((), (), ())))),
+    "weighted_volume": ({"alpha": WEIGHT}, WeightedVolume),
+    "density": ({"expr": (text, REQUIRED)},
+                lambda expr: DensityMeasure(parse_density(expr), label=expr)),
+    "section6": ({"phi1": GROWTH, "phi2": GROWTH, "variant": VARIANT, "alpha": WEIGHT},
+                 lambda **v: section6_measure(**v)[0]),
+    "restricted": ({"base": (lambda spec: parse_measure(spec), REQUIRED),
+                    "region": (parse_box, REQUIRED)}, RestrictedMeasure),
+}
+
+TEST_FUNCTION_KINDS = {
+    "hardy_kernel": ({"z0": POINT, "phi": GROWTH}, HardyKernel),
+    "bergman_kernel": ({"z0": POINT, "phi": GROWTH, "alpha": WEIGHT}, BergmanKernel),
+    "indicator": ({"lam": (number(), REQUIRED), "box": (parse_box, REQUIRED)}, IndicatorScaled),
+    "poisson_of_step": ({"edges": (list_of(number()), REQUIRED),
+                         "values": (list_of(number()), REQUIRED)},
+                        lambda edges, values: PoissonOfStep(StepFunction1D(
+                            np.asarray(edges), np.asarray(values)))),
+}

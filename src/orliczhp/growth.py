@@ -150,10 +150,10 @@ class Power(GrowthFunction):
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError("exponent must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.p < math.inf:
+            raise ValueError("exponent must be positive and finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
         return self.scale * t ** self.p
@@ -176,12 +176,12 @@ class PowerLog(GrowthFunction):
     c: float
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError("power exponent must be at least 1")
-        if self.a <= 0:
-            raise ValueError("log exponent must be positive")
-        if self.c <= 1:
-            raise ValueError("additive constant must exceed 1")
+        if not 1 <= self.q < math.inf:
+            raise ValueError("power exponent must be finite and at least 1")
+        if not 0 < self.a < math.inf:
+            raise ValueError("log exponent must be positive and finite")
+        if not 1 < self.c < math.inf:
+            raise ValueError("additive constant must be finite and exceed 1")
         ts = DEFAULT_GRID.values()
         ratio = self._eval(ts) / ts
         if np.any(np.diff(ratio) < -1e-12 * ratio[:-1]):
@@ -241,6 +241,8 @@ class Tabulated(GrowthFunction):
             raise ValueError("need matching 1-d knot arrays with >= 2 points")
         if t[0] != 0.0 or y[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(t) <= 0) or np.any(np.diff(y) < 0):
             raise ValueError("knots must increase")
         object.__setattr__(self, "knots_t", tuple(t))

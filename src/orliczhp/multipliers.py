@@ -68,6 +68,19 @@ POWER_LATTICE_P: tuple[float, ...] = (1.25, 1.5, 2.0, 2.5, 3.0)
 POWER_LATTICE_Q: tuple[float, ...] = (4.0, 5.0, 6.0, 8.0, 10.0)
 
 
+def _variant_exponents(variant: str, alpha: float, beta: Optional[float]) -> tuple[float, float]:
+    """The (source, target) exponents ``e`` of the variant's weights
+    ``t^e``: ``(1, 2 + alpha)`` for hardy_to_bergman and ``(2 + alpha,
+    2 + beta)`` for bergman_to_bergman, which needs ``beta``."""
+    if variant == "hardy_to_bergman":
+        return 1.0, 2.0 + alpha
+    if variant != "bergman_to_bergman":
+        raise ValueError(f"unknown variant {variant!r}")
+    if beta is None:
+        raise ValueError("bergman variant needs beta")
+    return 2.0 + alpha, 2.0 + beta
+
+
 def omega_values(
     phi1: GrowthFunction,
     phi2: GrowthFunction,
@@ -76,18 +89,9 @@ def omega_values(
     beta: Optional[float],
     ts: np.ndarray,
 ) -> np.ndarray:
+    source, target = _variant_exponents(variant, alpha, beta)
     inv_t = 1.0 / ts
-    if variant == "hardy_to_bergman":
-        num = phi2.inverse(inv_t ** (2.0 + alpha))
-        den = phi1.inverse(inv_t)
-    elif variant == "bergman_to_bergman":
-        if beta is None:
-            raise ValueError("bergman variant needs beta")
-        num = phi2.inverse(inv_t ** (2.0 + beta))
-        den = phi1.inverse(inv_t ** (2.0 + alpha))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return np.asarray(num) / np.asarray(den)
+    return np.asarray(phi2.inverse(inv_t ** target)) / np.asarray(phi1.inverse(inv_t ** source))
 
 
 @dataclass(frozen=True)
@@ -210,15 +214,9 @@ def embed_check(
     """Space-embedding criterion ``phi1^{-1}(t) <= phi2^{-1}(C t^(2+alpha))``
     (resp. the two-weight variant), tested as boundedness of
     ``phi2(phi1^{-1}(t)) / t^(2+alpha)`` with an edge-slope scan."""
+    source, target = _variant_exponents(variant, alpha, beta)
     ts = grid.values()
-    if variant == "hardy_to_bergman":
-        ratio = np.asarray(phi2(phi1.inverse(ts))) / ts ** (2.0 + alpha)
-    elif variant == "bergman_to_bergman":
-        if beta is None:
-            raise ValueError("bergman variant needs beta")
-        ratio = np.asarray(phi2(phi1.inverse(ts ** (2.0 + alpha)))) / ts ** (2.0 + beta)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    ratio = np.asarray(phi2(phi1.inverse(ts ** source))) / ts ** target
     if _growing_at_edge(ts, ratio, right=False):
         return EmbedCheck(False, None, float(ts[0]), "small_t")
     if _growing_at_edge(ts, ratio, right=True):
@@ -312,7 +310,7 @@ def section6_measure(
     for ``g`` exactly when ``g`` passes the Dini check.
     """
     g = ComposedInverse(outer=phi2, inner=phi1)
-    e = 1.0 if variant == "hardy_to_bergman" else 2.0 + alpha
+    e = _variant_exponents(variant, alpha, 0.0)[0]  # beta plays no part here
 
     def profile(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)

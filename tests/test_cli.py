@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,48 @@ from orliczhp.growth import ComposedInverse, Power, PowerLog
 from orliczhp.measure import AtomicMeasure, DensityMeasure, RestrictedMeasure, WeightedVolume
 
 E2 = 7.38905609893065
+ATOM = {"kind": "atomic", "atoms": [[0.0, 1.0, 1.0]]}
+MISSING = object()  # an override that removes the key
+
+# one cheap valid config per command, the base of the exit-code cases
+CHEAP = {
+    "classify-growth": {"phi": "power(2)", "grid": {"points": 64}},
+    "carleson-test": {"measure": {"kind": "weighted_volume"}, "phi": "power(1)",
+                      "s": 1.0, "box_family": {"j_min": -2, "j_max": 2}},
+    "equivalence": {"measure": ATOM, "phi1": "power(2)", "phi2": "power(4)",
+                    "box_family": {"j_min": -2, "j_max": 2}},
+    "embed-check": {"phi1": "power(1)", "phi2": "power(3)", "alpha": 1.0},
+    "multiplier-classify": {"phi1": "power(2)", "phi2": "power(6)", "alpha": 1.0,
+                            "grid": {"points": 64}},
+    "weak-test": {"measure": ATOM, "phi1": "power(2)", "phi2": "power(4)",
+                  "mode": "bergman"},
+    "maximal-suite": {"n_functions": 2, "n_probes": 5, "n_levels": 2},
+    "suite": {"runs": [{"command": "embed-check", "phi1": "power(1)",
+                        "phi2": "power(3)", "alpha": 1.0}]},
+}
+
+# the keys each command takes besides command and seed
+KEYS = {
+    "classify-growth": ["phi", "grid", "expect_nabla2", "expect_tilde"],
+    "carleson-test": ["measure", "phi", "s", "box_family", "quadrature", "expect"],
+    "equivalence": ["measure", "phi1", "phi2", "mode", "alpha", "s", "box_family",
+                    "quadrature", "expect"],
+    "embed-check": ["phi1", "phi2", "variant", "alpha", "beta", "grid", "expect"],
+    "multiplier-classify": ["phi1", "phi2", "variant", "alpha", "beta", "grid", "expect"],
+    "weak-test": ["measure", "phi1", "phi2", "mode", "alpha", "quadrature",
+                  "lambda_grid", "family"],
+    "maximal-suite": ["n_functions", "n_probes", "n_levels", "alphas"],
+    "suite": ["runs"],
+}
+
+# wrong-type and out-of-domain values; in-domain extremes (alpha = 1e308)
+# overflow inside the library and are left out
+BAD_VALUES = [True, "x", math.nan, math.inf, -1, [], {}]
+
+
+def cheap_config(command, **overrides):
+    cfg = {"command": command, **CHEAP[command], **overrides}
+    return {k: v for k, v in cfg.items() if v is not MISSING}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -315,6 +359,80 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("equivalence", {"alpha": "abc"}),
+        ("equivalence", {"alpha": -3}),
+        ("equivalence", {"alpha": True}),
+        ("equivalence", {"mode": "zz"}),
+        ("equivalence", {"s": "x"}),
+        ("equivalence", {"s": -1}),
+        ("equivalence", {"expect": 3}),
+        ("carleson-test", {"s": -1}),
+        ("carleson-test", {"s": True}),
+        ("carleson-test", {"expect": "carelson"}),
+        ("embed-check", {"variant": "zz"}),
+        ("embed-check", {"alpha": math.nan}),
+        ("embed-check", {"alpha": 10 ** 400}),  # an integer no float holds
+        ("multiplier-classify", {"beta": "x"}),
+        ("suite", {"runs": 5}),
+        ("suite", {"runs": []}),
+        ("suite", {"runs": MISSING}),
+        ("classify-growth", {"phi": MISSING}),
+        ("classify-growth", {"expect_nabla2": 1}),
+        ("classify-growth", {"seed": "x"}),
+        ("weak-test", {"family": 3}),
+        ("carleson-test", {"measure": {"kind": "section6", "phi1": "power(2)",
+                                       "phi2": "power(4)", "variant": "zzz"}}),
+        ("carleson-test", {"measure": {"kind": "atomic", "atoms": [[0, 1, 1, 9]]}}),
+        ("carleson-test", {"measure": {"kind": "atomic", "atoms": [["0", 1, 1]]}}),
+        ("carleson-test", {"measure": {"kind": "atomic", "atoms": [[0, 1, True]]}}),
+        # rules across keys
+        ("embed-check", {"variant": "bergman_to_bergman"}),
+        ("multiplier-classify", {"variant": "bergman_to_bergman"}),
+        ("equivalence", {"mode": "raw"}),
+        # growth literals with a non-finite parameter
+        ("classify-growth", {"phi": "power(1e999)"}),
+        ("classify-growth", {"phi": "power(2, 1e999)"}),
+        ("classify-growth", {"phi": "powerlog(1e999, 1, 3)"}),
+        ("classify-growth", {"phi": "tabulated((0, 0), (1, 1), (1e999, 2))"}),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, cheap_config(command, **overrides))
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, options", [
+        ({"command": []}, []),
+        ([1], ["--seed", "3"]),
+        ("classify-growth", ["--seed", "3"]),
+    ])
+    def test_bad_config_object_is_config_error(self, tmp_path, capsys, cfg, options):
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, *options]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, cheap_config("embed-check"))
+        assert main(["--config", path, "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(CHEAP))
+    def test_cheap_configs_pass(self, tmp_path, capsys, command):
+        # the cases above and the sweep below change one key of these
+        path = write_config(tmp_path, cheap_config(command))
+        assert main(["--config", path]) == EXIT_PASS
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in sorted(KEYS) for key in ["seed", *KEYS[command]]
+    ])
+    def test_wrong_values_never_runtime_errors(self, tmp_path, capsys, command, key):
+        for value in BAD_VALUES:
+            path = write_config(tmp_path, cheap_config(command, **{key: value}))
+            code = main(["--config", path])
+            err = capsys.readouterr().err
+            assert code in (EXIT_PASS, EXIT_CONFIG), (value, err)
+
     def test_json_output_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "classify-growth", "phi": "power(3)"})
         out = tmp_path / "report.json"
@@ -338,3 +456,15 @@ class TestMainExitCodes:
         assert r1["config"]["seed"] == 1
         assert r2["config"]["seed"] == 2
         capsys.readouterr()
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    """Every JSON block of the README is a valid config whose asserted
+    checks pass."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = write_config(tmp_path, json.loads(block), f"readme{i}.json")
+        assert main(["--config", path, "--assert"]) == EXIT_PASS, block
+    capsys.readouterr()

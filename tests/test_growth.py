@@ -61,6 +61,23 @@ class TestEval:
         with pytest.raises(ValueError):
             Tabulated((0.5, 1.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Power(math.inf),
+        lambda: Power(math.nan),
+        lambda: Power(2, math.inf),
+        lambda: Power(2, math.nan),
+        lambda: PowerLog(math.inf, 1, 3),
+        lambda: PowerLog(2, math.inf, 3),
+        lambda: PowerLog(2, 1, math.inf),
+        lambda: PowerLog(math.nan, 1, 3),
+        lambda: Tabulated((0.0, math.inf), (0.0, 1.0)),
+        lambda: Tabulated((0.0, 1.0), (0.0, math.inf)),
+        lambda: Tabulated((0.0, 1.0, math.nan), (0.0, 1.0, 2.0)),
+    ])
+    def test_nonfinite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestInverse:
     def test_power_closed_form(self):

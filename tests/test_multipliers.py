@@ -86,6 +86,16 @@ class TestEmbedCheck:
         res = embed_check(Power(2), Power(4), "bergman_to_bergman", alpha=0.0, beta=2.0)
         assert res.holds
 
+    @pytest.mark.parametrize("variant, beta, message", [
+        ("zzz", 1.0, "unknown variant"),
+        ("bergman_to_bergman", None, "needs beta"),
+    ])
+    def test_bad_variant_rejected(self, variant, beta, message):
+        with pytest.raises(ValueError, match=message):
+            embed_check(Power(1), Power(3), variant, 1.0, beta)
+        with pytest.raises(ValueError, match=message):
+            omega_profile(Power(1), Power(3), variant, 1.0, beta)
+
     def test_lattice_agreement_with_exponent(self):
         for alpha in (0.0, 1.0):
             for p in POWER_LATTICE_P:
@@ -198,6 +208,15 @@ class TestSection6:
             comp = derived_pair(phi1, phi2)[0]
             sweep = carleson_box_constant(mu, comp, 1.0, BoxFamily(-5, 5))
             assert sweep.finite == expected, (phi1, phi2)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            section6_measure(Power(2), Power(4), variant="zzz")
+
+    def test_bergman_variant_needs_no_beta(self):
+        # phi1 = t^2, phi2 = t^4 and e = 2 + alpha = 2: the density is y^2
+        mu, _ = section6_measure(Power(2), Power(4), "bergman_to_bergman", 0.0)
+        np.testing.assert_allclose(mu.profile(np.array([0.5, 2.0])), [0.25, 4.0])
 
     def test_power_pair_density_value(self):
         # phi1 = t^2, phi2 = t^4 makes the density identically one
