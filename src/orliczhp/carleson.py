@@ -53,6 +53,7 @@ from .measure import (
 from .spaces import (
     BergmanKernel,
     HardyKernel,
+    _decade_grid,
     bergman_norm,
     hardy_norm,
     luxembourg_step_line,
@@ -114,16 +115,15 @@ def carleson_kernel(phi1: GrowthFunction, s: float, z: complex) -> CarlesonKerne
     return CarlesonKernelFn(phi1, s, z)
 
 
-def default_sample_points(
-    mu: UpperHalfPlaneMeasure, k_min: int = -8, k_max: int = 8
-) -> tuple[list[complex], list[complex]]:
+def default_sample_points(mu: UpperHalfPlaneMeasure) -> tuple[list[complex], list[complex]]:
     """Dyadic ladder of base points plus measure-adapted extras.
 
-    The ladder (fixed x, heights ``2^k``) is what the growth-trend test
-    reads; extras only enter the supremum.
+    The ladder (fixed x, heights ``2^k`` for ``k`` in -8..8, extended by
+    ``adapted_heights``) is what the growth-trend test reads; extras only
+    enter the supremum.
     """
     x0 = 0.0 if mu.region is None else mu.region.center_x
-    heights = adapted_heights(mu, [2.0 ** k for k in range(k_min, k_max + 1)])
+    heights = adapted_heights(mu, [2.0 ** k for k in range(-8, 9)])
     ladder = [complex(x0, h) for h in heights]
     extras: list[complex] = []
     atoms = mu.atoms()
@@ -166,33 +166,15 @@ def kernel_testing_constant(
         ladder, extras = list(points), []
     best = -math.inf
     witness = None
-    divergent = False
     ladder_vals: list[tuple[float, float]] = []
-
-    def value_at(z: complex) -> float:
-        return modular_halfplane(carleson_kernel(phi1, s, z), phi2, mu, spec)
-
-    for z in ladder:
-        v = value_at(z)
-        ladder_vals.append((z.imag, v))
+    for i, z in enumerate(ladder + extras):
+        v = modular_halfplane(carleson_kernel(phi1, s, z), phi2, mu, spec)
+        if i < len(ladder):
+            ladder_vals.append((z.imag, v))
         if math.isinf(v):
-            divergent = True
-            witness = z
-            break
+            return KernelSweep(math.inf, z, True, "bounded", tuple(ladder_vals))
         if v > best:
             best, witness = v, z
-    if not divergent:
-        for z in extras:
-            v = value_at(z)
-            if math.isinf(v):
-                divergent = True
-                witness = z
-                break
-            if v > best:
-                best, witness = v, z
-
-    if divergent:
-        return KernelSweep(math.inf, witness, True, "bounded", tuple(ladder_vals))
     ys = np.array([p[0] for p in ladder_vals])
     vals = np.array([p[1] for p in ladder_vals])
     trend = _edge_trend(ys, vals)
@@ -303,14 +285,13 @@ def bergman_test_family(
 def weak_hardy_family(
     phi1: GrowthFunction,
     heights: Sequence[float] = DEFAULT_KERNEL_HEIGHTS,
-    x_window: float = 64.0,
-    n_cells: int = 2048,
 ) -> list[NormedMember]:
     """Hardy kernels normalized by the Luxembourg norm of their nontangential
     maximal function (the weak-type normalizer): the exact cone supremum
-    ``HardyKernel.cone_sup`` at the centres of ``n_cells`` line cells."""
+    ``HardyKernel.cone_sup`` at the centres of 2048 equal cells of
+    ``[-64, 64]``."""
     members = []
-    edges = np.linspace(-x_window, x_window, n_cells + 1)
+    edges = np.linspace(-64.0, 64.0, 2049)
     centers = 0.5 * (edges[:-1] + edges[1:])
     for y0 in heights:
         f = HardyKernel(complex(0.0, y0), phi1)
@@ -363,9 +344,9 @@ def _first_admissible(
     return hi
 
 
-def default_k_grid(lo: float = 1e-4, hi: float = 1e4, per_decade: int = 25) -> np.ndarray:
-    n = int(round(per_decade * math.log10(hi / lo))) + 1
-    return np.geomspace(lo, hi, n)
+def default_k_grid() -> np.ndarray:
+    """The embedding and weak-type search grid: 1e-4 to 1e4, 25 per decade."""
+    return _decade_grid(1e-4, 1e4, 25)
 
 
 def _search_grid(name: str, grid, default: np.ndarray) -> np.ndarray:

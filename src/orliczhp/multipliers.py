@@ -213,10 +213,16 @@ def embed_check(
 ) -> EmbedCheck:
     """Space-embedding criterion ``phi1^{-1}(t) <= phi2^{-1}(C t^(2+alpha))``
     (resp. the two-weight variant), tested as boundedness of
-    ``phi2(phi1^{-1}(t)) / t^(2+alpha)`` with an edge-slope scan."""
+    ``phi2(phi1^{-1}(t)) / t^(2+alpha)`` with an edge-slope scan.  A ratio
+    that is not finite at a grid point (the weight power overflows for a
+    huge ``alpha``) fails there, on the side of ``t = 1`` it lies on."""
     source, target = _variant_exponents(variant, alpha, beta)
     ts = grid.values()
-    ratio = np.asarray(phi2(phi1.inverse(ts ** source))) / ts ** target
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.asarray(phi2(phi1.inverse(ts ** source))) / ts ** target
+    bad = ts[~np.isfinite(ratio)]
+    if bad.size:
+        return EmbedCheck(False, None, float(bad[0]), "small_t" if bad[0] < 1 else "large_t")
     if _growing_at_edge(ts, ratio, right=False):
         return EmbedCheck(False, None, float(ts[0]), "small_t")
     if _growing_at_edge(ts, ratio, right=True):

@@ -4,13 +4,15 @@ The modular of ``f`` against a growth function ``phi`` and a measure is
 ``int phi(|f|) dmu``; the Luxembourg norm is the infimum of ``lam > 0``
 with modular of ``f/lam`` at most 1, computed by bisection on ``lam``
 (monotone, since phi is nondecreasing).  For a pure power ``phi = c t^p``
-the norm has the closed form ``modular(f)^(1/p)`` (``_power_luxembourg``),
-which every norm here takes for a ``Power`` phi; ``luxembourg`` itself
+the norm has the closed form ``modular(f)^(1/p)``, which every norm here
+takes for a ``Power`` phi (``_luxembourg_norm``); ``luxembourg`` itself
 always bisects, so tests can play the two against each other.
 
-Hardy-type norms take a supremum of line modulars over a geometric grid of
-heights, Bergman-type norms integrate over the half-plane against
-``y^alpha``.  Both report the modular form and the Luxembourg form.
+Hardy-type norms take a supremum over a geometric grid of heights;
+since every line modular decreases in ``lam``, the sup of the line
+Luxembourg norms is one bisection on the row maximum of the line modulars.
+Bergman-type norms integrate over the half-plane against ``y^alpha``.
+Both report the modular form and the Luxembourg form.
 
 Test functions are the rational kernels
 
@@ -30,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .growth import GrowthFunction, Power
-from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line, integrate_line_rows
+from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
@@ -41,7 +43,6 @@ __all__ = [
     "IndicatorScaled",
     "TestFunction",
     "step_modular_line",
-    "line_modular",
     "modular_halfplane",
     "luxembourg",
     "luxembourg_step_line",
@@ -185,21 +186,6 @@ def step_modular_line(f: StepFunction1D, phi: GrowthFunction, scale: float = 1.0
     return float(np.sum(phi(vals) * widths))
 
 
-def line_modular(
-    f_abs: Callable[[np.ndarray], np.ndarray],
-    phi: GrowthFunction,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    scale: float = 1.0,
-    x_center: float = 0.0,
-    x_scale: float = 1.0,
-) -> float:
-    """``int phi(|f(x)| / scale) dx`` by quadrature over the line."""
-    res = integrate_line(
-        lambda x: phi(np.abs(f_abs(x)) / scale), spec, x_center, x_scale
-    )
-    return res.value
-
-
 def modular_halfplane(
     f,
     phi: GrowthFunction,
@@ -230,24 +216,19 @@ def modular_halfplane(
 # Luxembourg norms
 # ---------------------------------------------------------------------------
 
-def luxembourg(
-    modular_at: Callable[[float], float],
-    tol: float = 1e-10,
-    lam_lo: float = 1e-12,
-    lam_hi: float = 1e12,
-    max_iter: int = 200,
-) -> float:
-    """``inf { lam > 0 : modular_at(lam) <= 1 }`` by bisection in log-lam;
-    ``modular_at(lam)`` must be nonincreasing in ``lam``."""
-    if modular_at(lam_lo) <= 1.0:
+def luxembourg(modular_at: Callable[[float], float], tol: float = 1e-10) -> float:
+    """``inf { lam > 0 : modular_at(lam) <= 1 }`` by bisection in log-lam
+    on ``[1e-12, 1e12]``, at most 200 steps; ``modular_at(lam)`` must be
+    nonincreasing in ``lam``."""
+    lo, hi = 1e-12, 1e12
+    if modular_at(lo) <= 1.0:
         return 0.0
-    hi_val = modular_at(lam_hi)
+    hi_val = modular_at(hi)
     if hi_val > 1.0 or math.isinf(hi_val):
         raise NormBracketError(
-            f"modular still {hi_val} at lam = {lam_hi:g}; norm not representable"
+            f"modular still {hi_val} at lam = {hi:g}; norm not representable"
         )
-    lo, hi = lam_lo, lam_hi
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)
         m = modular_at(mid)
         if m > 1.0:
@@ -261,25 +242,36 @@ def luxembourg(
     return hi
 
 
-def _power_luxembourg(modular: float, p: float) -> float:
-    """Luxembourg norm for ``phi = c t^p`` from the modular at scale 1, exact
-    by homogeneity; a modular of 0 or ``inf`` gives the same norm."""
-    return modular ** (1.0 / p)
+def _luxembourg_norm(
+    phi: GrowthFunction,
+    modular: float,
+    modular_at: Callable[[float], float],
+    tol: float = 1e-10,
+) -> float:
+    """Luxembourg norm from the modular at scale 1: ``modular^(1/p)`` for
+    ``phi = c t^p``, exact by homogeneity (0 and ``inf`` included), and
+    otherwise the ``luxembourg`` bisection (to ``tol``) on ``modular_at``."""
+    if isinstance(phi, Power):
+        return modular ** (1.0 / phi.p)
+    return luxembourg(modular_at, tol=tol)
 
 
 def luxembourg_step_line(f: StepFunction1D, phi: GrowthFunction, tol: float = 1e-10) -> float:
     """Luxembourg norm of a line step function (exact cell modulars); in
     closed form for a ``Power`` phi, by bisection (to ``tol``) otherwise."""
-    if not np.any(f.values):
-        return 0.0
-    if isinstance(phi, Power):
-        return _power_luxembourg(step_modular_line(f, phi), phi.p)
-    return luxembourg(lambda lam: step_modular_line(f, phi, scale=lam), tol=tol)
+    return _luxembourg_norm(
+        phi, step_modular_line(f, phi), lambda lam: step_modular_line(f, phi, scale=lam), tol
+    )
 
 
-def default_height_grid(lo: float = 1e-4, hi: float = 1e4, per_decade: int = 8) -> np.ndarray:
-    n = int(round(per_decade * math.log10(hi / lo))) + 1
-    return np.geomspace(lo, hi, n)
+def _decade_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    """Geometric grid from ``lo`` to ``hi`` with ``per_decade`` steps per decade."""
+    return np.geomspace(lo, hi, int(round(per_decade * math.log10(hi / lo))) + 1)
+
+
+def default_height_grid() -> np.ndarray:
+    """The Hardy norm's heights: 1e-4 to 1e4, 8 per decade (65 heights)."""
+    return _decade_grid(1e-4, 1e4, 8)
 
 
 @dataclass(frozen=True)
@@ -290,10 +282,6 @@ class HardyNormResult:
     heights: tuple
     converged: bool
     error: float
-
-    @property
-    def modular(self) -> float:
-        return self.modular_sup
 
 
 def hardy_norm(
@@ -307,37 +295,34 @@ def hardy_norm(
     the exact sup over all heights; the tested kernel families are
     monotone or unimodal in height, which keeps it tight.
 
-    The line modulars of all heights come from one ``integrate_line_rows``
-    call, one row per height, each row on the width ``natural_scale + y``.
-    ``converged`` is true only if every row converged, and ``error`` is the
-    worst row's error estimate.  A ``Power`` phi takes each height's
-    Luxembourg norm in closed form; any other phi bisects it on its own
-    line modulars."""
+    The line modulars of all heights at a scale ``lam`` come from one
+    ``integrate_line_rows`` call, one row per height, each row on the width
+    ``natural_scale + y``.  The call at scale 1 gives ``modular_sup``;
+    ``converged`` is true only if every row of it converged, and ``error``
+    is its worst row's error estimate.  Every line modular decreases in
+    ``lam``, so the sup of the line Luxembourg norms is
+    ``inf { lam : max_y M_y(lam) <= 1 }``: a ``Power`` phi takes it in
+    closed form from ``modular_sup``, and any other phi bisects once on
+    the row maximum at scale ``lam``."""
     x_scale = float(getattr(f, "natural_scale", 1.0))
     x_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
     ys = default_height_grid() if heights is None else np.asarray(heights, dtype=float)
     widths = x_scale + ys  # kernel slices flatten out at height y
-    rows = integrate_line_rows(
-        lambda X, r: phi(np.abs(f_abs(X, ys[r, None]))), spec, x_center, widths
-    )
-    modulars = rows.values
-    if isinstance(phi, Power):
-        luxes = [_power_luxembourg(m, phi.p) for m in modulars.tolist()]
-    else:
-        luxes = [
-            luxembourg(
-                lambda lam, y=y, width=width: line_modular(
-                    lambda x: f_abs(x, np.full_like(np.asarray(x, float), y)),
-                    phi, spec, scale=lam, x_center=x_center, x_scale=width,
-                )
-            )
-            for y, width in zip(ys.tolist(), widths.tolist())
-        ]
-    i = int(np.argmax(modulars))
+
+    def rows_at(lam: float):
+        return integrate_line_rows(
+            lambda X, r: phi(np.abs(f_abs(X, ys[r, None])) / lam), spec, x_center, widths
+        )
+
+    rows = rows_at(1.0)
+    i = int(np.argmax(rows.values))
+    modular_sup = float(rows.values[i])
     return HardyNormResult(
-        modular_sup=float(np.max(modulars)),
-        luxembourg_sup=float(np.max(luxes)),
+        modular_sup=modular_sup,
+        luxembourg_sup=_luxembourg_norm(
+            phi, modular_sup, lambda lam: float(np.max(rows_at(lam).values))
+        ),
         y_at_modular_max=float(ys[i]),
         heights=tuple(ys),
         converged=bool(np.all(rows.converged)),
@@ -362,12 +347,9 @@ def bergman_norm(
     closed form for a ``Power`` phi and by bisection otherwise."""
     mu = WeightedVolume(alpha)
     mod = modular_halfplane(f, phi, mu, spec)
-    if isinstance(phi, Power):
-        lux = _power_luxembourg(mod, phi.p)
-    else:
-        lux = luxembourg(
-            lambda lam: modular_halfplane(f, phi, mu, spec, scale=lam)
-        )
+    lux = _luxembourg_norm(
+        phi, mod, lambda lam: modular_halfplane(f, phi, mu, spec, scale=lam)
+    )
     return BergmanNormResult(modular=mod, luxembourg=lux, alpha=alpha)
 
 

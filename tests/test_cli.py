@@ -252,6 +252,17 @@ class TestMainExitCodes:
         assert main(["--config", path, "--assert"]) == EXIT_ASSERT
         capsys.readouterr()
 
+    def test_embed_overflow_fails(self, tmp_path, capsys):
+        # t^(2 + alpha) overflows on the grid: an infinite ratio is a failure
+        cfg = {"command": "embed-check", "phi1": "power(1)", "phi2": "power(3)",
+               "alpha": 1e308, "expect": "holds"}
+        (rec,) = [r for r in run(cfg)["records"] if r["name"] == "embed-check"]
+        assert rec["values"]["holds"] is False
+        assert rec["values"]["edge"] == "small_t" and rec["values"]["witness"] == 1e-6
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--assert"]) == EXIT_ASSERT
+        capsys.readouterr()
+
     def test_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"command": "classify-growth", "nope": 1})
         assert main(["--config", path]) == EXIT_CONFIG

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczhp.config import parse_density
-from orliczhp.growth import Power, PowerLog
+from orliczhp.growth import ComposedInverse, Power, PowerLog
 from orliczhp.integrals import (
     QuadratureSpec,
     beta,
@@ -153,6 +153,12 @@ class TestHardyNormBitwise:
     @given(x0=st.floats(-4.0, 4.0), k=st.integers(-10, 10))
     def test_powerlog_kernels(self, x0, k):
         phi = PHIS[3]
+        _assert_same_norm(HardyKernel(complex(x0, 2.0 ** k), phi), phi)
+
+    @settings(max_examples=3, deadline=None)
+    @given(x0=st.floats(-4.0, 4.0), k=st.integers(-10, 10))
+    def test_composed_inverse_kernels(self, x0, k):
+        phi = ComposedInverse(Power(4), Power(2))
         _assert_same_norm(HardyKernel(complex(x0, 2.0 ** k), phi), phi)
 
     def test_simple_pole(self):

@@ -140,6 +140,29 @@ class TestKernelBounds:
         assert bergman_norm(zero, Power(2), 0.0).luxembourg == 0.0
 
 
+class TestNormHomogeneity:
+    """``||c f|| = c ||f||`` for a non-power phi, where both norms bisect.
+    The kernels sit at ``z0 = i``, whose quadrature hints (centre 0, scale
+    1) are the ones a bare ``|f|`` callable gets, so ``f`` and ``c f`` are
+    integrated on the same nodes."""
+
+    PHI = PowerLog(2, 1, E)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_hardy_norm(self, c):
+        f = HardyKernel(1j, self.PHI)
+        base = hardy_norm(f, self.PHI).luxembourg_sup
+        scaled = hardy_norm(lambda x, y: c * f.abs_value(x, y), self.PHI).luxembourg_sup
+        assert scaled == pytest.approx(c * base, rel=1e-8)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_bergman_norm(self, c):
+        f = BergmanKernel(1j, self.PHI, 0.0)
+        base = bergman_norm(f, self.PHI, 0.0).luxembourg
+        scaled = bergman_norm(lambda x, y: c * f.abs_value(x, y), self.PHI, 0.0).luxembourg
+        assert scaled == pytest.approx(c * base, rel=1e-8)
+
+
 class TestNontangentialEquivalence:
     def test_hardy_kernels_bracket(self):
         # Luxembourg Hardy norm vs line Luxembourg norm of the
