@@ -61,7 +61,7 @@ from .spaces import (
 )
 
 __all__ = [
-    "carleson_kernel",
+    "CarlesonKernelFn",
     "KernelSweep",
     "kernel_testing_constant",
     "annulus_kernel_sum",
@@ -109,10 +109,6 @@ class CarlesonKernelFn:
         return self._amp * y ** (2.0 * self.s) * d2 ** (-self.s)
 
     __call__ = abs_value
-
-
-def carleson_kernel(phi1: GrowthFunction, s: float, z: complex) -> CarlesonKernelFn:
-    return CarlesonKernelFn(phi1, s, z)
 
 
 def default_sample_points(mu: UpperHalfPlaneMeasure) -> tuple[list[complex], list[complex]]:
@@ -168,7 +164,7 @@ def kernel_testing_constant(
     witness = None
     ladder_vals: list[tuple[float, float]] = []
     for i, z in enumerate(ladder + extras):
-        v = modular_halfplane(carleson_kernel(phi1, s, z), phi2, mu, spec)
+        v = modular_halfplane(CarlesonKernelFn(phi1, s, z), phi2, mu, spec)
         if i < len(ladder):
             ladder_vals.append((z.imag, v))
         if math.isinf(v):
@@ -197,7 +193,7 @@ def annulus_kernel_sum(
     xs, ys, ms = mu.arrays()
     if xs.size == 0:
         return 0.0
-    k = carleson_kernel(phi1, s, z)
+    k = CarlesonKernelFn(phi1, s, z)
     contributions = ms * phi2(k(xs, ys))
     total = 0.0
     assigned = np.zeros(xs.size, dtype=bool)
@@ -490,16 +486,15 @@ def verify_equivalence(
     family: Optional[Sequence[NormedMember]] = None,
     box_family: BoxFamily = BoxFamily(),
     spec: QuadratureSpec = DEFAULT_SPEC,
-    check_hypotheses: bool = True,
 ) -> EquivalenceReport:
     """Run the box, kernel, and (in hardy/bergman modes) embedding testers
     and compare their verdicts.
 
     Disagreement is reported, never reconciled: ``coherent`` goes false
     and ``carleson`` stays ``None``.  In raw mode only box and kernel are
-    compared.  A failed doubling/Dini check on ``phi1`` in the embedding
-    modes is a warning, since the embedding direction of the theorem needs
-    it while the box/kernel equivalence does not.
+    compared.  The embedding modes always classify ``phi1``; a failed Dini
+    (nabla2) check is a warning, since the embedding direction of the
+    theorem needs it while the box/kernel equivalence does not.
     """
     warnings: list[str] = []
     if mode == "hardy":
@@ -522,13 +517,11 @@ def verify_equivalence(
 
     embedding: Optional[EmbeddingResult] = None
     if mode in ("hardy", "bergman"):
-        if check_hypotheses:
-            cls1 = classify(phi1)
-            if not cls1.nabla2_passed:
-                warnings.append(
-                    "phi1 fails the Dini (nabla2) check; the embedding "
-                    "condition is outside the theorem's hypotheses"
-                )
+        if not classify(phi1).nabla2_passed:
+            warnings.append(
+                "phi1 fails the Dini (nabla2) check; the embedding "
+                "condition is outside the theorem's hypotheses"
+            )
         if family is None:
             heights = adapted_heights(mu)
             family = (
@@ -667,15 +660,14 @@ def levelset_comparison_hardy(
     pixels: Optional[PixelGrid] = None,
     x_window: float = 64.0,
     n_cells: int = 4096,
-    cone: tuple[float, float] = (1e-3, 1e3),
 ) -> LevelSetReport:
-    """Measure of ``{|f| > lam}`` under ``mu`` against
-    ``1/phi(1/|{f* > lam}|)`` with the nontangential maximal function
-    sampled on a line grid; reports the per-level ratios."""
+    """Measure of ``{|f| > lam}`` under ``mu`` against ``1/phi(1/|{f* > lam}|)``
+    with the nontangential maximal function (its default cone heights, 1e-3
+    to 1e3) sampled on a line grid; reports the per-level ratios."""
     edges = np.linspace(-x_window, x_window, n_cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dx = edges[1] - edges[0]
-    star = nontangential_maximal(f_abs, centers, y_range=cone)
+    star = nontangential_maximal(f_abs, centers)
     xs, ys, masses = _mass_points(mu, pixels)
     vals = _abs_on(f_abs, xs, ys, masses)
     rows = []

@@ -300,21 +300,17 @@ def _convexity_scan(phi: GrowthFunction, ts: np.ndarray) -> None:
         raise ValueError(f"midpoint convexity fails near t = {t_bad:g}")
 
 
-def conjugate(
-    phi: GrowthFunction,
-    s: float,
-    grid: LogGrid = DEFAULT_GRID,
-    check_convexity: bool = True,
-) -> float:
+def conjugate(phi: GrowthFunction, s: float, grid: LogGrid = DEFAULT_GRID) -> float:
     """Convex conjugate ``sup_t (t*s - phi(t))`` by grid scan plus
     golden-section refinement; returns ``inf`` when the objective is still
     climbing at the right edge of the grid with slope bounded away from 0.
+    ``phi`` must pass a midpoint-convexity scan on the grid, or
+    ``ValueError`` is raised.
     """
     if s < 0:
         raise GrowthDomainError("conjugate argument must be nonnegative")
     ts = np.concatenate([[0.0], grid.values()])
-    if check_convexity:
-        _convexity_scan(phi, ts[1:])
+    _convexity_scan(phi, ts[1:])
     g = s * ts - phi(ts)
     i = int(np.argmax(g))
     if i == len(ts) - 1:
@@ -344,17 +340,23 @@ def conjugate(
 # Indices and classification
 # ---------------------------------------------------------------------------
 
-def estimate_indices(
-    phi: GrowthFunction,
-    grid: LogGrid = DEFAULT_GRID,
-    h: float = 1e-5,
-) -> tuple[float, float]:
-    """Grid extrema of ``t phi'(t) / phi(t)`` with central differences.
+_INDEX_STEP = 1e-5  # relative step of the index estimates' central differences
+_EDGE_SLOPE_EPS = 0.02  # log-log edge slope that counts as growth (or as not flat)
+_DINI_J_MAX = 60  # deepest dyadic annulus of the Dini integral
+_DINI_TAIL_FRACTION = 0.01  # share of the total a divergent decade still adds
+_TILDE_EDGE_FACTOR = 1.5  # grid max over interior max that fails a tilde scan
+_SCALING_CANDIDATES = np.geomspace(1.01, 1e6, 240)  # the C of nabla2_via_scaling
+
+
+def estimate_indices(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> tuple[float, float]:
+    """Grid extrema of ``t phi'(t) / phi(t)`` with central differences of
+    relative step ``_INDEX_STEP = 1e-5``.
 
     These are inner estimates: the reported minimum can exceed the true
     infimum and the maximum undershoot the true supremum.
     """
     ts = grid.values()
+    h = _INDEX_STEP
     d = (phi(ts * (1 + h)) - phi(ts * (1 - h))) / (2 * ts * h)
     vals = phi(ts)
     ok = vals > 1e-280
@@ -431,9 +433,9 @@ def _annulus_contributions(
     return np.einsum("ijk,k->ij", vals, _GL_WEIGHTS) * half
 
 
-def _growing_at_edge(ts: np.ndarray, vals: np.ndarray, right: bool,
-                     slope_eps: float = 0.02) -> bool:
-    """Least-squares log-log slope over the outermost decade of the grid."""
+def _growing_at_edge(ts: np.ndarray, vals: np.ndarray, right: bool) -> bool:
+    """Whether the least-squares log-log slope over the outermost decade of
+    the grid rises toward that edge by more than ``_EDGE_SLOPE_EPS``."""
     mask = vals > 0
     ts, vals = ts[mask], vals[mask]
     if ts.size < 4:
@@ -444,7 +446,7 @@ def _growing_at_edge(ts: np.ndarray, vals: np.ndarray, right: bool,
     if lt.size < 3:
         return False
     slope = np.polyfit(lt, lv, 1)[0]
-    return slope > slope_eps if right else slope < -slope_eps
+    return slope > _EDGE_SLOPE_EPS if right else slope < -_EDGE_SLOPE_EPS
 
 
 def _edge_trend(xs: np.ndarray, vals: np.ndarray) -> str:
@@ -462,20 +464,19 @@ def _edge_trend(xs: np.ndarray, vals: np.ndarray) -> str:
     return "bounded"
 
 
-def classify(
-    phi: GrowthFunction,
-    grid: LogGrid = DEFAULT_GRID,
-    j_max: int = 60,
-    dini_tail_fraction: float = 0.01,
-) -> GrowthClassification:
+def classify(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> GrowthClassification:
     """Doubling constant, Dini-quotient verdict, index and type estimates,
     and the three submultiplicativity conditions.
 
-    The Dini integral is accumulated over dyadic annuli down to ``j_max``
-    and declared divergent at 0 when each of the last two decades of
-    annuli still contributes more than ``dini_tail_fraction`` of the total.
-    This resolves exponents roughly 0.05 away from the critical case; finer
-    behaviour is beyond a 60-annulus probe and is reported as-is.
+    The Dini integral is accumulated over dyadic annuli down to
+    ``_DINI_J_MAX = 60`` and declared divergent at 0 when each of the last
+    two decades of annuli still contributes more than
+    ``_DINI_TAIL_FRACTION = 0.01`` of the total.  This resolves exponents
+    roughly 0.05 away from the critical case; finer behaviour is beyond a
+    60-annulus probe and is reported as-is.  Growth at a grid edge is a
+    log-log slope above ``_EDGE_SLOPE_EPS = 0.02``; a submultiplicativity
+    scan fails when its grid maximum exceeds ``_TILDE_EDGE_FACTOR = 1.5``
+    times its maximum a decade inside the grid edges.
     """
     ts = grid.values()
     vals = phi(ts)
@@ -493,19 +494,19 @@ def classify(
     )
 
     # Dini quotient via annulus sums
-    contrib = _annulus_contributions(phi, ts, j_max)
+    contrib = _annulus_contributions(phi, ts, _DINI_J_MAX)
     totals = contrib.sum(axis=1)
     quot = totals * ts / vals
     # convergence at 0, probed at a mid-grid reference point
     ref = np.argmin(np.abs(np.log(ts)))
     a_j = contrib[ref]
-    decades = np.floor(np.arange(j_max + 1) * math.log10(2.0)).astype(int)
+    decades = np.floor(np.arange(_DINI_J_MAX + 1) * math.log10(2.0)).astype(int)
     dsums = np.bincount(decades, weights=a_j)
     total = float(a_j.sum())
     tail_bad = (
         dsums.size >= 2
-        and dsums[-1] > dini_tail_fraction * total
-        and dsums[-2] > dini_tail_fraction * total
+        and dsums[-1] > _DINI_TAIL_FRACTION * total
+        and dsums[-2] > _DINI_TAIL_FRACTION * total
     )
     quot_grows = _growing_at_edge(ts, quot, right=True)
     dini_passed = not tail_bad and not quot_grows
@@ -549,8 +550,7 @@ def classify(
     )
 
 
-def _scan_2d(ratio: np.ndarray, s: np.ndarray, t: np.ndarray,
-             edge_factor: float = 1.5) -> ConditionVerdict:
+def _scan_2d(ratio: np.ndarray, s: np.ndarray, t: np.ndarray) -> ConditionVerdict:
     finite = np.isfinite(ratio)
     if not np.any(finite):
         return ConditionVerdict(False, None, (float(s[0]), float(t[0])))
@@ -561,7 +561,7 @@ def _scan_2d(ratio: np.ndarray, s: np.ndarray, t: np.ndarray,
     dt &= t >= t[0] * 10.0
     interior = ratio[np.ix_(ds, dt)] if np.any(ds) and np.any(dt) else ratio
     inner = float(np.max(interior[np.isfinite(interior)])) if interior.size else full
-    if full > edge_factor * max(inner, 1e-300):
+    if full > _TILDE_EDGE_FACTOR * max(inner, 1e-300):
         i, j = np.unravel_index(np.argmax(np.where(finite, ratio, -np.inf)), ratio.shape)
         return ConditionVerdict(False, None, (float(s[i]), float(t[j])))
     return ConditionVerdict(True, full, None)
@@ -595,18 +595,13 @@ def _tilde_ratio_value(phi: GrowthFunction, pts: np.ndarray) -> ConditionVerdict
     return _scan_2d(ratio, ab, ab)
 
 
-def nabla2_via_scaling(
-    phi: GrowthFunction,
-    grid: LogGrid = DEFAULT_GRID,
-    c_lo: float = 1.01,
-    c_hi: float = 1e6,
-    n_c: int = 240,
-) -> ConditionVerdict:
-    """Scaling form of the Dini criterion: search for C > 1 with
-    ``phi(C t) >= 2 C phi(t)`` on the whole grid."""
-    ts = grid.values()
+def nabla2_via_scaling(phi: GrowthFunction) -> ConditionVerdict:
+    """Scaling form of the Dini criterion: the first C of
+    ``_SCALING_CANDIDATES`` (240 geometric values from 1.01 to 1e6) with
+    ``phi(C t) >= 2 C phi(t)`` on the whole of ``DEFAULT_GRID``."""
+    ts = DEFAULT_GRID.values()
     vals = phi(ts)
-    for c in np.geomspace(c_lo, c_hi, n_c):
+    for c in _SCALING_CANDIDATES:
         with np.errstate(over="ignore"):
             scaled = phi(c * ts)
         if np.all(scaled >= 2.0 * c * vals):

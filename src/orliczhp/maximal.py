@@ -279,20 +279,23 @@ def weighted_dyadic_maximal(
     return float(weighted_dyadic_maximal_batch(f, alpha, [z[0]], [z[1]], j_min, j_max)[0])
 
 
+_TRANSLATION_STEP = 0.25  # box translation step, as a fraction of the box length
+
+
 def translated_box_table(
     f: StepFunction2D,
     alpha: float,
     j_min: int,
     j_max: int,
     extent: float,
-    step_fraction: float = 0.25,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Averages of |f| over a translated family of boxes standing in for
-    all intervals; returns (a, length, average) arrays."""
+    all intervals, the starts in steps of ``_TRANSLATION_STEP = 0.25``
+    lengths; returns (a, length, average) arrays."""
     a_list, len_list, avg_list = [], [], []
     for j in range(j_min, j_max + 1):
         length = 2.0 ** j
-        step = length * step_fraction
+        step = length * _TRANSLATION_STEP
         n = int(math.floor(2.0 * extent / step))
         starts = -extent + step * np.arange(n + 1)
         a_list.append(starts)

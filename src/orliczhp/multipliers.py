@@ -41,6 +41,7 @@ from .growth import (
     GrowthClassification,
     GrowthFunction,
     LogGrid,
+    _EDGE_SLOPE_EPS,
     _growing_at_edge,
     classify,
 )
@@ -115,6 +116,11 @@ class OmegaProfile:
         )
 
 
+_FLAT_BRACKET = 4.0  # a flat profile's range stays within [1/4, 4]
+_SHRINK_PER_DECADE = 1.05  # a vanishing profile shrinks by this per decade
+_VANISH_THRESHOLD = 0.95  # and is below this two decades below the grid
+
+
 def omega_profile(
     phi1: GrowthFunction,
     phi2: GrowthFunction,
@@ -122,26 +128,48 @@ def omega_profile(
     alpha: float = 0.0,
     beta: Optional[float] = None,
     grid: LogGrid = LogGrid(),
-    flat_bracket: float = 4.0,
-    slope_eps: float = 0.02,
-    vanish_threshold: float = 0.95,
-    shrink_per_decade: float = 1.05,
 ) -> OmegaProfile:
     """Sample and classify the profile function.
 
-    Flat means the grid range stays within ``[1/flat_bracket, flat_bracket]``
-    and both edge slopes are below ``slope_eps`` in log-log.  Vanishing is
-    probed two decades below the grid: the value must shrink by at least
-    ``shrink_per_decade`` per decade (the rate test) and sit below
-    ``vanish_threshold`` there (a guard against a plateau above zero);
-    shrink rates below about five percent per decade are unresolvable and
-    come back inconclusive.
+    Flat means the grid range stays within ``[1/4, 4]`` (``_FLAT_BRACKET
+    = 4``) and both edge slopes are below ``growth._EDGE_SLOPE_EPS = 0.02``
+    in log-log.  Vanishing is probed two decades below the grid: the value
+    must shrink by at least ``_SHRINK_PER_DECADE = 1.05`` per decade (the
+    rate test) and sit below ``_VANISH_THRESHOLD = 0.95`` there (a guard
+    against a plateau above zero); shrink rates below about five percent
+    per decade are unresolvable and come back inconclusive.  So does a
+    profile that is not positive and finite on the grid (a weight power
+    overflows for a huge ``alpha``), witnessed by the first such grid point
+    and its value.
     """
     ts = grid.values()
-    vals = omega_values(phi1, phi2, variant, alpha, beta, ts)
-    if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("profile must be positive and finite on the grid")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = omega_values(phi1, phi2, variant, alpha, beta, ts)
+    bad = np.flatnonzero(~((vals > 0) & np.isfinite(vals)))
+    if bad.size:
+        classification, witnesses = "inconclusive", (float(ts[bad[0]]), float(vals[bad[0]]))
+    else:
+        classification, witnesses = _profile_shape(
+            ts, vals, grid, lambda t: omega_values(phi1, phi2, variant, alpha, beta, t))
+    step = max(1, grid.points // 64)
+    return OmegaProfile(
+        variant=variant,
+        alpha=alpha,
+        beta=beta,
+        phi1=phi1,
+        phi2=phi2,
+        ts=tuple(ts[::step]),
+        values=tuple(vals[::step]),
+        classification=classification,
+        bracket=(float(np.min(vals)), float(np.max(vals))),
+        witnesses=witnesses,
+    )
 
+
+def _profile_shape(ts: np.ndarray, vals: np.ndarray, grid: LogGrid,
+                   omega: Callable[[np.ndarray], np.ndarray]) -> tuple[str, tuple]:
+    """Classification and witnesses of a positive, finite profile sampled
+    as ``vals`` on ``ts``; ``omega`` evaluates it below the grid."""
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(vals[:-1], vals[1:])
     nondecreasing = bool(np.all(diffs >= -tol))
@@ -154,44 +182,28 @@ def omega_profile(
     right_slope = np.polyfit(lts[-k:], lvs[-k:], 1)[0]
     ratio = float(np.max(vals) / np.min(vals))
     flat = (
-        ratio <= flat_bracket ** 2
-        and abs(left_slope) < slope_eps
-        and abs(right_slope) < slope_eps
+        ratio <= _FLAT_BRACKET ** 2
+        and abs(left_slope) < _EDGE_SLOPE_EPS
+        and abs(right_slope) < _EDGE_SLOPE_EPS
     )
 
-    classification = "inconclusive"
-    witnesses: tuple = ()
     if flat:
-        classification = "equivalent_to_one"
-    elif nondecreasing:
+        return "equivalent_to_one", ()
+    if nondecreasing:
         # probe the vanishing limit two decades below the grid
         probes = grid.t_min * 10.0 ** np.array([-2.0, -1.0, 0.0])
-        pv = omega_values(phi1, phi2, variant, alpha, beta, probes)
-        shrinks = pv[1] / pv[0] >= shrink_per_decade and pv[2] / pv[1] >= shrink_per_decade
-        if shrinks and pv[0] < vanish_threshold:
-            classification = "nondecreasing_vanishing"
-        else:
-            witnesses = (float(probes[0]), float(pv[0]))
-    elif nonincreasing:
-        classification = "nonincreasing"
-    else:
-        up = int(np.argmax(diffs > tol))
-        down = int(np.argmax(diffs < -tol))
-        witnesses = (
-            (float(ts[down]), float(ts[down + 1])),
-            (float(ts[up]), float(ts[up + 1])),
-        )
-    return OmegaProfile(
-        variant=variant,
-        alpha=alpha,
-        beta=beta,
-        phi1=phi1,
-        phi2=phi2,
-        ts=tuple(ts[:: max(1, grid.points // 64)]),
-        values=tuple(vals[:: max(1, grid.points // 64)]),
-        classification=classification,
-        bracket=(float(np.min(vals)), float(np.max(vals))),
-        witnesses=witnesses,
+        pv = omega(probes)
+        shrinks = pv[1] / pv[0] >= _SHRINK_PER_DECADE and pv[2] / pv[1] >= _SHRINK_PER_DECADE
+        if shrinks and pv[0] < _VANISH_THRESHOLD:
+            return "nondecreasing_vanishing", ()
+        return "inconclusive", (float(probes[0]), float(pv[0]))
+    if nonincreasing:
+        return "nonincreasing", ()
+    up = int(np.argmax(diffs > tol))
+    down = int(np.argmax(diffs < -tol))
+    return "inconclusive", (
+        (float(ts[down]), float(ts[down + 1])),
+        (float(ts[up]), float(ts[up + 1])),
     )
 
 

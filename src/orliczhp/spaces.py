@@ -41,7 +41,6 @@ __all__ = [
     "BergmanKernel",
     "PoissonOfStep",
     "IndicatorScaled",
-    "TestFunction",
     "step_modular_line",
     "modular_halfplane",
     "luxembourg",
@@ -170,9 +169,6 @@ class IndicatorScaled:
 
     def abs_value(self, x, y) -> np.ndarray:
         return abs(self.lam) * self.box.contains(x, y).astype(float)
-
-
-TestFunction = object  # any of the kinds above; duck-typed on .abs_value
 
 
 # ---------------------------------------------------------------------------

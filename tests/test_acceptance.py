@@ -165,7 +165,6 @@ def test_05_equivalence_coherence():
                 rep = verify_equivalence(
                     mu, phi1, phi2, mode=mode, alpha=alpha,
                     family=fam, box_family=BoxFamily(-5, 5),
-                    check_hypotheses=False,
                 )
                 cases += 1
                 assert rep.verdicts["box"] == rep.verdicts["kernel"], (p, q, mode, mu)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczhp.corpus import random_atoms
 from orliczhp.growth import Power, PowerLog, derived_pair
-from orliczhp.integrals import beta
+from orliczhp.integrals import DEFAULT_SPEC, beta
 from orliczhp.maximal import PoissonExtension, StepFunction1D
 from orliczhp.measure import (
     AtomicMeasure,
@@ -17,9 +19,9 @@ from orliczhp.measure import (
     box_mass,
 )
 from orliczhp.carleson import (
+    CarlesonKernelFn,
     annulus_kernel_sum,
     bergman_test_family,
-    carleson_kernel,
     embedding_constant,
     hardy_test_family,
     kernel_testing_constant,
@@ -30,6 +32,7 @@ from orliczhp.carleson import (
     weak_type_constant,
 )
 from orliczhp.multipliers import section6_measure
+from orliczhp.spaces import modular_halfplane
 
 E2 = math.e ** 2
 
@@ -59,11 +62,45 @@ class TestKernelConstant:
         rng = np.random.default_rng(42)
         mu = random_atoms(rng)
         for z in (0.3 + 0.7j, 1j, -2 + 0.05j):
-            k = carleson_kernel(Power(2), 1.0, z)
+            k = CarlesonKernelFn(Power(2), 1.0, z)
             xs, ys, ms = mu.arrays()
             direct = float(np.sum(ms * Power(2)(k(xs, ys))))
             ann = annulus_kernel_sum(mu, Power(2), Power(2), 1.0, z)
             assert abs(ann - direct) <= 1e-12 * max(direct, 1.0)
+
+
+# measures that do not depend on x: weighted volumes and a section-6 density
+# (phi1 = t^2, phi2 = t^6, so the density is y dx dy, by its own quadrature)
+X_INDEPENDENT = [WeightedVolume(0.0), WeightedVolume(1.0), WeightedVolume(-0.5),
+                 section6_measure(Power(2), Power(6))[0]]
+kernel_cases = dict(
+    mu=st.sampled_from(X_INDEPENDENT),
+    phi2=st.sampled_from([Power(4), PowerLog(2, 1, math.e)]),
+    s=st.sampled_from([1.0, 2.0]),
+    y=st.integers(-4, 4).map(lambda k: 2.0 ** k),
+)
+
+
+class TestKernelModularProperties:
+    """``int phi2(|k_z| / scale) dmu`` for the Carleson kernel of
+    ``phi1 = t^2`` at ``z = x + iy``, on measures that do not depend on x."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(x=st.floats(-1e4, 1e4), **kernel_cases)
+    def test_translation_invariance(self, mu, phi2, s, y, x):
+        at_zero = modular_halfplane(CarlesonKernelFn(Power(2), s, complex(0.0, y)), phi2, mu)
+        at_x = modular_halfplane(CarlesonKernelFn(Power(2), s, complex(x, y)), phi2, mu)
+        assert abs(at_x - at_zero) <= DEFAULT_SPEC.rel_tol * at_zero
+
+    @settings(max_examples=15, deadline=None)
+    @given(scale=st.floats(1e-2, 1e2), factor=st.floats(1.0, 1e2), **kernel_cases)
+    def test_monotone_in_scale(self, mu, phi2, s, y, scale, factor):
+        # phi2(|k| / scale) falls pointwise; the two integrals may stop at
+        # different levels, so they are compared to the engine's tolerance
+        k = CarlesonKernelFn(Power(2), s, complex(0.0, y))
+        small = modular_halfplane(k, phi2, mu, scale=scale)
+        large = modular_halfplane(k, phi2, mu, scale=scale * factor)
+        assert large <= small * (1.0 + DEFAULT_SPEC.rel_tol)
 
 
 class TestEmbedding:
@@ -104,7 +141,7 @@ class TestVerifyEquivalence:
     def test_matched_volume_carleson(self):
         rep = verify_equivalence(
             WeightedVolume(1.0), Power(1), Power(3), mode="hardy",
-            box_family=BoxFamily(-6, 6), check_hypotheses=False,
+            box_family=BoxFamily(-6, 6),
         )
         assert rep.coherent and rep.carleson is True
         assert rep.kernel_box_ratio is not None
@@ -259,7 +296,7 @@ class TestRatioStability:
                 continue
             rep = verify_equivalence(
                 WeightedVolume(gamma), Power(p), Power(q), mode="hardy",
-                box_family=BoxFamily(-5, 5), check_hypotheses=False,
+                box_family=BoxFamily(-5, 5),
             )
             assert rep.carleson is True
             ratios.append(rep.kernel_box_ratio)

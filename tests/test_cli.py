@@ -46,8 +46,9 @@ KEYS = {
     "suite": ["runs"],
 }
 
-# wrong-type and out-of-domain values; in-domain extremes (alpha = 1e308)
-# overflow inside the library and are left out
+# wrong-type and out-of-domain values; in-domain extremes are left out, since
+# alpha = 1e308 still overflows inside the library for equivalence in bergman
+# mode (ZeroDivisionError in CarlesonKernelFn)
 BAD_VALUES = [True, "x", math.nan, math.inf, -1, [], {}]
 
 
@@ -260,6 +261,19 @@ class TestMainExitCodes:
         assert rec["values"]["holds"] is False
         assert rec["values"]["edge"] == "small_t" and rec["values"]["witness"] == 1e-6
         path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--assert"]) == EXIT_ASSERT
+        capsys.readouterr()
+
+    def test_multiplier_overflow_inconclusive(self, tmp_path, capsys):
+        # t^-(2 + alpha) overflows on the grid: the profile is inconclusive
+        cfg = {"command": "multiplier-classify", "phi1": "power(2)", "phi2": "power(6)",
+               "alpha": 1e308, "grid": {"points": 64}, "expect": "H_infinity_omega"}
+        (rec,) = [r for r in run(cfg)["records"] if r["name"] == "multiplier-space"]
+        assert rec["values"]["profile"] == "inconclusive"
+        assert rec["values"]["space"] == "out_of_theorem"
+        assert rec["values"]["failed"] == ["profile_inconclusive"]
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path]) == EXIT_PASS
         assert main(["--config", path, "--assert"]) == EXIT_ASSERT
         capsys.readouterr()
 
