@@ -52,6 +52,7 @@ from .measure import (
 )
 from .spaces import (
     BergmanKernel,
+    CarlesonKernel,
     HardyKernel,
     _decade_grid,
     bergman_norm,
@@ -61,7 +62,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "CarlesonKernelFn",
     "KernelSweep",
     "kernel_testing_constant",
     "annulus_kernel_sum",
@@ -79,36 +79,6 @@ __all__ = [
     "levelset_comparison_bergman",
     "default_k_grid",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CarlesonKernelFn:
-    """``|k_z|(u, v) = phi1^{-1}(1/y^s) * y^{2s} / ((u-x)^2 + (v+y)^2)^s``."""
-
-    phi1: GrowthFunction
-    s: float
-    z: complex
-
-    def __post_init__(self) -> None:
-        if self.z.imag <= 0:
-            raise ValueError("base point must lie in the upper half-plane")
-        amp = float(self.phi1.inverse(1.0 / self.z.imag ** self.s))
-        object.__setattr__(self, "_amp", amp)
-
-    @property
-    def natural_scale(self) -> float:
-        return self.z.imag
-
-    @property
-    def natural_center(self) -> float:
-        return self.z.real
-
-    def abs_value(self, u, v) -> np.ndarray:
-        y = self.z.imag
-        d2 = (np.asarray(u, float) - self.z.real) ** 2 + (np.asarray(v, float) + y) ** 2
-        return self._amp * y ** (2.0 * self.s) * d2 ** (-self.s)
-
-    __call__ = abs_value
 
 
 def default_sample_points(mu: UpperHalfPlaneMeasure) -> tuple[list[complex], list[complex]]:
@@ -164,7 +134,7 @@ def kernel_testing_constant(
     witness = None
     ladder_vals: list[tuple[float, float]] = []
     for i, z in enumerate(ladder + extras):
-        v = modular_halfplane(CarlesonKernelFn(phi1, s, z), phi2, mu, spec)
+        v = modular_halfplane(CarlesonKernel(z, phi1, s), phi2, mu, spec)
         if i < len(ladder):
             ladder_vals.append((z.imag, v))
         if math.isinf(v):
@@ -193,8 +163,7 @@ def annulus_kernel_sum(
     xs, ys, ms = mu.arrays()
     if xs.size == 0:
         return 0.0
-    k = CarlesonKernelFn(phi1, s, z)
-    contributions = ms * phi2(k(xs, ys))
+    contributions = ms * phi2(CarlesonKernel(z, phi1, s).abs_value(xs, ys))
     total = 0.0
     assigned = np.zeros(xs.size, dtype=bool)
     j = 0
@@ -284,7 +253,7 @@ def weak_hardy_family(
 ) -> list[NormedMember]:
     """Hardy kernels normalized by the Luxembourg norm of their nontangential
     maximal function (the weak-type normalizer): the exact cone supremum
-    ``HardyKernel.cone_sup`` at the centres of 2048 equal cells of
+    ``CarlesonKernel.cone_sup`` at the centres of 2048 equal cells of
     ``[-64, 64]``."""
     members = []
     edges = np.linspace(-64.0, 64.0, 2049)

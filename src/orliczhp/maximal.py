@@ -372,7 +372,7 @@ def nontangential_maximal(
     """Supremum of |f| over the truncated cone ``|t - x| < y`` sampled
     geometrically in y and uniformly across the aperture; a lower bound of
     the true supremum for any ``|f|``, and the oracle that the closed form
-    ``HardyKernel.cone_sup`` is tested against.
+    ``spaces.CarlesonKernel.cone_sup`` is tested against.
 
     Evaluated one height at a time over every probe, with a running
     maximum (the maximum is exact, so the order changes no value).  Each
@@ -413,9 +413,6 @@ class PoissonExtension:
                 np.arctan((x - edges[i]) / y) - np.arctan((x - edges[i + 1]) / y)
             )
         return out
-
-    def abs(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return lambda x, y: np.abs(self(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,6 @@ class CarlesonBox:
     def b(self) -> float:
         return self.center_x + 0.5 * self.length
 
-    @property
-    def area(self) -> float:
-        return self.length * self.length
-
     def contains(self, x, y) -> np.ndarray:
         x = np.asarray(x)
         y = np.asarray(y)

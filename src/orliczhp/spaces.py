@@ -16,8 +16,9 @@ Both report the modular form and the Luxembourg form.
 
 Test functions are the rational kernels
 
-* ``HardyKernel``:   ``phi^{-1}(1/y0) * y0^2 / (w - conj(z0))^2``
-* ``BergmanKernel``: ``phi^{-1}(1/y0^(2+a)) * y0^(4+2a) / (w - conj(z0))^(4+2a)``
+* ``CarlesonKernel``: ``phi^{-1}(1/y0^s) * y0^(2s) / (w - conj(z0))^(2s)``, s > 0,
+* ``HardyKernel``: the Hardy-Orlicz kernel, ``s = 1``,
+* ``BergmanKernel``: the Bergman-Orlicz kernel for ``y^a``, ``s = 2 + a``,
 
 plus Poisson extensions of step functions and scaled box indicators.
 Holomorphy is by construction; nothing here certifies it numerically.
@@ -37,6 +38,7 @@ from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
 __all__ = [
+    "CarlesonKernel",
     "HardyKernel",
     "BergmanKernel",
     "PoissonOfStep",
@@ -63,63 +65,22 @@ class NormBracketError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class HardyKernel:
-    """``phi^{-1}(1/y0) * y0^2 / (w - conj(z0))^2`` for ``z0 = x0 + i y0``.
+class CarlesonKernel:
+    """``phi^{-1}(1/y0^s) * y0^(2s) / (w - conj(z0))^(2s)`` for ``z0 = x0 + i y0``.
 
-    Its magnitude at ``z0`` itself is ``phi^{-1}(1/y0) / 4``.
+    Its magnitude at ``z0`` itself is ``phi^{-1}(1/y0^s) / 4^s``.
     """
 
     z0: complex
     phi: GrowthFunction
+    s: float
 
     def __post_init__(self) -> None:
         if self.z0.imag <= 0:
             raise ValueError("kernel base point must lie in the upper half-plane")
-        object.__setattr__(self, "_amp", float(self.phi.inverse(1.0 / self.z0.imag)))
-
-    @property
-    def amplitude(self) -> float:
-        return self._amp
-
-    @property
-    def natural_scale(self) -> float:
-        return self.z0.imag
-
-    @property
-    def natural_center(self) -> float:
-        return self.z0.real
-
-    def abs_value(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        y0 = self.z0.imag
-        d2 = (x - self.z0.real) ** 2 + (y + y0) ** 2
-        return self._amp * y0 ** 2 / d2
-
-    def cone_sup(self, x, y_range: tuple[float, float] = (1e-3, 1e3)) -> np.ndarray:
-        """Exact sup of ``|f|`` over the cone ``|t - x| < y``, ``y`` in ``y_range``.
-        Minimised over ``t`` (``d = |x - x0|``) the denominator is convex in ``y``,
-        ``max(d - y, 0)^2 + (y + y0)^2``, so ``y = clip((d - y0) / 2)`` maximises."""
-        y0, d = self.z0.imag, np.abs(np.atleast_1d(x) - self.z0.real)
-        y = np.clip(0.5 * (d - y0), *y_range)
-        return self._amp * y0 ** 2 / (np.maximum(d - y, 0.0) ** 2 + (y + y0) ** 2)
-
-
-@dataclass(frozen=True, eq=False)
-class BergmanKernel:
-    """``phi^{-1}(1/y0^(2+alpha)) * y0^(4+2alpha) / (w - conj(z0))^(4+2alpha)``."""
-
-    z0: complex
-    phi: GrowthFunction
-    alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.z0.imag <= 0:
-            raise ValueError("kernel base point must lie in the upper half-plane")
-        if self.alpha <= -1:
-            raise ValueError("weight exponent must exceed -1")
-        y0 = self.z0.imag
-        amp = float(self.phi.inverse(1.0 / y0 ** (2.0 + self.alpha)))
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("kernel exponent s must be positive and finite")
+        amp = float(self.phi.inverse(1.0 / self.z0.imag ** self.s))
         object.__setattr__(self, "_amp", amp)
 
     @property
@@ -134,13 +95,36 @@ class BergmanKernel:
     def natural_center(self) -> float:
         return self.z0.real
 
+    def _of_d2(self, d2) -> np.ndarray:
+        """``|f|`` as a function of ``d2 = |w - conj(z0)|^2``."""
+        return self._amp * self.z0.imag ** (2.0 * self.s) * d2 ** (-self.s)
+
     def abs_value(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        y0 = self.z0.imag
-        e = 4.0 + 2.0 * self.alpha
-        d2 = (x - self.z0.real) ** 2 + (y + y0) ** 2
-        return self._amp * y0 ** e * d2 ** (-0.5 * e)
+        return self._of_d2((x - self.z0.real) ** 2 + (y + self.z0.imag) ** 2)
+
+    def cone_sup(self, x, y_range: tuple[float, float] = (1e-3, 1e3)) -> np.ndarray:
+        """Exact sup of ``|f|`` over the cone ``|t - x| < y``, ``y`` in ``y_range``.
+        Minimised over ``t`` (``d = |x - x0|``) the squared distance
+        ``max(d - y, 0)^2 + (y + y0)^2`` is convex in ``y`` and ``|f|``
+        decreases in it, so ``y = clip((d - y0) / 2)`` maximises for every ``s``."""
+        y0, d = self.z0.imag, np.abs(np.atleast_1d(x) - self.z0.real)
+        y = np.clip(0.5 * (d - y0), *y_range)
+        return self._of_d2(np.maximum(d - y, 0.0) ** 2 + (y + y0) ** 2)
+
+
+def HardyKernel(z0: complex, phi: GrowthFunction) -> CarlesonKernel:
+    """The Hardy-Orlicz test kernel: ``CarlesonKernel`` at ``s = 1``."""
+    return CarlesonKernel(z0, phi, 1.0)
+
+
+def BergmanKernel(z0: complex, phi: GrowthFunction, alpha: float = 0.0) -> CarlesonKernel:
+    """The Bergman-Orlicz test kernel for the weight ``y^alpha``:
+    ``CarlesonKernel`` at ``s = 2 + alpha``."""
+    if alpha <= -1:
+        raise ValueError("weight exponent must exceed -1")
+    return CarlesonKernel(z0, phi, 2.0 + alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +135,6 @@ class PoissonOfStep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_ext", PoissonExtension(self.g))
-
-    @property
-    def extension(self) -> PoissonExtension:
-        return self._ext
 
     def abs_value(self, x, y) -> np.ndarray:
         return np.abs(self._ext(x, y))

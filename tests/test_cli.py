@@ -48,7 +48,7 @@ KEYS = {
 
 # wrong-type and out-of-domain values; in-domain extremes are left out, since
 # alpha = 1e308 still overflows inside the library for equivalence in bergman
-# mode (ZeroDivisionError in CarlesonKernelFn)
+# mode (ZeroDivisionError in CarlesonKernel's amplitude, 1.0 / y0 ** s)
 BAD_VALUES = [True, "x", math.nan, math.inf, -1, [], {}]
 
 
@@ -179,14 +179,14 @@ class TestRun:
 
     def test_test_function_grammar(self):
         from orliczhp.config import parse_test_function
-        from orliczhp.spaces import BergmanKernel, HardyKernel, IndicatorScaled
+        from orliczhp.spaces import CarlesonKernel, IndicatorScaled
 
         f = parse_test_function({"kind": "hardy_kernel", "z0": [0.0, 2.0],
                                  "phi": "power(2)"})
-        assert isinstance(f, HardyKernel) and f.z0 == 2j
+        assert isinstance(f, CarlesonKernel) and f.z0 == 2j and f.s == 1.0
         g = parse_test_function({"kind": "bergman_kernel", "z0": [1.0, 1.0],
                                  "phi": "power(2)", "alpha": 1.0})
-        assert isinstance(g, BergmanKernel)
+        assert isinstance(g, CarlesonKernel) and g.s == 3.0
         h = parse_test_function({"kind": "indicator", "lam": 2.0, "box": [0.0, 1.0]})
         assert isinstance(h, IndicatorScaled)
         with pytest.raises(ConfigError):

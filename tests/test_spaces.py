@@ -15,6 +15,7 @@ from orliczhp.maximal import StepFunction1D, nontangential_maximal
 from orliczhp.measure import AtomicMeasure, CarlesonBox, WeightedVolume
 from orliczhp.spaces import (
     BergmanKernel,
+    CarlesonKernel,
     HardyKernel,
     IndicatorScaled,
     bergman_norm,
@@ -185,11 +186,13 @@ class TestNontangentialEquivalence:
 
 @st.composite
 def _cone_cases(draw):
-    """A Hardy kernel, a cone height range and one probe in each regime of
+    """A Carleson kernel with s in {1, 2, 3} (Hardy, and Bergman at alpha = 0
+    and 1), a cone height range and one probe in each regime of
     ``d = |x - x0|``: below ``y_lo``, inside the range and above ``y_hi``."""
-    f = HardyKernel(
+    f = CarlesonKernel(
         complex(draw(st.floats(-10.0, 10.0)), 10.0 ** draw(st.floats(-3.0, 3.0))),
         Power(draw(st.sampled_from([1.0, 2.0, 3.0]))),
+        draw(st.sampled_from([1.0, 2.0, 3.0])),
     )
     y_lo = 10.0 ** draw(st.floats(-3.0, 0.0))
     y_hi = y_lo * 10.0 ** draw(st.floats(0.5, 3.0))
@@ -240,6 +243,71 @@ class TestConeSup:
         old = luxembourg_step_line(StepFunction1D(edges, star), Power(2))
         # the exact supremum only raises the sampled maximal function
         assert old <= member.source_norm <= old * (1.0 + 1e-5)
+
+
+# The three kernel formulas that ``CarlesonKernel`` replaced, kept as the
+# reference its values are pinned against.
+def _hardy_kernel_formula(z0, phi, x, y):
+    y0 = z0.imag
+    amp = float(phi.inverse(1.0 / y0))
+    d2 = (np.asarray(x, dtype=float) - z0.real) ** 2 + (np.asarray(y, dtype=float) + y0) ** 2
+    return amp * y0 ** 2 / d2
+
+
+def _bergman_kernel_formula(z0, phi, alpha, x, y):
+    y0 = z0.imag
+    amp = float(phi.inverse(1.0 / y0 ** (2.0 + alpha)))
+    e = 4.0 + 2.0 * alpha
+    d2 = (np.asarray(x, dtype=float) - z0.real) ** 2 + (np.asarray(y, dtype=float) + y0) ** 2
+    return amp * y0 ** e * d2 ** (-0.5 * e)
+
+
+def _testing_kernel_formula(phi1, s, z, u, v):
+    y = z.imag
+    amp = float(phi1.inverse(1.0 / y ** s))
+    d2 = (np.asarray(u, float) - z.real) ** 2 + (np.asarray(v, float) + y) ** 2
+    return amp * y ** (2.0 * s) * d2 ** (-s)
+
+
+class TestCarlesonKernel:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_exponent(self, s):
+        with pytest.raises(ValueError):
+            CarlesonKernel(1j, Power(2), s)
+
+    def test_bergman_rejects_weight(self):
+        with pytest.raises(ValueError):
+            BergmanKernel(1j, Power(2), -1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x0=st.floats(-10.0, 10.0),
+        log_y0=st.floats(-3.0, 3.0),
+        phi=st.sampled_from([Power(1), Power(2), Power(3.5), PowerLog(2, 1, E)]),
+        alpha=st.floats(-1.0, 3.0, exclude_min=True),
+        xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+        log_ys=st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+    )
+    def test_matches_replaced_formulas(self, x0, log_y0, phi, alpha, xs, log_ys):
+        z0 = complex(x0, 10.0 ** log_y0)
+        x = np.array(xs)
+        y = 10.0 ** np.array(log_ys[: len(xs)])
+        s = 2.0 + alpha
+        np.testing.assert_array_equal(
+            BergmanKernel(z0, phi, alpha).abs_value(x, y),
+            _bergman_kernel_formula(z0, phi, alpha, x, y),
+        )
+        for t in (1.0, s):
+            np.testing.assert_array_equal(
+                CarlesonKernel(z0, phi, t).abs_value(x, y),
+                _testing_kernel_formula(phi, t, z0, x, y),
+            )
+        # the Hardy kernel multiplies by d2^-1 where the old form divided
+        old = _hardy_kernel_formula(z0, phi, x, y)
+        assert np.all(np.abs(HardyKernel(z0, phi).abs_value(x, y) - old) <= np.spacing(old))
+        for k in (HardyKernel(z0, phi), BergmanKernel(z0, phi, alpha)):
+            at_base = float(k.abs_value(x0, z0.imag))
+            assert at_base == pytest.approx(k.amplitude / 4.0 ** k.s, rel=1e-15, abs=0.0)
 
 
 class TestPointwiseBound:
