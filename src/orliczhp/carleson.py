@@ -108,7 +108,6 @@ class KernelSweep:
     divergent_integral: bool
     trend: str
     ladder: tuple  # (height, value) pairs
-    note: str = "sample sup (lower bound for the supremum over all base points)"
 
     @property
     def finite(self) -> bool:
@@ -329,7 +328,6 @@ class EmbeddingResult:
     family_constant: float
     per_member: tuple            # (label, K) pairs, K = inf if none works
     trend: str
-    grid_note: str
 
     @property
     def finite(self) -> bool:
@@ -394,8 +392,7 @@ def embedding_constant(
         hs = np.array(heights)
         order = np.argsort(hs)
         trend = _edge_trend(hs[order], arr[order])
-    note = f"geometric K grid [{ks[0]:g}, {ks[-1]:g}], {len(ks)} points"
-    return EmbeddingResult(family_constant, tuple(per_member), trend, note)
+    return EmbeddingResult(family_constant, tuple(per_member), trend)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +535,6 @@ def verify_equivalence(
 class WeakTypeResult:
     family_constant: float
     per_member: tuple
-    lambda_grid: tuple
 
 
 def _mass_points(
@@ -586,9 +582,8 @@ def weak_type_constant(
     xs, ys, masses = _mass_points(mu, pixels)
     per_member: list[tuple[str, float]] = []
     for member in family:
-        f_abs = member.f.abs_value if hasattr(member.f, "abs_value") else member.f
         norm = member.source_norm
-        vals = _abs_on(f_abs, xs, ys, masses)
+        vals = _abs_on(member.f.abs_value, xs, ys, masses)
 
         def ok(i: int) -> bool:
             c = cs[i]
@@ -602,7 +597,7 @@ def weak_type_constant(
         per_member.append((member.label, math.inf if i is None else float(cs[i])))
     vals = np.array([v for _, v in per_member])
     fam = float(np.max(vals)) if vals.size else 0.0
-    return WeakTypeResult(fam, tuple(per_member), tuple(lams))
+    return WeakTypeResult(fam, tuple(per_member))
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +621,18 @@ def levelset_comparison_hardy(
     phi: GrowthFunction,
     f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lambda_grid: Sequence[float],
-    pixels: Optional[PixelGrid] = None,
     x_window: float = 64.0,
     n_cells: int = 4096,
 ) -> LevelSetReport:
     """Measure of ``{|f| > lam}`` under ``mu`` against ``1/phi(1/|{f* > lam}|)``
     with the nontangential maximal function (its default cone heights, 1e-3
-    to 1e3) sampled on a line grid; reports the per-level ratios."""
+    to 1e3) sampled on a line grid; reports the per-level ratios.  A
+    measure without atoms is pixelised on the default ``PixelGrid``."""
     edges = np.linspace(-x_window, x_window, n_cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dx = edges[1] - edges[0]
     star = nontangential_maximal(f_abs, centers)
-    xs, ys, masses = _mass_points(mu, pixels)
+    xs, ys, masses = _mass_points(mu, PixelGrid())
     vals = _abs_on(f_abs, xs, ys, masses)
     rows = []
     worst = 0.0
@@ -659,7 +654,6 @@ def levelset_comparison_bergman(
     lambda_grid: Sequence[float],
     j_min: int = -6,
     j_max: int = 8,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> LevelSetReport:
     """Same comparison through the weighted dyadic level sets: the level
     set is a disjoint union of boxes, so both sides are exact sums."""
@@ -671,7 +665,7 @@ def levelset_comparison_bergman(
         volume = 0.0
         for a, b in intervals:
             box = CarlesonBox(0.5 * (a + b), b - a)
-            left += box_mass(mu, box, spec)
+            left += box_mass(mu, box)
             volume += (b - a) ** (2.0 + alpha) / (1.0 + alpha)
         right = _phi_tilde(phi, volume)
         ratio = left / right if right > 0 else (math.inf if left > 0 else 0.0)

@@ -268,19 +268,6 @@ def _one_row(
     return IntegralResult(float(value[0]), float(err[0]), bool(converged[0]))
 
 
-def _tanh_sinh_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    n_rows: int,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-sinh on (a, b) for a stack of rows; each row is bitwise its
-    one-row ``tanh_sinh`` call."""
-    return _doubly_exponential(f, _tanh_sinh_map(a, b), abs_tol, rel_tol, n_rows)
-
-
 def tanh_sinh(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -319,9 +306,10 @@ def exp_sinh(
     return _one_row(f, _EXP_SINH, abs_tol, rel_tol)
 
 
-# The product rule's coarse level, and the share of the coarse sum a coarse
-# node must carry for its row or column to be refined past that level.
+# The product rule's coarse and finest levels, and the share of the coarse
+# sum a coarse node must carry for its row or column to be refined.
 _COARSE_LEVEL = 3
+_MAX_LEVEL = 8
 _TRIM_SHARE = 1e-20
 _TRIM_PAD = 1
 
@@ -344,8 +332,7 @@ def _product_rule(
     x_map: _DEMap,
     y_map: _DEMap,
     spec: QuadratureSpec,
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    max_level: int = 8,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]],
 ) -> IntegralResult:
     """Tensor-product double-exponential rule for ``f(x, y) * y^alpha``,
     times ``weight(y)`` when given, with nested levels.
@@ -356,10 +343,10 @@ def _product_rule(
     and open up to ``t_cut`` on a side that reaches the outermost coarse
     node (the tail truncation of Takahasi-Mori and Bailey-Jeyabalan-Li).
     Each finer level evaluates only the new (odd) nodes inside the windows,
-    ``value = previous / 4 + new``, until two consecutive levels agree.  A
-    coarse sum of 0 or not finite keeps the full grid, so the divergence
-    probes see every node.  ``f(X, Y)`` is evaluated on outer-product
-    blocks, two per level."""
+    ``value = previous / 4 + new``, until two consecutive levels agree or
+    level ``_MAX_LEVEL`` is reached.  A coarse sum of 0 or not finite keeps
+    the full grid, so the divergence probes see every node.  ``f(X, Y)`` is
+    evaluated on outer-product blocks, two per level."""
     if alpha <= -1:
         raise QuadratureDomainError(f"weight exponent must exceed -1, got {alpha}")
 
@@ -385,7 +372,7 @@ def _product_rule(
         x, wx = x_map.level(_COARSE_LEVEL, False, *x_window)
         y, wy = y_map.level(_COARSE_LEVEL, False, *y_window)
     err = math.inf
-    for level in range(_COARSE_LEVEL + 1, max_level + 1):
+    for level in range(_COARSE_LEVEL + 1, _MAX_LEVEL + 1):
         # halving h: old nodes keep a quarter of their weight, new nodes are
         # the odd ones on either axis, summed in one pairwise pass
         xn, wxn = x_map.level(level, True, *x_window)
@@ -491,7 +478,13 @@ def integrate_box(
     y_hi: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
     y_lo: float = 0.0,
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> IntegralResult:
-    """Integral of ``f(x, y) * y^alpha`` over the rectangle
-    ``[x_lo, x_hi] x (y_lo, y_hi)`` by the tanh-sinh product rule."""
-    return _product_rule(f, alpha, _tanh_sinh_map(x_lo, x_hi), _tanh_sinh_map(y_lo, y_hi), spec)
+    """Integral of ``f(x, y) * y^alpha``, times ``weight(y)`` when given,
+    over the rectangle ``[x_lo, x_hi] x (y_lo, y_hi)`` by the tanh-sinh
+    product rule.  Tanh-sinh nodes crowd at the ends of each side and thin
+    out in the middle, so a caller whose integrand peaks inside the
+    rectangle splits it there (``RestrictedMeasure.integrate`` splits at
+    the integrand's centre)."""
+    x_map, y_map = _tanh_sinh_map(x_lo, x_hi), _tanh_sinh_map(y_lo, y_hi)
+    return _product_rule(f, alpha, x_map, y_map, spec, weight)

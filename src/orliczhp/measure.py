@@ -21,7 +21,7 @@ an increment that fails to decay geometrically (second increment at least
 half the first, and non-negligible) marks the mass divergent, as does
 outright growth above ten percent per halving.  The ratio rule is what
 catches log-log divergences whose per-halving growth is arbitrarily small.
-The same probe guards density integrals.
+The same probe guards density integrals over the half-plane.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .integrals import (
     integrate_box,
     integrate_halfplane,
     tanh_sinh,
-    _tanh_sinh_rows,
 )
 
 __all__ = [
@@ -173,8 +172,9 @@ class _HeightMeasure:
 
     Subclasses give ``_pixel_column(ye)`` (the masses of the height cells
     over unit width), ``_slab_mass(width, h, spec)`` (the mass of
-    ``[0, width) x (0, h)``) and ``_integrate_box(g, region, spec)``; the
-    last two serve :class:`RestrictedMeasure`.
+    ``[0, width) x (0, h)``) and ``_integrate_box(g, x_lo, x_hi, h, spec)``
+    (the integral of ``g`` over ``[x_lo, x_hi] x (0, h)``, one
+    ``integrate_box`` call); the last two serve :class:`RestrictedMeasure`.
     """
 
     region = None
@@ -216,8 +216,9 @@ class WeightedVolume(_HeightMeasure):
         a = self.alpha
         return width * h ** (1.0 + a) / (1.0 + a)
 
-    def _integrate_box(self, g, region: CarlesonBox, spec: QuadratureSpec) -> float:
-        return integrate_box(g, self.alpha, region.a, region.b, region.length, spec).value
+    def _integrate_box(self, g, x_lo: float, x_hi: float, h: float,
+                       spec: QuadratureSpec) -> float:
+        return integrate_box(g, self.alpha, x_lo, x_hi, h, spec).value
 
 
 @dataclass(frozen=True)
@@ -263,17 +264,9 @@ class DensityMeasure(_HeightMeasure):
         return width * _probed(segment, min(spec.y_min, 0.25 * h),
                                lambda lo: segment(lo, h))
 
-    def _integrate_box(self, g, region: CarlesonBox, spec: QuadratureSpec) -> float:
-        """Nested tanh-sinh: the line integrals across the box at all the
-        heights of an outer level come from one row call."""
-        def slab(ys_: np.ndarray) -> np.ndarray:
-            lines = _tanh_sinh_rows(
-                lambda xs, rows: g(xs, ys_[rows, None]),
-                region.a, region.b, ys_.size, spec.abs_tol, spec.rel_tol,
-            )[0]
-            return lines * self.profile(ys_)
-
-        return tanh_sinh(slab, 0.0, region.length, spec.abs_tol, spec.rel_tol).value
+    def _integrate_box(self, g, x_lo: float, x_hi: float, h: float,
+                       spec: QuadratureSpec) -> float:
+        return integrate_box(g, 0.0, x_lo, x_hi, h, spec, weight=self.profile).value
 
 
 @dataclass(frozen=True)
@@ -281,7 +274,11 @@ class RestrictedMeasure:
     """A primitive measure cut to the Carleson box ``region``.
 
     An atomic base is served entirely by its atoms inside the region;
-    height-only bases supply their slab masses and box integrals.
+    height-only bases supply their slab masses and box integrals.  The box
+    rule is tanh-sinh on both sides, whose nodes crowd at the ends, so
+    ``integrate`` splits the region at ``x_center`` (clipped into it) and
+    sums the base's ``_integrate_box`` over the two parts: a kernel that
+    peaks inside the region then peaks at the end of a part.
     """
 
     base: "UpperHalfPlaneMeasure"
@@ -316,7 +313,10 @@ class RestrictedMeasure:
                   x_center: float = 0.0, scale: float = 1.0) -> float:
         if self._atoms is not None:
             return self._atoms.integrate(g, spec, x_center, scale)
-        return self.base._integrate_box(g, self.region, spec)
+        reg = self.region
+        xc = min(max(x_center, reg.a), reg.b)
+        return sum(self.base._integrate_box(g, lo, hi, reg.length, spec)
+                   for lo, hi in ((reg.a, xc), (xc, reg.b)) if hi > lo)
 
     def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
         if self._atoms is not None:
@@ -426,7 +426,6 @@ class BoxSweep:
     divergent_mass: bool
     trend: str                      # bounded | growing_small_scale | growing_large_scale
     per_scale: tuple                # (length, max value) pairs
-    note: str = "family sup (lower bound for the supremum over all intervals)"
 
     @property
     def finite(self) -> bool:

@@ -41,6 +41,7 @@ from .growth import (
     GrowthClassification,
     GrowthFunction,
     LogGrid,
+    _DINI_J_MAX,
     _EDGE_SLOPE_EPS,
     _growing_at_edge,
     classify,
@@ -341,14 +342,13 @@ def section6_measure(
     return DensityMeasure(profile, label), expected
 
 
-def section6_annulus_bound(
-    composed: GrowthFunction, length: float, e: float = 1.0, j_max: int = 60
-) -> float:
-    """Dyadic annulus upper bound for the box mass of the measure above:
-    ``sum_j 2^(j+1) / g(2^(je) / |I|^e)``, each annulus bounded by its
-    worst density value times its height."""
-    js = np.arange(j_max + 1)
+def section6_annulus_bound(composed: GrowthFunction, length: float) -> float:
+    """Dyadic annulus upper bound for the box mass of the hardy-variant
+    measure above (``e = 1``): ``sum_j 2^(j+1) / g(2^j / |I|)`` over the
+    annuli ``j <= _DINI_J_MAX`` of the Dini integral, each annulus bounded
+    by its worst density value times its height."""
+    js = np.arange(_DINI_J_MAX + 1)
     with np.errstate(over="ignore"):
-        denom = np.asarray(composed(2.0 ** (js * e) / length ** e))
+        denom = np.asarray(composed(2.0 ** js / length))
     terms = np.where(denom > 0, 2.0 ** (js + 1) / denom, 0.0)
     return float(np.sum(terms[np.isfinite(terms)]))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -263,10 +263,9 @@ class HardyNormResult:
 def hardy_norm(
     f,
     phi: GrowthFunction,
-    heights: Optional[np.ndarray] = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> HardyNormResult:
-    """Sup over a geometric height grid of line modulars (modular form) and
+    """Sup over ``default_height_grid()`` of line modulars (modular form) and
     of line Luxembourg norms (norm form).  The grid sup is a lower bound of
     the exact sup over all heights; the tested kernel families are
     monotone or unimodal in height, which keeps it tight.
@@ -283,7 +282,7 @@ def hardy_norm(
     x_scale = float(getattr(f, "natural_scale", 1.0))
     x_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
-    ys = default_height_grid() if heights is None else np.asarray(heights, dtype=float)
+    ys = default_height_grid()
     widths = x_scale + ys  # kernel slices flatten out at height y
 
     def rows_at(lam: float):

@@ -29,7 +29,6 @@ from orliczhp.spaces import (
     bergman_norm,
     hardy_norm,
     luxembourg_step_line,
-    step_modular_line,
 )
 from orliczhp.carleson import (
     bergman_test_family,

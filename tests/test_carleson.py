@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczhp.corpus import random_atoms
-from orliczhp.growth import Power, PowerLog, derived_pair
+from orliczhp.growth import Power, PowerLog
 from orliczhp.integrals import DEFAULT_SPEC, beta
 from orliczhp.maximal import PoissonExtension, StepFunction1D
 from orliczhp.measure import (
@@ -16,11 +16,9 @@ from orliczhp.measure import (
     PixelGrid,
     RestrictedMeasure,
     WeightedVolume,
-    box_mass,
 )
 from orliczhp.carleson import (
     annulus_kernel_sum,
-    bergman_test_family,
     embedding_constant,
     hardy_test_family,
     kernel_testing_constant,

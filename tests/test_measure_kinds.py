@@ -3,7 +3,10 @@ kind-specific code lives on the measure classes.
 
 The oracles here are written out by hand: explicit loops over atoms for
 masses and histograms, and the closed form ``width * h^(1+a) / (1+a)``
-for the height profile ``y^a`` cut to a box.
+for the height profile ``y^a`` cut to a box.  A kernel that peaks inside
+the region, with all but a negligible share of its modular there, must
+give the whole measure's modular: the beta closed form for weighted
+volume, and the measure's own half-plane rule otherwise.
 """
 
 import ast
@@ -11,21 +14,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczhp.carleson import adapted_heights, default_sample_points
+from orliczhp.config import parse_density
 from orliczhp.growth import Power
+from orliczhp.integrals import beta
 from orliczhp.measure import (
     AtomicMeasure,
     CarlesonBox,
     DensityMeasure,
     PixelGrid,
     RestrictedMeasure,
+    WeightedVolume,
     adapted_box_family,
     box_mass,
     pixel_masses,
     total_mass,
 )
-from orliczhp.spaces import modular_halfplane
+from orliczhp.spaces import BergmanKernel, modular_halfplane
 
 REGION = CarlesonBox(0.5, 2.0)  # [-0.5, 1.5) x (0, 2)
 BOXES = [CarlesonBox(c, L) for c in (-1.0, 0.0, 0.7, 2.5) for L in (0.25, 1.0, 3.0, 8.0)]
@@ -130,6 +138,56 @@ class TestRestrictedDensity:
         L = REGION.length
         got = modular_halfplane(_constant(c), Power(1), mu)
         assert got == pytest.approx(c * L * L ** (1.0 + a) / (1.0 + a), rel=1e-7)
+
+
+def _bergman_power4_modular(y0: float, alpha: float) -> float:
+    """``int |f|^4 y^alpha dx dy`` over the half-plane for the kernel
+    ``BergmanKernel(x0 + i y0, Power(2), alpha)``, ``s = 2 + alpha``: the
+    x integral is ``B(1/2, 4s - 1/2) (y + y0)^(1 - 8s)`` and the y integral
+    ``B(alpha + 1, 8s - alpha - 2) y0^(alpha + 2 - 8s)``, times the
+    kernel's ``amp^4 y0^(8s) = y0^(6s)``."""
+    s = 2.0 + alpha
+    return beta(0.5, 4 * s - 0.5) * beta(alpha + 1, 8 * s - alpha - 2) * y0 ** (alpha + 2 - 2 * s)
+
+
+PEAK_BASES = [WeightedVolume(0.0), WeightedVolume(1.0),
+              DensityMeasure(parse_density("y^2"), "y^2")]
+
+
+class TestRestrictedPeakedKernels:
+    """The box rule is tanh-sinh on both sides, whose nodes crowd at the
+    ends; a kernel that peaks inside the region is integrated by splitting
+    the region at the kernel's centre."""
+
+    @pytest.mark.parametrize("z0, alpha, region", [
+        (1j / 256, 0.0, CarlesonBox(0.0, 2.0)),
+        (0.9 + 1j / 128, 1.0, CarlesonBox(1.0, 2.0)),
+    ])
+    def test_peak_inside_volume_box(self, z0, alpha, region):
+        f = BergmanKernel(z0, Power(2), alpha)
+        base = WeightedVolume(alpha)
+        whole = modular_halfplane(f, Power(4), base)
+        got = modular_halfplane(f, Power(4), RestrictedMeasure(base, region))
+        assert whole == pytest.approx(_bergman_power4_modular(z0.imag, alpha), rel=1e-12)
+        assert abs(got - whole) <= 1e-9 * whole
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.sampled_from(PEAK_BASES),
+        center=st.floats(-2.0, 2.0),
+        length=st.floats(2.0, 4.0),
+        offset=st.floats(-0.25, 0.25),
+        k=st.integers(4, 12),
+        alpha=st.sampled_from([0.0, 1.0]),
+    )
+    def test_peak_inside_box_matches_whole_measure(self, base, center, length, offset,
+                                                   k, alpha):
+        """The peak is in the middle half of a box at least 2 long, so the
+        kernel's modular outside the box is below 1e-11 of the whole."""
+        f = BergmanKernel(complex(center + offset * length, 2.0 ** -k), Power(2), alpha)
+        whole = modular_halfplane(f, Power(4), base)
+        got = modular_halfplane(f, Power(4), RestrictedMeasure(base, CarlesonBox(center, length)))
+        assert abs(got - whole) <= 1e-9 * whole
 
 
 class TestKindRulesLiveOnTheClasses:
