@@ -31,6 +31,7 @@ from .config import (
 )
 from .config import parse_fields as _parse_fields, pick as _pick  # not part of cli's API
 from .growth import LogGrid, classify, derived_pair
+from .growth import _classification_memo  # one memo per run, not part of cli's API
 from .integrals import QuadratureSpec
 from .maximal import maximal_suite
 from .measure import BoxFamily, carleson_box_constant
@@ -165,7 +166,7 @@ def _run_classify(config: dict, phi, grid, expect_nabla2, expect_tilde):
         ),
         _record(
             "dini",
-            "int_0^t phi(s)/s^2 ds <= C phi(t)/t (annulus sums)",
+            "int_0^t phi(s)/s^2 ds <= C phi(t)/t (cumulative over the grid cells)",
             {"phi": config["phi"]},
             {"constant": cls.dini.constant, "passed": cls.dini.passed,
              "witness": cls.dini.witness},
@@ -365,7 +366,8 @@ def _dispatch(config: dict):
 def run(config: dict) -> dict:
     """Execute one config and assemble the deterministic report."""
     t0 = time.time()
-    records, passed = _dispatch(config)
+    with _classification_memo():
+        records, passed = _dispatch(config)
     body = {
         "tool": {"name": "orliczhp", "version": __version__},
         "command": config.get("command"),

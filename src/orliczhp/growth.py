@@ -19,6 +19,8 @@ are reported as estimates (grid extrema), never as certified suprema.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -415,22 +417,19 @@ class GrowthClassification:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# classify's results by (phi, grid), while a _classification_memo is open
+_CLASSIFY_MEMO: ContextVar[Optional[dict]] = ContextVar("classify_memo", default=None)
 
 
-def _annulus_contributions(
-    phi: GrowthFunction, ts: np.ndarray, j_max: int
-) -> np.ndarray:
-    """Exact-enough Gauss-Legendre values of ``int phi(s)/s^2 ds`` over the
-    dyadic annuli ``[2^{-j-1} t, 2^{-j} t]``, shape (len(ts), j_max + 1)."""
-    js = np.arange(j_max + 1)
-    hi = ts[:, None] * 2.0 ** (-js)[None, :]
-    lo = 0.5 * hi
+def _gauss_legendre(phi: GrowthFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """8-point Gauss-Legendre values of ``int phi(s)/s^2 ds`` over the
+    intervals ``[lo, hi]``, elementwise."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    s = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
+    s = mid[..., None] + half[..., None] * _GL_NODES
     with np.errstate(over="ignore"):
         vals = phi(s) / s ** 2
-    return np.einsum("ijk,k->ij", vals, _GL_WEIGHTS) * half
+    return np.einsum("...k,k->...", vals, _GL_WEIGHTS) * half
 
 
 def _growing_at_edge(ts: np.ndarray, vals: np.ndarray, right: bool) -> bool:
@@ -464,20 +463,48 @@ def _edge_trend(xs: np.ndarray, vals: np.ndarray) -> str:
     return "bounded"
 
 
+@contextmanager
+def _classification_memo():
+    """Within the block, ``classify`` computes each ``(phi, grid)`` value
+    once; the memo is dropped when the block exits, normally or not."""
+    token = _CLASSIFY_MEMO.set({})
+    try:
+        yield
+    finally:
+        _CLASSIFY_MEMO.reset(token)
+
+
 def classify(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> GrowthClassification:
     """Doubling constant, Dini-quotient verdict, index and type estimates,
     and the three submultiplicativity conditions.
 
-    The Dini integral is accumulated over dyadic annuli down to
-    ``_DINI_J_MAX = 60`` and declared divergent at 0 when each of the last
-    two decades of annuli still contributes more than
-    ``_DINI_TAIL_FRACTION = 0.01`` of the total.  This resolves exponents
-    roughly 0.05 away from the critical case; finer behaviour is beyond a
-    60-annulus probe and is reported as-is.  Growth at a grid edge is a
-    log-log slope above ``_EDGE_SLOPE_EPS = 0.02``; a submultiplicativity
-    scan fails when its grid maximum exceeds ``_TILDE_EDGE_FACTOR = 1.5``
-    times its maximum a decade inside the grid edges.
+    The Dini integral ``int_0^t phi(s)/s^2 ds`` at every grid point is one
+    cumulative sum: 8-point Gauss-Legendre over the dyadic annuli from
+    ``2^-(_DINI_J_MAX + 1) t_0`` up to the first grid point ``t_0``
+    (``_DINI_J_MAX = 60``), then over each grid cell.  It is declared
+    divergent at 0 when each of the last two decades of the annuli below a
+    mid-grid reference point still contributes more than
+    ``_DINI_TAIL_FRACTION = 0.01`` of that point's annulus total.  This
+    resolves exponents roughly 0.05 away from the critical case; finer
+    behaviour is beyond a 60-annulus probe and is reported as-is.  Growth
+    at a grid edge is a log-log slope above ``_EDGE_SLOPE_EPS = 0.02``; a
+    submultiplicativity scan fails when its grid maximum exceeds
+    ``_TILDE_EDGE_FACTOR = 1.5`` times its maximum a decade inside the
+    grid edges.
+
+    Inside ``_classification_memo`` (one ``cli.run``) equal ``(phi, grid)``
+    values share one result.
     """
+    memo = _CLASSIFY_MEMO.get()
+    if memo is None:
+        return _classify(phi, grid)
+    key = (phi, grid)
+    if key not in memo:
+        memo[key] = _classify(phi, grid)
+    return memo[key]
+
+
+def _classify(phi: GrowthFunction, grid: LogGrid) -> GrowthClassification:
     ts = grid.values()
     vals = phi(ts)
     if np.any(vals <= 0):
@@ -493,13 +520,15 @@ def classify(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> GrowthClassif
         witness=(float(ts[-1]),) if doubling_grows else None,
     )
 
-    # Dini quotient via annulus sums
-    contrib = _annulus_contributions(phi, ts, _DINI_J_MAX)
-    totals = contrib.sum(axis=1)
-    quot = totals * ts / vals
-    # convergence at 0, probed at a mid-grid reference point
+    # Dini quotient: the dyadic annuli [2^-(j+1) t, 2^-j t] below t_0, then one
+    # cumulative integral over the grid cells; the annuli below the reference
+    # point probe convergence at 0
     ref = np.argmin(np.abs(np.log(ts)))
-    a_j = contrib[ref]
+    hi = ts[[0, ref], None] * 2.0 ** -np.arange(_DINI_J_MAX + 1)
+    start, a_j = _gauss_legendre(phi, 0.5 * hi, hi)
+    cells = _gauss_legendre(phi, ts[:-1], ts[1:])
+    totals = np.cumsum(np.concatenate([[start.sum()], cells]))
+    quot = totals * ts / vals
     decades = np.floor(np.arange(_DINI_J_MAX + 1) * math.log10(2.0)).astype(int)
     dsums = np.bincount(decades, weights=a_j)
     total = float(a_j.sum())

@@ -8,7 +8,8 @@ import pytest
 
 from orliczhp.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_PASS, canonical_json, main, run
 from orliczhp.config import ConfigError, parse_growth, parse_measure
-from orliczhp.growth import ComposedInverse, Power, PowerLog
+from orliczhp import growth
+from orliczhp.growth import ComposedInverse, Power, PowerLog, classify
 from orliczhp.measure import AtomicMeasure, DensityMeasure, RestrictedMeasure, WeightedVolume
 
 E2 = 7.38905609893065
@@ -235,6 +236,62 @@ class TestDeterminism:
         text = canonical_json({"a": math.inf, "b": math.nan, "c": np.float64(2.0)})
         parsed = json.loads(text)
         assert parsed == {"a": "inf", "b": "nan", "c": 2.0}
+
+
+
+def _lattice_suite(alpha):
+    """A suite shaped like the benchmark's lattice cases: 33 classify calls
+    over 18 distinct growth functions, all on the default grid."""
+    runs = [{"command": "classify-growth", "phi": f"power({p:g})"}
+            for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
+    runs += [{"command": "embed-check", "phi1": f"power({p:g})", "phi2": f"power({q:g})",
+              "alpha": alpha} for p in (1.0, 2.0) for q in (2.0, 3.0, 4.0, 6.0)]
+    runs += [{"command": "multiplier-classify", "phi1": f"power({p:g})",
+              "phi2": f"power({q:g})", "alpha": alpha}
+             for p in (1.25, 2.0, 3.0) for q in (4.0, 6.0, 10.0)]
+    return {"command": "suite", "runs": runs}
+
+
+class TestClassifyMemo:
+    """classify's memo lives for exactly one run."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        keys = []
+        inner = growth._classify
+
+        def counting(phi, grid):
+            keys.append((phi, grid))
+            return inner(phi, grid)
+
+        monkeypatch.setattr(growth, "_classify", counting)
+        return keys
+
+    def test_once_per_distinct_function(self, computed):
+        report = run(_lattice_suite(1.0))
+        assert report["suite_verdict"] == "pass"
+        assert len(computed) == len(set(computed)) == 18
+
+    def test_successive_runs_agree_and_recompute(self, computed):
+        a = run(_lattice_suite(0.0))
+        b = run(_lattice_suite(0.0))
+        a.pop("timing")
+        b.pop("timing")
+        assert canonical_json(a) == canonical_json(b)
+        assert len(computed) == 36 and len(set(computed)) == 18
+
+    def test_dropped_when_a_run_raises(self, computed):
+        cfg = {"command": "suite", "runs": [
+            {"command": "classify-growth", "phi": "power(2)"},
+            {"command": "classify-growth", "phi": "power(-1)"},
+        ]}
+        with pytest.raises(ConfigError):
+            run(cfg)
+        assert len(computed) == 1
+        assert growth._CLASSIFY_MEMO.get() is None
+        assert classify(Power(2)) is not classify(Power(2))
+        run(cfg["runs"][0])
+        assert len(computed) == 4
 
 
 class TestMainExitCodes:

@@ -1,9 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczhp.growth import (
+    DEFAULT_GRID,
     BracketingError,
     ComposedInverse,
     GrowthDomainError,
@@ -12,6 +16,7 @@ from orliczhp.growth import (
     PowerLog,
     ReciprocalReflected,
     Tabulated,
+    _growing_at_edge,
     classify,
     conjugate,
     derived_pair,
@@ -215,6 +220,126 @@ class TestClassify:
     def test_powerlog_is_tilde_member(self):
         cls = classify(PowerLog(2, 1, E ** 2))
         assert cls.tilde_passed
+
+
+
+def _annulus_dini(phi, grid=DEFAULT_GRID):
+    """Doubling verdict, and Dini verdict and quotients of the per-point
+    rule: 8-point Gauss-Legendre over the 61 dyadic annuli below every grid
+    point, with the decade-tail test at the mid-grid reference point."""
+    ts = grid.values()
+    doubling_grows = _growing_at_edge(ts, phi(2.0 * ts) / phi(ts), right=True)
+    doubling = (not doubling_grows, (float(ts[-1]),) if doubling_grows else None)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    hi = ts[:, None] * 2.0 ** (-np.arange(61))[None, :]
+    lo = 0.5 * hi
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = mid[:, :, None] + half[:, :, None] * nodes
+    with np.errstate(over="ignore"):
+        contrib = np.einsum("ijk,k->ij", phi(s) / s ** 2, weights) * half
+    quot = contrib.sum(axis=1) * ts / phi(ts)
+    ref = np.argmin(np.abs(np.log(ts)))
+    a_j = contrib[ref]
+    dsums = np.bincount(np.floor(np.arange(61) * math.log10(2.0)).astype(int), weights=a_j)
+    tail_bad = dsums[-1] > 0.01 * a_j.sum() and dsums[-2] > 0.01 * a_j.sum()
+    passed = not tail_bad and not _growing_at_edge(ts, quot, right=True)
+    witness = None if passed else (float(ts[ref]) if tail_bad else float(ts[-1]),)
+    return doubling, (passed, witness), quot
+
+
+def _power_quotient(r):
+    # int_0^t s^(r-2) ds * t / t^r = 1 / (r - 1) at every t
+    return lambda t: 1.0 / (r - 1.0)
+
+
+def _powerlog_quotient(t):
+    """30-digit Dini quotient of t^2 log(e^2 + t)."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        c = mp.e ** 2
+        return mp.quad(lambda s: mp.log(c + s), [0, t]) * t / (t ** 2 * mp.log(c + t))
+
+
+# t^2 interpolated through geometric knots from 1e-30 (below every annulus)
+# to 1e13 (above t_max^2, where the submultiplicativity scans evaluate)
+_TAB_KNOTS = np.geomspace(1e-30, 1e13, 600)
+_TAB_SQUARE = Tabulated((0.0, *_TAB_KNOTS), (0.0, *_TAB_KNOTS ** 2))
+
+
+def _tabulated_quotient(t):
+    """Exact Dini quotient of the interpolant, integrated from its first
+    nonzero knot: on the piece through (k0, k0^2) and (k1, k1^2) the
+    integrand is (k0 + k1)/s - k0 k1/s^2.  The linear piece below 1e-30
+    adds under 1e-27, far below rounding."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        total, phi_t = mp.mpf(0), None
+        for k0, k1 in zip(_TAB_KNOTS[:-1], _TAB_KNOTS[1:]):
+            k0, k1 = mp.mpf(k0), mp.mpf(k1)
+            top = min(k1, t)
+            total += (k0 + k1) * mp.log(top / k0) - k0 * k1 * (1 / k0 - 1 / top)
+            if t <= k1:
+                phi_t = (k0 + k1) * t - k0 * k1
+                break
+        return total * t / phi_t
+
+
+_DINI_CASES = [
+    (Power(0.5), None),
+    (Power(1), None),
+    (ComposedInverse(Power(2), Power(2)), None),
+    *[(Power(p), _power_quotient(p)) for p in (1.25, 1.5, 2.0, 3.0, 4.0, 6.0)],
+    (PowerLog(2, 1, E ** 2), _powerlog_quotient),
+    (ComposedInverse(Power(6), Power(2)), _power_quotient(3.0)),
+    (ComposedInverse(Power(4), Power(3)), _power_quotient(4.0 / 3.0)),
+    (ReciprocalReflected(ComposedInverse(Power(6), Power(2))), _power_quotient(3.0)),
+    (ReciprocalReflected(ComposedInverse(Power(4), Power(3))), _power_quotient(4.0 / 3.0)),
+    (_TAB_SQUARE, _tabulated_quotient),
+]
+
+
+class TestDiniCumulative:
+    """The cumulative Dini rule against the per-point annulus rule."""
+
+    @pytest.mark.parametrize("phi, exact", _DINI_CASES,
+                             ids=[type(c[0]).__name__ + str(i) for i, c in enumerate(_DINI_CASES)])
+    def test_against_annulus_oracle(self, phi, exact):
+        cls = classify(phi)
+        doubling, dini, quot = _annulus_dini(phi)
+        assert (cls.doubling.passed, cls.doubling.witness) == doubling
+        assert (cls.dini.passed, cls.dini.witness) == dini
+        if exact is None:
+            assert not dini[0]
+            return
+        # the quotient's exact value at the oracle's argmax grid point; the
+        # cumulative rule starts every point at 2^-61 t_min instead of
+        # 2^-61 t, so it truncates less.  The allowance is 2 ulp of rounding.
+        target = float(exact(DEFAULT_GRID.values()[int(np.argmax(quot))]))
+        slack = 2 * np.spacing(target)
+        assert abs(cls.dini.constant - target) <= abs(np.max(quot) - target) + slack
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.2, 6.0))
+    def test_power_constant_within_truncation(self, p):
+        # the only error beyond rounding is the missing int_0^{2^-61 t_min},
+        # a share (2^-61 t_min / t)^(p - 1) of the total, largest at t_max
+        grid = DEFAULT_GRID
+        c = classify(Power(p)).dini.constant
+        trunc = (2.0 ** -61 * grid.t_min / grid.t_max) ** (p - 1)
+        assert abs(c * (p - 1) - 1) <= 2 * trunc + 1e-13
+
+    def test_point_budget(self):
+        # a guard against slowdowns that does not depend on host speed: the
+        # per-point annulus rule passed 271,280 points to phi per call
+        class CountingPower(Power):
+            points = 0
+
+            def _eval(self, t):
+                type(self).points += t.size
+                return super()._eval(t)
+
+        classify(CountingPower(2))
+        assert CountingPower.points <= 40_000
 
 
 class TestDerivedPair:
