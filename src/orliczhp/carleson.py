@@ -16,8 +16,19 @@ them, reports constants, witnesses and pairwise ratios, and flags any
 verdict disagreement instead of reconciling it.
 
 Suprema over base points and family members are lower bounds from finite
-ladders; unboundedness is detected as a consistent growth trend toward a
-ladder edge, exactly as in the box sweep.
+ladders.  Each tester's call is one ``measure.Verdict``: finite, or infinite
+for one of four reasons, which report bodies show as follows.
+
+* ``divergent``: an infinite box mass or kernel integral; the constant is
+  ``inf`` (and ``carleson-test`` reports ``divergent_mass: true``).
+* ``unbounded_member``: an embedding member with no admissible grid K; its
+  K and the embedding constant are ``inf``.
+* ``growing_small_scale``, ``growing_large_scale``: the ladder's values grow
+  toward that edge.  ``box_trend``, ``kernel_trend`` and ``carleson-test``'s
+  ``trend`` name the edge, and read ``bounded`` for every other verdict.
+
+``verdicts`` maps each tester to whether its verdict is finite, and
+``coherent``, ``carleson`` and ``kernel_box_ratio`` are read off them.
 
 The embedding and weak-type constants are found on index grids by one
 search, ``_first_admissible``.  For a power ``phi2`` the embedding search is
@@ -35,16 +46,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .growth import ComposedInverse, GrowthFunction, Power, _edge_trend, classify
+from .growth import ComposedInverse, GrowthFunction, Power, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
 from .maximal import StepFunction1D, level_sets, nontangential_maximal
 from .measure import (
     AtomicMeasure,
     BoxFamily,
-    BoxSweep,
     CarlesonBox,
     PixelGrid,
+    Sweep,
     UpperHalfPlaneMeasure,
+    Verdict,
+    _ladder_verdict,
     adapted_box_family,
     box_mass,
     carleson_box_constant,
@@ -62,7 +75,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "KernelSweep",
     "kernel_testing_constant",
     "annulus_kernel_sum",
     "NormedMember",
@@ -101,19 +113,6 @@ def default_sample_points(mu: UpperHalfPlaneMeasure) -> tuple[list[complex], lis
     return ladder, extras
 
 
-@dataclass(frozen=True)
-class KernelSweep:
-    constant: float
-    witness: Optional[complex]
-    divergent_integral: bool
-    trend: str
-    ladder: tuple  # (height, value) pairs
-
-    @property
-    def finite(self) -> bool:
-        return not self.divergent_integral and self.trend == "bounded"
-
-
 def kernel_testing_constant(
     mu: UpperHalfPlaneMeasure,
     phi1: GrowthFunction,
@@ -121,10 +120,11 @@ def kernel_testing_constant(
     s: float,
     points: Optional[Sequence[complex]] = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> KernelSweep:
-    """Supremum over base points of the kernel integral, with divergence
-    flags from the density probes and a growth-trend verdict along the
-    dyadic height ladder."""
+) -> Sweep:
+    """Supremum over base points of the kernel integral, witnessed by a base
+    point, with its ``(height, value)`` ladder.  An infinite integral (a
+    density probe's divergence) makes the verdict ``divergent``; otherwise
+    the ladder decides it."""
     if points is None:
         ladder, extras = default_sample_points(mu)
     else:
@@ -137,13 +137,11 @@ def kernel_testing_constant(
         if i < len(ladder):
             ladder_vals.append((z.imag, v))
         if math.isinf(v):
-            return KernelSweep(math.inf, z, True, "bounded", tuple(ladder_vals))
+            return Sweep(math.inf, z, tuple(ladder_vals), Verdict("divergent"))
         if v > best:
             best, witness = v, z
-    ys = np.array([p[0] for p in ladder_vals])
-    vals = np.array([p[1] for p in ladder_vals])
-    trend = _edge_trend(ys, vals)
-    return KernelSweep(max(best, 0.0), witness, False, trend, tuple(ladder_vals))
+    verdict = _ladder_verdict(*np.reshape(ladder_vals, (-1, 2)).T)
+    return Sweep(max(best, 0.0), witness, tuple(ladder_vals), verdict)
 
 
 def annulus_kernel_sum(
@@ -327,11 +325,7 @@ def _search_grid(name: str, grid, default: np.ndarray) -> np.ndarray:
 class EmbeddingResult:
     family_constant: float
     per_member: tuple            # (label, K) pairs, K = inf if none works
-    trend: str
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.family_constant) and self.trend == "bounded"
+    verdict: Verdict
 
 
 def embedding_constant(
@@ -342,8 +336,9 @@ def embedding_constant(
     k_grid: Optional[np.ndarray] = None,
 ) -> EmbeddingResult:
     """Per member, the smallest grid ``K`` with
-    ``int phi2(|f|/(K ||f||)) dmu <= 1``; the family maximum and the growth
-    trend of ``K`` across the member ladder.
+    ``int phi2(|f|/(K ||f||)) dmu <= 1``; the family maximum and the
+    verdict: ``unbounded_member`` when some member has no admissible ``K``,
+    otherwise the growth of ``K`` across the member ladder decides it.
 
     The integral is nonincreasing in ``K``, so the grid search is a
     bisection over indices.  For a power ``phi2 = c t^p`` the modular is
@@ -360,9 +355,6 @@ def embedding_constant(
     """
     ks = _search_grid("k_grid", k_grid, default_k_grid())
     per_member: list[tuple[str, float]] = []
-    heights: list[float] = []
-    k_values: list[float] = []
-
     for member in family:
         if member.source_norm <= 0:
             raise ValueError(f"member {member.label} has nonpositive source norm")
@@ -379,20 +371,15 @@ def embedding_constant(
             if math.isfinite(m1):
                 guess = int(np.searchsorted(ks, m1 ** (1.0 / phi2.p), side="left"))
         i = _first_admissible(len(ks), ok, guess)
-        k = math.inf if i is None else float(ks[i])
-        per_member.append((member.label, k))
-        heights.append(member.scale_y)
-        k_values.append(k)
+        per_member.append((member.label, math.inf if i is None else float(ks[i])))
 
-    arr = np.array(k_values)
-    family_constant = float(np.max(arr)) if arr.size else 0.0
-    if not np.all(np.isfinite(arr)):
-        trend = "unbounded_member"
-    else:
-        hs = np.array(heights)
-        order = np.argsort(hs)
-        trend = _edge_trend(hs[order], arr[order])
-    return EmbeddingResult(family_constant, tuple(per_member), trend)
+    k_found = np.array([k for _, k in per_member])
+    heights = np.array([member.scale_y for member in family])
+    order = np.argsort(heights)
+    verdict = (_ladder_verdict(heights[order], k_found[order])
+               if np.all(np.isfinite(k_found)) else Verdict("unbounded_member"))
+    family_constant = float(np.max(k_found)) if k_found.size else 0.0
+    return EmbeddingResult(family_constant, tuple(per_member), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +391,31 @@ class EquivalenceReport:
     mode: str
     s: float
     alpha: Optional[float]
-    box: BoxSweep
-    kernel: KernelSweep
+    box: Sweep
+    kernel: Sweep
     embedding: Optional[EmbeddingResult]
-    verdicts: dict
-    coherent: bool
-    carleson: Optional[bool]
-    kernel_box_ratio: Optional[float]
     warnings: tuple
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def verdicts(self) -> dict:
+        """Whether each tester that ran found its condition finite."""
+        testers = {"box": self.box, "kernel": self.kernel, "embedding": self.embedding}
+        return {name: t.verdict.finite for name, t in testers.items() if t is not None}
+
+    @property
+    def coherent(self) -> bool:
+        return len(set(self.verdicts.values())) == 1
+
+    @property
+    def carleson(self) -> Optional[bool]:
+        """The testers' common call, ``None`` when they disagree."""
+        return next(iter(self.verdicts.values())) if self.coherent else None
+
+    @property
+    def kernel_box_ratio(self) -> Optional[float]:
+        ok = self.box.verdict.finite and self.kernel.verdict.finite and self.box.constant > 0
+        return self.kernel.constant / self.box.constant if ok else None
 
     def as_dict(self) -> dict:
         return {
@@ -423,17 +426,17 @@ class EquivalenceReport:
             "box_witness": None if self.box.witness is None else [
                 self.box.witness.center_x, self.box.witness.length
             ],
-            "box_trend": self.box.trend,
+            "box_trend": self.box.verdict.trend,
             "kernel_constant": self.kernel.constant,
             "kernel_witness": None if self.kernel.witness is None else [
                 self.kernel.witness.real, self.kernel.witness.imag
             ],
-            "kernel_trend": self.kernel.trend,
+            "kernel_trend": self.kernel.verdict.trend,
             "embedding_constant": None if self.embedding is None else self.embedding.family_constant,
             "embedding_members": None if self.embedding is None else list(
                 map(list, self.embedding.per_member)
             ),
-            "verdicts": dict(self.verdicts),
+            "verdicts": self.verdicts,
             "coherent": self.coherent,
             "carleson": self.carleson,
             "kernel_box_ratio": self.kernel_box_ratio,
@@ -463,19 +466,12 @@ def verify_equivalence(
     theorem needs it while the box/kernel equivalence does not.
     """
     warnings: list[str] = []
-    if mode == "hardy":
-        s_eff = 1.0
-        alpha_eff: Optional[float] = None
-    elif mode == "bergman":
-        s_eff = 2.0 + alpha
-        alpha_eff = alpha
-    elif mode == "raw":
-        if s is None:
-            raise ValueError("raw mode needs an explicit s")
-        s_eff = float(s)
-        alpha_eff = None
-    else:
+    if mode not in ("hardy", "bergman", "raw"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "raw" and s is None:
+        raise ValueError("raw mode needs an explicit s")
+    s_eff = 1.0 if mode == "hardy" else 2.0 + alpha if mode == "bergman" else float(s)
+    alpha_eff = alpha if mode == "bergman" else None
 
     target = ComposedInverse(outer=phi2, inner=phi1)
     box = carleson_box_constant(mu, target, s_eff, adapted_box_family(mu, box_family), spec)
@@ -497,16 +493,6 @@ def verify_equivalence(
             )
         embedding = embedding_constant(mu, phi2, family, spec)
 
-    verdicts = {"box": box.finite, "kernel": kernel.finite}
-    if embedding is not None:
-        verdicts["embedding"] = embedding.finite
-    coherent = len(set(verdicts.values())) == 1
-    carleson: Optional[bool] = None
-    if coherent:
-        carleson = bool(next(iter(verdicts.values())))
-    ratio = None
-    if box.finite and kernel.finite and box.constant > 0:
-        ratio = kernel.constant / box.constant
     return EquivalenceReport(
         mode=mode,
         s=s_eff,
@@ -514,10 +500,6 @@ def verify_equivalence(
         box=box,
         kernel=kernel,
         embedding=embedding,
-        verdicts=verdicts,
-        coherent=coherent,
-        carleson=carleson,
-        kernel_box_ratio=ratio,
         warnings=tuple(warnings),
         provenance={
             "box_family": [box_family.j_min, box_family.j_max, box_family.extent,

@@ -199,7 +199,7 @@ def _run_classify(config: dict, phi, grid, expect_nabla2, expect_tilde):
           box_family=_BOXES, quadrature=_QUADRATURE, expect=_CARLESON)
 def _run_carleson_test(config: dict, measure, phi, s, box_family, quadrature, expect):
     sweep = carleson_box_constant(measure, phi, s, box_family, quadrature)
-    verdict = "carleson" if sweep.finite else "not_carleson"
+    verdict = "carleson" if sweep.verdict.finite else "not_carleson"
     records = [_record(
         "box-sweep",
         "sup over the box family of mu(Q_I) * phi(1/|I|^s)",
@@ -208,8 +208,8 @@ def _run_carleson_test(config: dict, measure, phi, s, box_family, quadrature, ex
             "constant": sweep.constant,
             "witness": None if sweep.witness is None else
                 [sweep.witness.center_x, sweep.witness.length],
-            "divergent_mass": sweep.divergent_mass,
-            "trend": sweep.trend,
+            "divergent_mass": sweep.verdict.reason == "divergent",
+            "trend": sweep.verdict.trend,
             "verdict": verdict,
         },
         "info",
@@ -235,12 +235,8 @@ def _run_equivalence(config: dict, measure, phi1, phi2, mode, alpha, s, box_fami
         rep.as_dict(),
         "pass" if rep.coherent else "fail",
     )]
-    verdict = None
-    if rep.carleson is not None:
-        verdict = "carleson" if rep.carleson else "not_carleson"
-    ok = rep.coherent
-    ok &= _expectation("expect", expect, verdict, records)
-    return records, ok
+    verdict = {True: "carleson", False: "not_carleson", None: None}[rep.carleson]
+    return records, rep.coherent & _expectation("expect", expect, verdict, records)
 
 
 @_command("embed-check", **_EMBEDDING, expect=(enum("holds", "fails"), None))

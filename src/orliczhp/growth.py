@@ -448,21 +448,6 @@ def _growing_at_edge(ts: np.ndarray, vals: np.ndarray, right: bool) -> bool:
     return slope > _EDGE_SLOPE_EPS if right else slope < -_EDGE_SLOPE_EPS
 
 
-def _edge_trend(xs: np.ndarray, vals: np.ndarray) -> str:
-    """Trend verdict of a sweep along an increasing scale ladder:
-    ``growing_small_scale``, ``growing_large_scale`` or ``bounded``.
-
-    A zero value at the extreme scale already bounds that edge (e.g. all
-    atoms sit above the smallest boxes), so growth is only meaningful when
-    the values reach the edge of the ladder.
-    """
-    if vals.size and vals[0] > 0 and _growing_at_edge(xs, vals, right=False):
-        return "growing_small_scale"
-    if vals.size and vals[-1] > 0 and _growing_at_edge(xs, vals, right=True):
-        return "growing_large_scale"
-    return "bounded"
-
-
 @contextmanager
 def _classification_memo():
     """Within the block, ``classify`` computes each ``(phi, grid)`` value

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .growth import GrowthFunction, _edge_trend
+from .growth import GrowthFunction, _growing_at_edge
 from .integrals import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -49,7 +49,8 @@ __all__ = [
     "RestrictedMeasure",
     "UpperHalfPlaneMeasure",
     "BoxFamily",
-    "BoxSweep",
+    "Verdict",
+    "Sweep",
     "box_mass",
     "carleson_box_constant",
     "total_mass",
@@ -419,17 +420,55 @@ def adapted_box_family(mu: UpperHalfPlaneMeasure, base: BoxFamily = BoxFamily())
     return BoxFamily(j_min, j_max, extent, base.step_fraction, base.extra)
 
 
+_GROWING = ("growing_small_scale", "growing_large_scale")
+_REASONS = ("divergent", "unbounded_member", *_GROWING)
+
+
 @dataclass(frozen=True)
-class BoxSweep:
-    constant: float
-    witness: Optional[CarlesonBox]
-    divergent_mass: bool
-    trend: str                      # bounded | growing_small_scale | growing_large_scale
-    per_scale: tuple                # (length, max value) pairs
+class Verdict:
+    """A tester's call: finite when ``reason`` is None, otherwise infinite
+    for one of ``_REASONS`` (explained in the ``carleson`` module docstring)."""
+
+    reason: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.reason not in (None, *_REASONS):
+            raise ValueError(f"unknown verdict reason {self.reason!r}")
 
     @property
     def finite(self) -> bool:
-        return not self.divergent_mass and self.trend == "bounded"
+        return self.reason is None
+
+    @property
+    def trend(self) -> str:
+        """The reports' trend key: the edge that grew, else ``bounded``."""
+        return self.reason if self.reason in _GROWING else "bounded"
+
+
+def _ladder_verdict(scales: np.ndarray, values: np.ndarray) -> Verdict:
+    """Verdict of a sweep along an increasing scale ladder: infinite when
+    the values grow toward an edge (the small-scale edge is read first).
+
+    A zero value at the extreme scale already bounds that edge (e.g. all
+    atoms sit above the smallest boxes), so growth is only meaningful when
+    the values reach the edge of the ladder.
+    """
+    if values.size and values[0] > 0 and _growing_at_edge(scales, values, right=False):
+        return Verdict("growing_small_scale")
+    if values.size and values[-1] > 0 and _growing_at_edge(scales, values, right=True):
+        return Verdict("growing_large_scale")
+    return Verdict()
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A tester's supremum: the constant, where it is attained (a box or a
+    kernel base point), the ``(scale, value)`` ladder and its verdict."""
+
+    constant: float
+    witness: Optional[Union[CarlesonBox, complex]]
+    ladder: tuple
+    verdict: Verdict
 
 
 def _atomic_scale_masses(
@@ -455,19 +494,19 @@ def carleson_box_constant(
     s: float,
     family: BoxFamily = BoxFamily(),
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> BoxSweep:
+) -> Sweep:
     """Family supremum of ``mu(Q_I) * phi(1/|I|^s)`` with its witness box.
 
-    Aside from divergent box masses, an unbounded testing constant shows up
-    as growth of the per-scale maxima toward a scale edge; both cases mark
-    the sweep not finite.  Ties break toward the smallest length, then the
-    leftmost center, so the witness is deterministic.
+    A divergent box mass makes the verdict ``divergent``; otherwise the
+    ladder of per-scale maxima decides it (growth toward a scale edge).
+    Ties break toward the smallest length, then the leftmost center, so the
+    witness is deterministic.
     """
     if s <= 0:
         raise ValueError("scale exponent s must be positive")
     best = -math.inf
     witness: Optional[CarlesonBox] = None
-    per_scale: list[tuple[float, float]] = []
+    ladder: list[tuple[float, float]] = []
     divergent = False
 
     flat = is_x_independent(mu)
@@ -490,11 +529,11 @@ def carleson_box_constant(
         if np.any(np.isinf(masses)):
             divergent = True
             witness = CarlesonBox(float(centers[int(np.argmax(np.isinf(masses)))]), length)
-            per_scale.append((float(length), math.inf))
+            ladder.append((float(length), math.inf))
             break
         vals = masses * weight
         i = int(np.argmax(vals))
-        per_scale.append((float(length), float(vals[i])))
+        ladder.append((float(length), float(vals[i])))
         if vals[i] > best:
             best = float(vals[i])
             witness = CarlesonBox(float(centers[i]), float(length))
@@ -511,12 +550,9 @@ def carleson_box_constant(
             witness = extra
 
     if divergent:
-        return BoxSweep(math.inf, witness, True, "bounded", tuple(per_scale))
-
-    lengths = np.array([p[0] for p in per_scale])
-    maxima = np.array([p[1] for p in per_scale])
-    trend = _edge_trend(lengths, maxima)
-    return BoxSweep(max(best, 0.0), witness, False, trend, tuple(per_scale))
+        return Sweep(math.inf, witness, tuple(ladder), Verdict("divergent"))
+    verdict = _ladder_verdict(*np.reshape(ladder, (-1, 2)).T)
+    return Sweep(max(best, 0.0), witness, tuple(ladder), verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from orliczhp.measure import (
     DensityMeasure,
     PixelGrid,
     RestrictedMeasure,
+    Verdict,
     WeightedVolume,
     box_mass,
     carleson_box_constant,
@@ -203,7 +204,7 @@ def test_06_section6_counterexample():
     assert box_mass(mu_bad, CarlesonBox(0.0, 1.0)) == math.inf
     comp_bad = derived_pair(Power(2), PowerLog(2, 1, E2))[0]
     sweep_bad = carleson_box_constant(mu_bad, comp_bad, 1.0, BoxFamily(-5, 5))
-    assert sweep_bad.divergent_mass and not sweep_bad.finite
+    assert sweep_bad.verdict == Verdict("divergent")
 
     # power variant: Carleson, with the family constant matching the
     # annulus-sum bound within its factor 4
@@ -211,10 +212,10 @@ def test_06_section6_counterexample():
     assert expected_good is True
     comp_good = derived_pair(Power(2), Power(4))[0]
     sweep_good = carleson_box_constant(mu_good, comp_good, 1.0, BoxFamily(-5, 5))
-    assert sweep_good.finite
+    assert sweep_good.verdict.finite
     bound_constant = max(
         section6_annulus_bound(comp_good, L) * float(comp_good(1.0 / L))
-        for L, _ in sweep_good.per_scale
+        for L, _ in sweep_good.ladder
     )
     assert sweep_good.constant <= bound_constant * (1 + 1e-9)
     assert bound_constant <= 4.0 * sweep_good.constant * (1 + 1e-9)

@@ -15,6 +15,7 @@ from orliczhp.measure import (
     CarlesonBox,
     PixelGrid,
     RestrictedMeasure,
+    Verdict,
     WeightedVolume,
 )
 from orliczhp.carleson import (
@@ -44,7 +45,7 @@ class TestKernelConstant:
     def test_empty_measure(self):
         sweep = kernel_testing_constant(AtomicMeasure.empty(), Power(1), Power(1), 1.0)
         assert sweep.constant == 0.0
-        assert sweep.finite
+        assert sweep.verdict.finite
 
     def test_weighted_volume_oracle_chain(self):
         # powers p = q = 1, s = 2, z = i: the integrand is y^4/D^2 with
@@ -123,7 +124,7 @@ class TestEmbedding:
         # V_1 with powers p=1, q=3 in the height-one mode: finite member Ks
         fam = hardy_test_family(Power(1))
         res = embedding_constant(WeightedVolume(1.0), Power(3), fam)
-        assert res.finite
+        assert res.verdict.finite
 
     @pytest.mark.parametrize("k_grid", [
         np.array([]), np.array([math.nan, 1.0]), np.array([1.0, math.inf]), np.array([-2.0]),
@@ -157,7 +158,7 @@ class TestVerifyEquivalence:
             mu, Power(2), PowerLog(2, 1, E2), mode="hardy",
             box_family=BoxFamily(-5, 5),
         )
-        assert rep.box.divergent_mass
+        assert rep.box.verdict == Verdict("divergent")
         assert rep.coherent and rep.carleson is False
 
     def test_section6_power_variant(self):
@@ -191,6 +192,30 @@ class TestVerifyEquivalence:
         d = rep.as_dict()
         assert d["coherent"] is True
         assert "box_constant" in d and "kernel_constant" in d
+
+
+# (measure, phi2, the box, kernel and embedding reasons) with phi1 = t^2 in
+# hardy mode: every (tester, reason) pair the testers reach today
+REASON_CASES = {
+    "volume-q2": (WeightedVolume(0.0), Power(2), ["growing_large_scale"] * 3),
+    "volume-q5": (WeightedVolume(0.0), Power(5), ["growing_small_scale"] * 3),
+    "section6-powerlog": (section6_measure(Power(2), PowerLog(2, 1, E2))[0],
+                          PowerLog(2, 1, E2), ["divergent", "divergent", "unbounded_member"]),
+}
+
+
+@pytest.mark.parametrize("case", REASON_CASES)
+def test_every_reachable_verdict_reason(case):
+    mu, phi2, reasons = REASON_CASES[case]
+    rep = verify_equivalence(mu, Power(2), phi2, mode="hardy")
+    assert [rep.box.verdict, rep.kernel.verdict, rep.embedding.verdict] == \
+        [Verdict(r) for r in reasons]
+    assert rep.coherent and rep.carleson is False and rep.kernel_box_ratio is None
+    # the body's trend keys name a growing edge and read "bounded" otherwise
+    d = rep.as_dict()
+    trends = [r if r.startswith("growing") else "bounded" for r in reasons[:2]]
+    assert [d["box_trend"], d["kernel_trend"]] == trends
+    assert d["verdicts"] == {"box": False, "kernel": False, "embedding": False}
 
 
 class TestWeakType:

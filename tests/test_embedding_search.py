@@ -23,7 +23,7 @@ from orliczhp.carleson import (
 from orliczhp.growth import Power, PowerLog
 from orliczhp.integrals import beta
 from orliczhp.maximal import nontangential_maximal
-from orliczhp.measure import AtomicMeasure, PixelGrid, WeightedVolume, pixel_masses
+from orliczhp.measure import AtomicMeasure, PixelGrid, Verdict, WeightedVolume, pixel_masses
 
 KS = default_k_grid()
 
@@ -144,7 +144,7 @@ class TestPowerEmbeddingSearch:
         mu = AtomicMeasure((0.0,), (1.0,), (1e12,))
         res = embedding_constant(mu, phi2, fam)
         assert res.per_member[0][1] == math.inf
-        assert res.trend == "unbounded_member"
+        assert res.verdict == Verdict("unbounded_member")
 
 
 class TestModularTie:

@@ -207,7 +207,7 @@ class TestSection6:
             mu, expected = section6_measure(phi1, phi2)
             comp = derived_pair(phi1, phi2)[0]
             sweep = carleson_box_constant(mu, comp, 1.0, BoxFamily(-5, 5))
-            assert sweep.finite == expected, (phi1, phi2)
+            assert sweep.verdict.finite == expected, (phi1, phi2)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
