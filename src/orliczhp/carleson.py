@@ -16,11 +16,16 @@ them, reports constants, witnesses and pairwise ratios, and flags any
 verdict disagreement instead of reconciling it.
 
 Suprema over base points and family members are lower bounds from finite
-ladders.  Each tester's call is one ``measure.Verdict``: finite, or infinite
-for one of four reasons, which report bodies show as follows.
+ladders.  The box and kernel testers each adapt their own ladder to the
+measure (``measure.adapted_box_family``, ``default_sample_points``), so
+callers pass a box family through unchanged, and both return one fold,
+``measure._fold``, of their rows.  Each tester's call is one
+``measure.Verdict``: finite, or infinite for one of four reasons, which
+report bodies show as follows.
 
-* ``divergent``: an infinite box mass or kernel integral; the constant is
-  ``inf`` (and ``carleson-test`` reports ``divergent_mass: true``).
+* ``divergent``: an infinite box value (a divergent mass, or a weight
+  that overflows) or kernel integral; the constant is ``inf`` (and
+  ``carleson-test`` reports ``divergent_mass: true``).
 * ``unbounded_member``: an embedding member with no admissible grid K; its
   K and the embedding constant are ``inf``.
 * ``growing_small_scale``, ``growing_large_scale``: the ladder's values grow
@@ -57,8 +62,9 @@ from .measure import (
     Sweep,
     UpperHalfPlaneMeasure,
     Verdict,
+    WeightedVolume,
+    _fold,
     _ladder_verdict,
-    adapted_box_family,
     box_mass,
     carleson_box_constant,
     pixel_masses,
@@ -93,24 +99,23 @@ __all__ = [
 ]
 
 
-def default_sample_points(mu: UpperHalfPlaneMeasure) -> tuple[list[complex], list[complex]]:
-    """Dyadic ladder of base points plus measure-adapted extras.
+def default_sample_points(mu: UpperHalfPlaneMeasure) -> list[tuple[Optional[float], complex]]:
+    """``(height, base point)`` pairs: a dyadic ladder, then measure-adapted
+    extras with no height.
 
     The ladder (fixed x, heights ``2^k`` for ``k`` in -8..8, extended by
-    ``adapted_heights``) is what the growth-trend test reads; extras only
-    enter the supremum.
+    ``adapted_heights``) is what the growth-trend test reads; extras (each
+    atom, and the point above it at twice its height) only enter the supremum.
     """
     x0 = 0.0 if mu.region is None else mu.region.center_x
     heights = adapted_heights(mu, [2.0 ** k for k in range(-8, 9)])
-    ladder = [complex(x0, h) for h in heights]
-    extras: list[complex] = []
+    sample: list[tuple[Optional[float], complex]] = [(h, complex(x0, h)) for h in heights]
     atoms = mu.atoms()
     if atoms is not None:
         xs, ys, _ = atoms.arrays()
         for x, y in zip(xs, ys):
-            extras.append(complex(x, y))
-            extras.append(complex(x, 2.0 * y))
-    return ladder, extras
+            sample += [(None, complex(x, y)), (None, complex(x, 2.0 * y))]
+    return sample
 
 
 def kernel_testing_constant(
@@ -118,30 +123,16 @@ def kernel_testing_constant(
     phi1: GrowthFunction,
     phi2: GrowthFunction,
     s: float,
-    points: Optional[Sequence[complex]] = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> Sweep:
-    """Supremum over base points of the kernel integral, witnessed by a base
-    point, with its ``(height, value)`` ladder.  An infinite integral (a
-    density probe's divergence) makes the verdict ``divergent``; otherwise
-    the ladder decides it."""
-    if points is None:
-        ladder, extras = default_sample_points(mu)
-    else:
-        ladder, extras = list(points), []
-    best = -math.inf
-    witness = None
-    ladder_vals: list[tuple[float, float]] = []
-    for i, z in enumerate(ladder + extras):
-        v = modular_halfplane(CarlesonKernel(z, phi1, s), phi2, mu, spec)
-        if i < len(ladder):
-            ladder_vals.append((z.imag, v))
-        if math.isinf(v):
-            return Sweep(math.inf, z, tuple(ladder_vals), Verdict("divergent"))
-        if v > best:
-            best, witness = v, z
-    verdict = _ladder_verdict(*np.reshape(ladder_vals, (-1, 2)).T)
-    return Sweep(max(best, 0.0), witness, tuple(ladder_vals), verdict)
+    """Supremum of the kernel integral over ``default_sample_points(mu)``,
+    witnessed by a base point, with its ``(height, value)`` ladder.  An
+    infinite integral (a density probe's divergence) makes the verdict
+    ``divergent``; otherwise the ladder decides it."""
+    return _fold(
+        (h, modular_halfplane(CarlesonKernel(z, phi1, s), phi2, mu, spec), z)
+        for h, z in default_sample_points(mu)
+    )
 
 
 def annulus_kernel_sum(
@@ -311,16 +302,6 @@ def default_k_grid() -> np.ndarray:
     return _decade_grid(1e-4, 1e4, 25)
 
 
-def _search_grid(name: str, grid, default: np.ndarray) -> np.ndarray:
-    """``grid`` as floats (``default`` when None).  A search over an empty,
-    non-finite or nonpositive grid would return a value that means nothing,
-    so such a grid is a ``ValueError``."""
-    values = default if grid is None else np.asarray(grid, dtype=float)
-    if not (values.ndim == 1 and values.size and np.all(np.isfinite(values) & (values > 0))):
-        raise ValueError(f"{name} must be a nonempty 1-d array of finite positive numbers")
-    return values
-
-
 @dataclass(frozen=True)
 class EmbeddingResult:
     family_constant: float
@@ -333,7 +314,6 @@ def embedding_constant(
     phi2: GrowthFunction,
     family: Sequence[NormedMember],
     spec: QuadratureSpec = DEFAULT_SPEC,
-    k_grid: Optional[np.ndarray] = None,
 ) -> EmbeddingResult:
     """Per member, the smallest grid ``K`` with
     ``int phi2(|f|/(K ||f||)) dmu <= 1``; the family maximum and the
@@ -353,7 +333,7 @@ def embedding_constant(
     member with no admissible grid ``K`` (including detected divergence at
     every ``K``) reports ``inf``.
     """
-    ks = _search_grid("k_grid", k_grid, default_k_grid())
+    ks = default_k_grid()
     per_member: list[tuple[str, float]] = []
     for member in family:
         if member.source_norm <= 0:
@@ -474,8 +454,8 @@ def verify_equivalence(
     alpha_eff = alpha if mode == "bergman" else None
 
     target = ComposedInverse(outer=phi2, inner=phi1)
-    box = carleson_box_constant(mu, target, s_eff, adapted_box_family(mu, box_family), spec)
-    kernel = kernel_testing_constant(mu, phi1, phi2, s_eff, None, spec)
+    box = carleson_box_constant(mu, target, s_eff, box_family, spec)
+    kernel = kernel_testing_constant(mu, phi1, phi2, s_eff, spec)
 
     embedding: Optional[EmbeddingResult] = None
     if mode in ("hardy", "bergman"):
@@ -544,7 +524,6 @@ def weak_type_constant(
     phi2: GrowthFunction,
     family: Sequence[NormedMember],
     lambda_grid: Optional[np.ndarray] = None,
-    c_grid: Optional[np.ndarray] = None,
     pixels: Optional[PixelGrid] = None,
 ) -> WeakTypeResult:
     """Smallest grid ``C`` with
@@ -557,10 +536,14 @@ def weak_type_constant(
     Chebyshev domination between the two constants survives discretization.
     The points and masses are computed once per call and ``|f|`` on them
     once per member; each ``(C, lambda)`` probe is then a masked sum.  The
-    ``C`` grid is bisected without a seed.
+    ``C`` grid is bisected without a seed.  A constant over an empty,
+    non-finite or nonpositive ``lambda_grid`` means nothing: ``ValueError``.
     """
-    lams = _search_grid("lambda_grid", lambda_grid, np.geomspace(1e-3, 1e3, 25))
-    cs = _search_grid("c_grid", c_grid, default_k_grid())
+    lams = (np.geomspace(1e-3, 1e3, 25) if lambda_grid is None
+            else np.asarray(lambda_grid, dtype=float))
+    if not (lams.ndim == 1 and lams.size and np.all(np.isfinite(lams) & (lams > 0))):
+        raise ValueError("lambda_grid must be a nonempty 1-d array of finite positive numbers")
+    cs = default_k_grid()
     xs, ys, masses = _mass_points(mu, pixels)
     per_member: list[tuple[str, float]] = []
     for member in family:
@@ -598,6 +581,19 @@ class LevelSetReport:
     max_ratio: float
 
 
+def _levelset_report(phi: GrowthFunction, sides) -> LevelSetReport:
+    """Rows and worst ratio from ``(lambda, mu side, level-set size)``
+    triples; the comparison side is ``1/phi(1/size)``."""
+    rows = []
+    worst = 0.0
+    for lam, left, size in sides:
+        right = _phi_tilde(phi, size)
+        ratio = left / right if right > 0 else (math.inf if left > 0 else 0.0)
+        rows.append((float(lam), left, right, ratio))
+        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
+    return LevelSetReport(tuple(rows), worst)
+
+
 def levelset_comparison_hardy(
     mu: UpperHalfPlaneMeasure,
     phi: GrowthFunction,
@@ -616,16 +612,10 @@ def levelset_comparison_hardy(
     star = nontangential_maximal(f_abs, centers)
     xs, ys, masses = _mass_points(mu, PixelGrid())
     vals = _abs_on(f_abs, xs, ys, masses)
-    rows = []
-    worst = 0.0
-    for lam in lambda_grid:
-        left = float(masses[vals > lam].sum())
-        level_len = dx * float(np.count_nonzero(star > lam))
-        right = _phi_tilde(phi, level_len)
-        ratio = left / right if right > 0 else (math.inf if left > 0 else 0.0)
-        rows.append((float(lam), left, right, ratio))
-        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
-    return LevelSetReport(tuple(rows), worst)
+    return _levelset_report(phi, (
+        (lam, float(masses[vals > lam].sum()), dx * float(np.count_nonzero(star > lam)))
+        for lam in lambda_grid
+    ))
 
 
 def levelset_comparison_bergman(
@@ -638,19 +628,14 @@ def levelset_comparison_bergman(
     j_max: int = 8,
 ) -> LevelSetReport:
     """Same comparison through the weighted dyadic level sets: the level
-    set is a disjoint union of boxes, so both sides are exact sums."""
-    rows = []
-    worst = 0.0
-    for lam in lambda_grid:
-        intervals = level_sets(f, alpha, float(lam), j_min, j_max)
-        left = 0.0
-        volume = 0.0
-        for a, b in intervals:
-            box = CarlesonBox(0.5 * (a + b), b - a)
-            left += box_mass(mu, box)
-            volume += (b - a) ** (2.0 + alpha) / (1.0 + alpha)
-        right = _phi_tilde(phi, volume)
-        ratio = left / right if right > 0 else (math.inf if left > 0 else 0.0)
-        rows.append((float(lam), left, right, ratio))
-        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
-    return LevelSetReport(tuple(rows), worst)
+    set is a disjoint union of boxes, so both sides are exact sums of box
+    masses under ``mu`` and under ``WeightedVolume(alpha)``."""
+    volume = WeightedVolume(alpha)
+
+    def sides(lam: float) -> tuple[float, float, float]:
+        boxes = [CarlesonBox(0.5 * (a + b), b - a)
+                 for a, b in level_sets(f, alpha, float(lam), j_min, j_max)]
+        return (lam, sum((box_mass(mu, box) for box in boxes), 0.0),
+                sum((volume.box_mass(box) for box in boxes), 0.0))
+
+    return _levelset_report(phi, map(sides, lambda_grid))

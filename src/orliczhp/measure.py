@@ -1,5 +1,5 @@
 """Positive measures on the upper half-plane in computable forms, Carleson
-boxes, and the box-testing sweep.
+boxes, the box-testing sweep, and the one sweep fold.
 
 A Carleson box over an interval ``I = [a, b)`` is the half-open square
 ``Q_I = {x in I, 0 < y < |I|}``.  Measures come in four kinds:
@@ -22,13 +22,17 @@ half the first, and non-negligible) marks the mass divergent, as does
 outright growth above ten percent per halving.  The ratio rule is what
 catches log-log divergences whose per-halving growth is arbitrarily small.
 The same probe guards density integrals over the half-plane.
+
+The box and kernel testers each adapt their own ladder to the measure and
+return one fold, ``_fold``, of their ``(scale | None, value, witness)``
+rows; ``carleson_box_constant`` adapts its family by ``adapted_box_family``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -337,11 +341,6 @@ class RestrictedMeasure:
 UpperHalfPlaneMeasure = Union[AtomicMeasure, WeightedVolume, DensityMeasure, RestrictedMeasure]
 
 
-def is_x_independent(mu: UpperHalfPlaneMeasure) -> bool:
-    """Neither atoms nor a cutting region: the mass depends on height only."""
-    return mu.atoms() is None and mu.region is None
-
-
 # ---------------------------------------------------------------------------
 # Box masses
 # ---------------------------------------------------------------------------
@@ -383,7 +382,6 @@ class BoxFamily:
     j_max: int = 10
     extent: float = 16.0
     step_fraction: float = 0.25
-    extra: tuple = ()
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -417,7 +415,7 @@ def adapted_box_family(mu: UpperHalfPlaneMeasure, base: BoxFamily = BoxFamily())
     j_min = min(base.j_min, int(math.floor(math.log2(float(ys.min())))) - 1)
     extent = max(base.extent, float(np.abs(xs).max()) + float(ys.max()))
     j_max = max(base.j_max, int(math.ceil(math.log2(2.0 * extent))) + 1)
-    return BoxFamily(j_min, j_max, extent, base.step_fraction, base.extra)
+    return BoxFamily(j_min, j_max, extent, base.step_fraction)
 
 
 _GROWING = ("growing_small_scale", "growing_large_scale")
@@ -488,6 +486,25 @@ def _atomic_scale_masses(
     return cum[hi] - cum[lo]
 
 
+def _fold(rows: Iterable[tuple[Optional[float], float, object]]) -> Sweep:
+    """The one sweep fold over ``(scale | None, value, witness)`` rows read
+    in order.  The first infinite value ends the sweep as ``divergent``;
+    otherwise the first largest value and its witness give the constant,
+    and the rows with a scale form the ladder that decides the verdict."""
+    best = -math.inf
+    witness = None
+    ladder: list[tuple[float, float]] = []
+    for scale, value, at in rows:
+        if scale is not None:
+            ladder.append((scale, value))
+        if math.isinf(value):
+            return Sweep(math.inf, at, tuple(ladder), Verdict("divergent"))
+        if value > best:
+            best, witness = value, at
+    verdict = _ladder_verdict(*np.reshape(ladder, (-1, 2)).T)
+    return Sweep(max(best, 0.0), witness, tuple(ladder), verdict)
+
+
 def carleson_box_constant(
     mu: UpperHalfPlaneMeasure,
     phi: GrowthFunction,
@@ -495,64 +512,45 @@ def carleson_box_constant(
     family: BoxFamily = BoxFamily(),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> Sweep:
-    """Family supremum of ``mu(Q_I) * phi(1/|I|^s)`` with its witness box.
+    """Supremum of ``mu(Q_I) * phi(1/|I|^s)`` over ``family`` adapted to the
+    measure (``adapted_box_family``), with its witness box.
 
-    A divergent box mass makes the verdict ``divergent``; otherwise the
-    ladder of per-scale maxima decides it (growth toward a scale edge).
+    An infinite box value (a divergent mass, or a weight that overflows)
+    makes the verdict ``divergent``; otherwise the ladder of per-length
+    maxima decides it (growth toward a scale edge).
     Ties break toward the smallest length, then the leftmost center, so the
     witness is deterministic.
     """
     if s <= 0:
         raise ValueError("scale exponent s must be positive")
-    best = -math.inf
-    witness: Optional[CarlesonBox] = None
-    ladder: list[tuple[float, float]] = []
-    divergent = False
-
-    flat = is_x_independent(mu)
+    family = adapted_box_family(mu, family)
     atoms = mu.atoms()
+    flat = atoms is None and mu.region is None  # the mass depends on height only
     if atoms is not None:
         xs, ys, ms = atoms.arrays()
 
-    for length in family.lengths():
-        weight = phi(1.0 / length ** s)
-        centers = family.centers_at(length)
-        if flat:
-            masses = np.array([box_mass(mu, CarlesonBox(0.0, length), spec)])
-            centers = np.array([0.0])
-        elif atoms is not None:
-            masses = _atomic_scale_masses(xs, ms, ys, length, centers)
-        else:
-            masses = np.array(
-                [box_mass(mu, CarlesonBox(c, length), spec) for c in centers]
-            )
-        if np.any(np.isinf(masses)):
-            divergent = True
-            witness = CarlesonBox(float(centers[int(np.argmax(np.isinf(masses)))]), length)
-            ladder.append((float(length), math.inf))
-            break
-        vals = masses * weight
-        i = int(np.argmax(vals))
-        ladder.append((float(length), float(vals[i])))
-        if vals[i] > best:
-            best = float(vals[i])
-            witness = CarlesonBox(float(centers[i]), float(length))
+    def rows() -> Iterator[tuple[float, float, CarlesonBox]]:
+        """One row per length: its first box of infinite mass, else its
+        first box of largest value."""
+        for length in family.lengths():
+            weight = phi(1.0 / length ** s)
+            centers = np.array([0.0]) if flat else family.centers_at(length)
+            if atoms is not None:
+                masses = _atomic_scale_masses(xs, ms, ys, length, centers)
+            else:
+                masses = np.array(
+                    [box_mass(mu, CarlesonBox(c, length), spec) for c in centers]
+                )
+            inf = np.isinf(masses)
+            if np.any(inf):
+                i, value = int(np.argmax(inf)), math.inf
+            else:
+                vals = masses * weight
+                i = int(np.argmax(vals))
+                value = float(vals[i])
+            yield float(length), value, CarlesonBox(float(centers[i]), float(length))
 
-    for extra in family.extra:
-        m = box_mass(mu, extra, spec)
-        if math.isinf(m):
-            divergent = True
-            witness = extra
-            break
-        v = m * phi(1.0 / extra.length ** s)
-        if v > best:
-            best = v
-            witness = extra
-
-    if divergent:
-        return Sweep(math.inf, witness, tuple(ladder), Verdict("divergent"))
-    verdict = _ladder_verdict(*np.reshape(ladder, (-1, 2)).T)
-    return Sweep(max(best, 0.0), witness, tuple(ladder), verdict)
+    return _fold(rows())
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ class OmegaProfile:
     values: tuple
     classification: str
     bracket: tuple
-    witnesses: tuple = ()
 
     def omega(self, t) -> np.ndarray:
         """Fresh evaluation from the defining formula (not interpolation)."""
@@ -140,18 +139,14 @@ def omega_profile(
     against a plateau above zero); shrink rates below about five percent
     per decade are unresolvable and come back inconclusive.  So does a
     profile that is not positive and finite on the grid (a weight power
-    overflows for a huge ``alpha``), witnessed by the first such grid point
-    and its value.
+    overflows for a huge ``alpha``).
     """
     ts = grid.values()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals = omega_values(phi1, phi2, variant, alpha, beta, ts)
     bad = np.flatnonzero(~((vals > 0) & np.isfinite(vals)))
-    if bad.size:
-        classification, witnesses = "inconclusive", (float(ts[bad[0]]), float(vals[bad[0]]))
-    else:
-        classification, witnesses = _profile_shape(
-            ts, vals, grid, lambda t: omega_values(phi1, phi2, variant, alpha, beta, t))
+    classification = "inconclusive" if bad.size else _profile_shape(
+        ts, vals, grid, lambda t: omega_values(phi1, phi2, variant, alpha, beta, t))
     step = max(1, grid.points // 64)
     return OmegaProfile(
         variant=variant,
@@ -163,14 +158,13 @@ def omega_profile(
         values=tuple(vals[::step]),
         classification=classification,
         bracket=(float(np.min(vals)), float(np.max(vals))),
-        witnesses=witnesses,
     )
 
 
 def _profile_shape(ts: np.ndarray, vals: np.ndarray, grid: LogGrid,
-                   omega: Callable[[np.ndarray], np.ndarray]) -> tuple[str, tuple]:
-    """Classification and witnesses of a positive, finite profile sampled
-    as ``vals`` on ``ts``; ``omega`` evaluates it below the grid."""
+                   omega: Callable[[np.ndarray], np.ndarray]) -> str:
+    """Classification of a positive, finite profile sampled as ``vals`` on
+    ``ts``; ``omega`` evaluates it below the grid."""
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(vals[:-1], vals[1:])
     nondecreasing = bool(np.all(diffs >= -tol))
@@ -189,23 +183,18 @@ def _profile_shape(ts: np.ndarray, vals: np.ndarray, grid: LogGrid,
     )
 
     if flat:
-        return "equivalent_to_one", ()
+        return "equivalent_to_one"
     if nondecreasing:
         # probe the vanishing limit two decades below the grid
         probes = grid.t_min * 10.0 ** np.array([-2.0, -1.0, 0.0])
         pv = omega(probes)
         shrinks = pv[1] / pv[0] >= _SHRINK_PER_DECADE and pv[2] / pv[1] >= _SHRINK_PER_DECADE
         if shrinks and pv[0] < _VANISH_THRESHOLD:
-            return "nondecreasing_vanishing", ()
-        return "inconclusive", (float(probes[0]), float(pv[0]))
+            return "nondecreasing_vanishing"
+        return "inconclusive"
     if nonincreasing:
-        return "nonincreasing", ()
-    up = int(np.argmax(diffs > tol))
-    down = int(np.argmax(diffs < -tol))
-    return "inconclusive", (
-        (float(ts[down]), float(ts[down + 1])),
-        (float(ts[up]), float(ts[up + 1])),
-    )
+        return "nonincreasing"
+    return "inconclusive"
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ class TestKernelConstant:
     def test_single_atom_value(self):
         mu = AtomicMeasure((0.0,), (1.0,), (1.0,))
         # contribution 1 * y^2/|z - conj(w)|^2 = 1/4 at z = w = i
-        sweep = kernel_testing_constant(mu, Power(1), Power(1), 1.0, points=[1j])
-        assert sweep.constant == pytest.approx(0.25, rel=1e-14)
+        value = modular_halfplane(CarlesonKernel(1j, Power(1), 1.0), Power(1), mu)
+        assert value == pytest.approx(0.25, rel=1e-14)
 
     def test_empty_measure(self):
         sweep = kernel_testing_constant(AtomicMeasure.empty(), Power(1), Power(1), 1.0)
@@ -51,10 +51,17 @@ class TestKernelConstant:
         # powers p = q = 1, s = 2, z = i: the integrand is y^4/D^2 with
         # D = x^2 + (1+v)^2, so the value is B(1/2,3/2) * B(1,2) by the two
         # kernel closed forms
-        sweep = kernel_testing_constant(WeightedVolume(0.0), Power(1), Power(1), 2.0,
-                                        points=[1j])
+        value = modular_halfplane(CarlesonKernel(1j, Power(1), 2.0), Power(1),
+                                  WeightedVolume(0.0))
         want = beta(0.5, 1.5) * beta(1, 2)
-        assert sweep.constant == pytest.approx(want, rel=1e-4)
+        assert value == pytest.approx(want, rel=1e-4)
+
+    def test_sweep_stops_at_the_first_infinite_value(self):
+        mu = section6_measure(Power(2), PowerLog(2, 1, E2))[0]
+        sweep = kernel_testing_constant(mu, Power(2), PowerLog(2, 1, E2), 1.0)
+        assert sweep.verdict == Verdict("divergent")
+        assert sweep.ladder == ((2.0 ** -8, math.inf),)
+        assert sweep.witness == 2.0 ** -8 * 1j
 
     def test_annulus_bookkeeping_exact(self):
         rng = np.random.default_rng(42)
@@ -125,14 +132,6 @@ class TestEmbedding:
         fam = hardy_test_family(Power(1))
         res = embedding_constant(WeightedVolume(1.0), Power(3), fam)
         assert res.verdict.finite
-
-    @pytest.mark.parametrize("k_grid", [
-        np.array([]), np.array([math.nan, 1.0]), np.array([1.0, math.inf]), np.array([-2.0]),
-    ])
-    def test_vacuous_k_grid_is_rejected(self, k_grid):
-        fam = hardy_test_family(Power(2), heights=(1.0,))
-        with pytest.raises(ValueError, match="nonempty 1-d array"):
-            embedding_constant(WeightedVolume(0.0), Power(4), fam, k_grid=k_grid)
 
 
 class TestVerifyEquivalence:
@@ -245,8 +244,6 @@ class TestWeakType:
         {"lambda_grid": np.array([math.nan])},
         {"lambda_grid": np.array([math.inf])},
         {"lambda_grid": np.array([-1.0, 1.0])},
-        {"c_grid": np.array([])},
-        {"c_grid": np.array([0.0, 1.0])},
     ])
     def test_vacuous_grid_is_rejected(self, grids):
         mu = AtomicMeasure((0.0,), (1.0,), (1.0,))

@@ -228,6 +228,20 @@ class TestRun:
              "trend": "bounded", "verdict": "not_carleson"},
         ]
 
+    def test_box_sweep_reaches_a_far_atom(self):
+        """``carleson-test`` adapts its box family to the atoms, as the box
+        constant of ``equivalence`` does: an atom at x = 100 lies outside
+        the default family's window [-16, 16]."""
+        atom = {"kind": "atomic", "atoms": [[100.0, 0.5, 1.0]]}
+        report = run({"command": "suite", "runs": [
+            {"command": "carleson-test", "measure": atom, "phi": "power(1)", "s": 1.0},
+            {"command": "equivalence", "measure": atom, "phi1": "power(1)",
+             "phi2": "power(1)", "mode": "raw", "s": 1.0},
+        ]})
+        test, equivalence = (r["values"] for r in report["records"])
+        assert (test["constant"], test["witness"]) == (1.0, [99.75, 1.0])
+        assert (equivalence["box_constant"], equivalence["box_witness"]) == (1.0, [99.75, 1.0])
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             run({"command": "classify-growth", "phi": "power(2)", "bogus": 3})

@@ -201,10 +201,9 @@ class TestWeakTypeOnce:
     def test_matches_per_pair_reference(self, mu):
         fam = hardy_test_family(Power(2), heights=(0.5, 2.0))
         lams = np.geomspace(1e-2, 1e2, 9)
-        cs = np.geomspace(1e-3, 1e3, 61)
         pixels = PixelGrid(-8.0, 8.0, 8.0, 64, 32)
-        got = weak_type_constant(mu, Power(2), fam, lams, cs, pixels)
-        assert got.per_member == _weak_reference(mu, Power(2), fam, lams, cs, pixels)
+        got = weak_type_constant(mu, Power(2), fam, lams, pixels)
+        assert got.per_member == _weak_reference(mu, Power(2), fam, lams, KS, pixels)
 
 
 class TestNontangentialRows:

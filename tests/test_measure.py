@@ -122,22 +122,18 @@ class TestBoxSweep:
             assert sweep.verdict.finite
             assert sweep.constant == pytest.approx(1.0 / (1.0 + alpha), rel=1e-12)
 
-    def test_single_atom_near_critical_witness(self):
-        mu = AtomicMeasure((0.0,), (0.5,), (1.0,))
-        extras = tuple(CarlesonBox(0.0, 0.5 * (1 + eps)) for eps in (1e-3, 1e-2, 0.1))
-        sweep = carleson_box_constant(mu, Power(1), 1.0, BoxFamily(-4, 4, extra=extras))
-        assert sweep.verdict.finite
-        # supremum 1/|I| over boxes containing (0, 1/2) approaches 2
-        assert sweep.constant == pytest.approx(2.0, rel=2e-3)
-        assert sweep.witness.length == pytest.approx(0.5, rel=2e-3)
+    # the sweep fold's contract: the first largest value gives the witness,
+    # so ties go to the smallest length, then to the leftmost centre, and
+    # the first infinite value ends the sweep
+    def test_ties_go_to_the_smallest_length(self):
+        sweep = carleson_box_constant(WeightedVolume(0), Power(1), 2.0, BoxFamily(-4, 4))
+        assert sweep.ladder == tuple((2.0 ** j, 1.0) for j in range(-4, 5))
+        assert sweep.witness == CarlesonBox(0.0, 0.0625)
 
-    def test_family_monotone_in_extra_boxes(self):
+    def test_ties_go_to_the_leftmost_centre(self):
         mu = AtomicMeasure((0.0,), (0.5,), (1.0,))
-        base = carleson_box_constant(mu, Power(1), 1.0, BoxFamily(-4, 4))
-        more = carleson_box_constant(
-            mu, Power(1), 1.0, BoxFamily(-4, 4, extra=(CarlesonBox(0.0, 0.51),))
-        )
-        assert more.constant >= base.constant
+        sweep = carleson_box_constant(mu, Power(1), 1.0, BoxFamily(-4, 4))
+        assert (sweep.constant, sweep.witness) == (1.0, CarlesonBox(-0.25, 1.0))
 
     def test_counterexample_sweep_divergent(self):
         mu = section6_density(PowerLog(2, 1, E2))
@@ -145,6 +141,15 @@ class TestBoxSweep:
         sweep = carleson_box_constant(mu, comp, 1.0, BoxFamily(-4, 4))
         assert sweep.verdict == Verdict("divergent")
         assert sweep.constant == math.inf
+        assert sweep.ladder == ((0.0625, math.inf),)
+        assert sweep.witness == CarlesonBox(0.0, 0.0625)
+
+    def test_overflowing_box_value_is_divergent(self):
+        # phi(1/|I|^100) = |I|^-200 overflows for |I| <= 2^-6, while the box
+        # masses |I|^2 stay finite and positive
+        sweep = carleson_box_constant(WeightedVolume(0.0), Power(2), 100.0, BoxFamily(-8, 4))
+        assert sweep.verdict == Verdict("divergent")
+        assert (sweep.constant, sweep.ladder) == (math.inf, ((2.0 ** -8, math.inf),))
 
     def test_good_variant_constant_one(self):
         mu = section6_density(Power(4))
