@@ -35,6 +35,13 @@ report bodies show as follows.
 ``verdicts`` maps each tester to whether its verdict is finite, and
 ``coherent``, ``carleson`` and ``kernel_box_ratio`` are read off them.
 
+A Bergman test family for a power ``phi1`` is normalised by one
+``bergman_norm``: the dilation ``w = x0 + y0 w'`` carries each member onto
+the one at ``i``, and the amplitude ``phi1^{-1}(1/y0^s)`` absorbs the
+factor ``y0^s`` of the dilated measure, so all members share that norm
+(``bergman_test_family``).  Other ``phi1`` and all Hardy families keep one
+norm per member.
+
 The embedding and weak-type constants are found on index grids by one
 search, ``_first_admissible``.  For a power ``phi2`` the embedding search is
 seeded with the index that one modular per member predicts by homogeneity,
@@ -227,10 +234,24 @@ def bergman_test_family(
     heights: Sequence[float] = DEFAULT_KERNEL_HEIGHTS,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[NormedMember]:
+    """Bergman-kernel family normalized by the Bergman-Orlicz Luxembourg
+    norm against ``y^alpha``.
+
+    For a power ``phi1 = c t^p`` every member has the same norm: the
+    substitution ``w = x0 + y0 w'`` carries the member at ``x0 + i y0`` onto
+    the one at ``i``, and its amplitude ``phi1^{-1}(1/y0^s) = (c y0^s)^(-1/p)``
+    (``s = 2 + alpha``) absorbs the factor ``y0^s`` of the dilated measure.
+    The modular is ``B(1/2, (2sp-1)/2) B(alpha+1, 2sp-alpha-2)`` at every
+    base point, so the norm is computed once, at ``i``, and shared.  Any
+    other ``phi1`` is not homogeneous and normalises each member.
+    """
+    shared = (bergman_norm(BergmanKernel(1j, phi1, alpha), phi1, alpha, spec=spec).luxembourg
+              if isinstance(phi1, Power) else None)
     members = []
     for y0 in heights:
         f = BergmanKernel(complex(0.0, y0), phi1, alpha)
-        norm = bergman_norm(f, phi1, alpha, spec=spec).luxembourg
+        norm = (bergman_norm(f, phi1, alpha, spec=spec).luxembourg
+                if shared is None else shared)
         members.append(NormedMember(f"bergman_kernel(y0={y0:g})", f, norm, y0))
     return members
 

@@ -26,6 +26,12 @@ The same probe guards density integrals over the half-plane.
 The box and kernel testers each adapt their own ladder to the measure and
 return one fold, ``_fold``, of their ``(scale | None, value, witness)``
 rows; ``carleson_box_constant`` adapts its family by ``adapted_box_family``.
+On an atomic measure the box sweep visits, per length, only the centres
+whose boxes can hold an atom below that length, plus the first centre
+(``_atomic_centers``): every other box is empty, so the rows, witnesses and
+tie rules are those of the full grid of centres, at a cost that follows the
+atoms.  A box value is ``mass * weight`` with ``0 * inf = 0``
+(``_box_values``), so an overflowing weight leaves empty boxes at 0.
 """
 
 from __future__ import annotations
@@ -486,6 +492,36 @@ def _atomic_scale_masses(
     return cum[hi] - cum[lo]
 
 
+def _box_values(masses: np.ndarray, weight: float) -> np.ndarray:
+    """``mass * weight`` per box, with ``0 * inf = 0`` (an empty box is
+    worth nothing under any weight) and ``positive * inf = inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(masses > 0, masses * weight, 0.0)
+
+
+def _atomic_centers(family: BoxFamily, length: float, xs: np.ndarray) -> np.ndarray:
+    """The first centre of ``family.centers_at(length)`` and those whose
+    boxes can hold an atom at one of ``xs``, bitwise as ``centers_at``
+    makes them and in its order, without building the others.
+
+    Centre ``k`` is ``-X + step * k``, and its box ``[c - L/2, c + L/2)``
+    holds ``x`` only for ``k`` in ``((x - L/2 + X) / step, (x + L/2 + X) / step]``.
+    The atoms lie in ``[-X, X]`` (``adapted_box_family``), so that range is
+    padded by two steps, and by more when the rounding of centres and box
+    edges (a few ulps of ``2X + L``) exceeds a step.
+    """
+    if length >= 2.0 * family.extent:
+        return family.centers_at(length)
+    extent = family.extent
+    step = length * family.step_fraction
+    last = int(math.floor(2.0 * extent / step))
+    pad = 2 + math.ceil(8.0 * np.finfo(float).eps * (2.0 * extent + length) / step)
+    first = np.floor((xs - 0.5 * length + extent) / step) - pad
+    span = np.arange(math.ceil(length / step) + 2 * pad + 2)
+    k = np.clip(first[:, None] + span, 0, last).astype(np.int64)
+    return -extent + step * np.union1d(0, k)
+
+
 def _fold(rows: Iterable[tuple[Optional[float], float, object]]) -> Sweep:
     """The one sweep fold over ``(scale | None, value, witness)`` rows read
     in order.  The first infinite value ends the sweep as ``divergent``;
@@ -520,6 +556,12 @@ def carleson_box_constant(
     maxima decides it (growth toward a scale edge).
     Ties break toward the smallest length, then the leftmost center, so the
     witness is deterministic.
+
+    On an atomic measure each length visits only the boxes that can hold an
+    atom below it, and the first centre: a positive maximum lies among
+    them, and a row of zeros keeps the first centre as its witness, so the
+    result is that of the full family.  An empty box is worth 0 even where
+    the weight ``phi(1/|I|^s)`` overflows to ``inf``.
     """
     if s <= 0:
         raise ValueError("scale exponent s must be positive")
@@ -533,11 +575,13 @@ def carleson_box_constant(
         """One row per length: its first box of infinite mass, else its
         first box of largest value."""
         for length in family.lengths():
-            weight = phi(1.0 / length ** s)
-            centers = np.array([0.0]) if flat else family.centers_at(length)
+            with np.errstate(over="ignore", divide="ignore"):
+                weight = phi(1.0 / length ** s)
             if atoms is not None:
+                centers = _atomic_centers(family, length, xs[ys < length])
                 masses = _atomic_scale_masses(xs, ms, ys, length, centers)
             else:
+                centers = np.array([0.0]) if flat else family.centers_at(length)
                 masses = np.array(
                     [box_mass(mu, CarlesonBox(c, length), spec) for c in centers]
                 )
@@ -545,7 +589,7 @@ def carleson_box_constant(
             if np.any(inf):
                 i, value = int(np.argmax(inf)), math.inf
             else:
-                vals = masses * weight
+                vals = _box_values(masses, weight)
                 i = int(np.argmax(vals))
                 value = float(vals[i])
             yield float(length), value, CarlesonBox(float(centers[i]), float(length))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczhp import carleson, spaces
 from orliczhp.corpus import random_atoms
 from orliczhp.growth import Power, PowerLog
 from orliczhp.integrals import DEFAULT_SPEC, beta
@@ -20,6 +21,7 @@ from orliczhp.measure import (
 )
 from orliczhp.carleson import (
     annulus_kernel_sum,
+    bergman_test_family,
     embedding_constant,
     hardy_test_family,
     kernel_testing_constant,
@@ -30,7 +32,7 @@ from orliczhp.carleson import (
     weak_type_constant,
 )
 from orliczhp.multipliers import section6_measure
-from orliczhp.spaces import CarlesonKernel, modular_halfplane
+from orliczhp.spaces import BergmanKernel, CarlesonKernel, bergman_norm, modular_halfplane
 
 E2 = math.e ** 2
 
@@ -106,6 +108,64 @@ class TestKernelModularProperties:
         small = modular_halfplane(k, phi2, mu, scale=scale)
         large = modular_halfplane(k, phi2, mu, scale=scale * factor)
         assert large <= small * (1.0 + DEFAULT_SPEC.rel_tol)
+
+
+NORM_HEIGHTS = tuple(2.0 ** k for k in range(-8, 10)) + (0.3, 7.1)
+
+
+class TestBergmanFamilyNorm:
+    """A power ``phi1`` gives every Bergman member one norm, by dilation."""
+
+    @pytest.mark.parametrize("phi1", [Power(1), Power(1.5), Power(2), Power(3), Power(2, 3.0)])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    def test_power_members_share_the_closed_form(self, phi1, alpha):
+        sp = (2.0 + alpha) * phi1.p
+        closed = (beta(0.5, (2 * sp - 1) / 2) * beta(alpha + 1, 2 * sp - alpha - 2)) ** (1 / phi1.p)
+        for member in bergman_test_family(phi1, alpha, NORM_HEIGHTS):
+            assert abs(member.source_norm - closed) <= 1e-10
+            # the member's own integral differs by quadrature rounding only
+            # (at most 5 ulps, at p = 1.5, alpha = 1)
+            own = bergman_norm(member.f, phi1, alpha).luxembourg
+            assert abs(member.source_norm - own) <= 8 * math.ulp(own)
+
+    def test_powerlog_members_keep_their_own_norms(self):
+        phi1 = PowerLog(2, 1, E2)
+        family = bergman_test_family(phi1, 0.0, (0.25, 1.0, 4.0))
+        norms = [member.source_norm for member in family]
+        assert norms == [bergman_norm(m.f, phi1, 0.0).luxembourg for m in family]
+        assert len(set(norms)) == 3
+
+
+class TestBergmanNormCalls:
+    """How many Bergman norms a family costs: one for a power ``phi1``,
+    one per member otherwise."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = spaces.bergman_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "bergman_norm", counted)
+        monkeypatch.setattr(carleson, "bergman_norm", counted)
+        return calls
+
+    def test_power_family_one_norm(self, calls):
+        family = bergman_test_family(Power(2), 1.0)
+        assert len(family) == 9 and len(calls) == 1
+
+    def test_powerlog_family_one_norm_per_member(self, calls):
+        heights = (0.5, 1.0, 2.0)
+        bergman_test_family(PowerLog(2, 1, E2), 0.0, heights)
+        assert len(calls) == len(heights)
+
+    def test_equivalence_on_atoms_one_norm(self, calls):
+        mu = random_atoms(np.random.default_rng(3), n_atoms=5)
+        rep = verify_equivalence(mu, Power(2), Power(3), mode="bergman")
+        assert len(rep.embedding.per_member) > 9 and len(calls) == 1
 
 
 class TestEmbedding:

@@ -228,6 +228,17 @@ class TestRun:
              "trend": "bounded", "verdict": "not_carleson"},
         ]
 
+    def test_box_sweep_overflowing_weight_is_not_carleson(self):
+        """A box weight ``phi(1/|I|^s)`` that overflows leaves the empty
+        boxes at 0 and makes the box holding the atom infinite."""
+        atom = {"kind": "atomic", "atoms": [[0.0, 0.01, 1.0]]}
+        report = run({"command": "carleson-test", "measure": atom, "phi": "power(2)",
+                      "s": 200.0, "expect": "not_carleson"})
+        assert report["suite_verdict"] == "pass"
+        values = report["records"][0]["values"]
+        assert (values["constant"], values["divergent_mass"]) == ("inf", True)
+        assert values["witness"] == [-0.00390625, 0.015625]  # the leftmost box holding it
+
     def test_box_sweep_reaches_a_far_atom(self):
         """``carleson-test`` adapts its box family to the atoms, as the box
         constant of ``equivalence`` does: an atom at x = 100 lies outside

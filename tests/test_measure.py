@@ -1,10 +1,16 @@
 import math
+import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orliczhp import measure
 from orliczhp.config import parse_density
-from orliczhp.growth import Power, PowerLog, derived_pair
+from orliczhp.growth import ComposedInverse, Power, PowerLog, derived_pair
 from orliczhp.measure import (
     AtomicMeasure,
     BoxFamily,
@@ -151,6 +157,18 @@ class TestBoxSweep:
         assert sweep.verdict == Verdict("divergent")
         assert (sweep.constant, sweep.ladder) == (math.inf, ((2.0 ** -8, math.inf),))
 
+    def test_overflowing_weight_keeps_empty_boxes_at_zero(self):
+        # phi(1/|I|^200) = |I|^-400 is inf for |I| <= 2^-3: the empty boxes
+        # below the atom are worth 0, the first box holding it is inf
+        mu = AtomicMeasure((0.0,), (0.01,), (1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep = carleson_box_constant(mu, Power(2), 200.0)
+        assert sweep.verdict == Verdict("divergent")
+        assert sweep.constant == math.inf
+        assert sweep.ladder == tuple((2.0 ** j, 0.0) for j in range(-10, -6)) + (
+            (2.0 ** -6, math.inf),)
+
     def test_good_variant_constant_one(self):
         mu = section6_density(Power(4))
         comp, _ = derived_pair(Power(2), Power(4))
@@ -180,6 +198,121 @@ class TestBoxSweep:
         mu = AtomicMeasure((0.0,), (1e-3,), (1.0,))
         fam = adapted_box_family(mu, BoxFamily(-4, 4))
         assert 2.0 ** fam.j_min < 1e-3
+
+
+def dense_rows(mu, phi, s, family=BoxFamily()):
+    """The sweep's rows as the dense loop over ``centers_at`` made them:
+    every centre of every length, the first largest value per length."""
+    family = adapted_box_family(mu, family)
+    xs, ys, ms = mu.atoms().arrays()
+    rows = []
+    for length in family.lengths():
+        with np.errstate(over="ignore", divide="ignore"):
+            weight = phi(1.0 / length ** s)
+        centers = family.centers_at(length)
+        masses = measure._atomic_scale_masses(xs, ms, ys, length, centers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.where(masses > 0, masses * weight, 0.0)
+        i = int(np.argmax(vals))
+        rows.append((float(length), float(vals[i]), CarlesonBox(float(centers[i]), float(length))))
+    return rows
+
+
+def bits(rows):
+    return [(length.hex(), value.hex(), box.center_x.hex(), box.length.hex())
+            for length, value, box in rows]
+
+
+def swept_rows(mu, phi, s, family=BoxFamily()):
+    """The sweep and the rows ``carleson_box_constant`` folds, read through
+    a spy on ``measure._fold``."""
+    seen = []
+    fold = measure._fold
+    with mock.patch.object(measure, "_fold", lambda rows: fold(seen.extend(rows) or seen)):
+        sweep = carleson_box_constant(mu, phi, s, family)
+    return sweep, seen
+
+
+EXTENT = 4.0
+
+
+@st.composite
+def atom_clouds(draw):
+    """Atoms on box edges ``-X + k step +- L/2``, at heights equal to a
+    length or between lengths, some of zero mass, all within ``[-X, X]``
+    so that the adapted family keeps ``X``."""
+    n = draw(st.integers(1, 6))
+    xs, ys, ms = [], [], []
+    for _ in range(n):
+        j = draw(st.integers(-7, 0))
+        length = 2.0 ** j
+        step = 0.25 * length
+        if draw(st.booleans()):
+            k = draw(st.integers(0, int(2 * (EXTENT - 1) / step)))
+            x = -EXTENT + step * k + draw(st.sampled_from([-0.5, 0.5])) * length
+        else:
+            x = draw(st.floats(-(EXTENT - 1), EXTENT - 1))
+        y = length if draw(st.booleans()) else draw(st.floats(1e-3, 0.5))
+        xs.append(min(max(x, -(EXTENT - 1)), EXTENT - 1))
+        ys.append(y)
+        ms.append(draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
+    atoms = AtomicMeasure(tuple(xs), tuple(ys), tuple(ms))
+    if draw(st.booleans()):
+        return atoms
+    return RestrictedMeasure(atoms, CarlesonBox(draw(st.floats(-2.0, 2.0)), 2.0))
+
+
+class TestSparseAtomicSweep:
+    """The atomic sweep visits only the centres whose boxes can hold an
+    atom, and keeps every row of the dense sweep bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=atom_clouds(),
+           phi=st.sampled_from([Power(1), Power(2), ComposedInverse(Power(3), Power(2))]),
+           s=st.sampled_from([1.0, 2.0, 2.5]),
+           step_fraction=st.sampled_from([0.125, 0.25, 0.3, 0.5]))
+    def test_rows_equal_the_dense_sweep(self, mu, phi, s, step_fraction):
+        family = BoxFamily(extent=EXTENT, step_fraction=step_fraction)
+        if mu.atoms().masses:
+            assert adapted_box_family(mu, family).extent == EXTENT
+        sweep, rows = swept_rows(mu, phi, s, family)
+        dense = dense_rows(mu, phi, s, family)
+        assert bits(rows) == bits(dense)
+        assert sweep == measure._fold(dense)
+
+    def test_rows_above_every_atom_keep_the_first_centre(self):
+        mu = AtomicMeasure((0.7, -1.3), (0.3, 0.05), (1.0, 2.0))
+        _, rows = swept_rows(mu, Power(1), 1.0)
+        zero = [box for _, value, box in rows if value == 0.0]
+        assert zero and all(box.center_x == -16.0 for box in zero)
+        assert bits(rows) == bits(dense_rows(mu, Power(1), 1.0))
+
+    def test_zero_mass_cloud_witness_is_the_first_box(self):
+        mu = AtomicMeasure((0.5, 1.0), (0.1, 0.2), (0.0, 0.0))
+        sweep = carleson_box_constant(mu, Power(1), 1.0, BoxFamily(-4, 4))
+        assert (sweep.constant, sweep.witness) == (0.0, CarlesonBox(-16.0, 0.0625))
+
+    def test_cost_follows_the_atoms(self, monkeypatch):
+        """One atom at height 1e-9: the dense sweep would build about 2^35
+        centres at the smallest length, the sparse one a few per length."""
+        sizes = []
+        masses = measure._atomic_scale_masses
+
+        def spy(xs, ms, ys, length, centers):
+            sizes.append(centers.size)
+            return masses(xs, ms, ys, length, centers)
+
+        monkeypatch.setattr(measure, "_atomic_scale_masses", spy)
+        mu = AtomicMeasure((0.3,), (1e-9,), (1.0,))
+        t0 = time.perf_counter()
+        sweep = carleson_box_constant(mu, Power(1), 1.0)
+        elapsed = time.perf_counter() - t0
+        length = 2.0 ** math.ceil(math.log2(1e-9))  # the smallest dyadic length above the atom
+        assert sweep.constant == 1.0 / length == 2.0 ** 29
+        assert sweep.witness.length == length and sweep.witness.contains(0.3, 1e-9)
+        assert sweep.verdict.finite
+        assert max(sizes) <= 24
+        assert elapsed < 0.5
 
 
 class TestPixelGrid:
