@@ -42,12 +42,13 @@ factor ``y0^s`` of the dilated measure, so all members share that norm
 (``bergman_test_family``).  Other ``phi1`` and all Hardy families keep one
 norm per member.
 
-The embedding and weak-type constants are found on index grids by one
-search, ``_first_admissible``.  For a power ``phi2`` the embedding search is
-seeded with the index that one modular per member predicts by homogeneity,
-and the seed is confirmed by the real integral at that index and the one
-below; other ``phi2`` are bisected.  The weak-type search computes the
-measure's mass points once per call and ``|f|`` on them once per member.
+For a power ``phi2 = c t^p`` the member modular is homogeneous,
+``m(K ||f||) = K^-p m(||f||)``, so each member's embedding K comes from one
+modular, as the Luxembourg norms of a power ``phi`` do (``spaces``).  Every
+other grid constant (the embedding K of a non-power ``phi2``, the weak-type
+C) is bisected over grid indices by ``_first_admissible``.  The weak-type
+search computes the measure's mass points once per call and ``|f|`` on them
+once per member.
 """
 
 from __future__ import annotations
@@ -280,35 +281,16 @@ def weak_hardy_family(
 _MODULAR_TIE_BAND = 8 * math.ulp(1.0)
 
 
-def _first_admissible(
-    n: int, ok: Callable[[int], bool], guess: Optional[int] = None
-) -> Optional[int]:
+def _first_admissible(n: int, ok: Callable[[int], bool]) -> Optional[int]:
     """Smallest index ``i < n`` with ``ok(i)``, for ``ok`` monotone (false
-    then true); ``None`` when even the last index fails.
-
-    Without a guess it probes the last index, then the first, then bisects.
-    A guess ``g < n`` is probed first, with ``g - 1``: when they bracket the
-    transition ``g`` is returned after at most two probes, and otherwise
-    the bisection runs on the side they leave open.  A guess at or past
-    ``n`` is the unguessed search.  The result is decided by probes alone,
-    so a guess changes the probe count, never the index.
-    """
-    lo, hi = -1, None  # every index <= lo fails; ok(hi) holds once hi is set
-    if guess is not None and guess < n:
-        if ok(guess):
-            if guess == 0 or not ok(guess - 1):
-                return guess
-            hi = guess - 1
-        else:
-            lo = guess
-    if hi is None:
-        if lo == n - 1 or not ok(n - 1):
-            return None
-        hi = n - 1
-    if lo < 0:
-        if ok(0):
-            return 0
-        lo = 0
+    then true); ``None`` when even the last index fails.  It probes the last
+    index, then the first, then bisects.  The embedding search for a
+    non-power ``phi2`` and the weak-type search share it."""
+    if not ok(n - 1):
+        return None
+    if ok(0):
+        return 0
+    lo, hi = 0, n - 1  # ok(lo) fails, ok(hi) holds
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -341,18 +323,16 @@ def embedding_constant(
     verdict: ``unbounded_member`` when some member has no admissible ``K``,
     otherwise the growth of ``K`` across the member ladder decides it.
 
-    The integral is nonincreasing in ``K``, so the grid search is a
-    bisection over indices.  For a power ``phi2 = c t^p`` the modular is
-    homogeneous, ``m(K ||f||) = K^-p m(||f||)``, so one modular per member
-    predicts ``K = m(||f||)^(1/p)``; the search starts at the first grid
-    point at or above it and confirms that index with the real integral
-    there and one step below (three modulars per member instead of about
-    ten).  The prediction only seeds the search: the index is decided by
-    the probes, as in the bisection.  A modular up to 8 ulps above 1
-    (``_MODULAR_TIE_BAND``) counts as ``<= 1``, so a member whose modular is
-    exactly 1 at a grid ``K`` keeps that ``K`` under quadrature rounding.  A
-    member with no admissible grid ``K`` (including detected divergence at
-    every ``K``) reports ``inf``.
+    For a power ``phi2 = c t^p`` the modular is homogeneous,
+    ``m(K ||f||) = K^-p m(||f||)``, so ``K`` is the first grid point with
+    ``m(||f||) / K^p <= 1``, read off one modular per member.  A divergent
+    modular (``inf``) fits no ``K``, whatever the scale.  Any other
+    ``phi2`` is bisected over grid indices (``_first_admissible``) with the
+    modular at each probed ``K``, which is nonincreasing in ``K``.  A
+    modular up to 8 ulps above 1 (``_MODULAR_TIE_BAND``) counts as ``<= 1``,
+    so a member whose modular is exactly 1 at a grid ``K`` keeps that ``K``
+    under quadrature rounding.  A member with no admissible grid ``K``
+    reports ``inf``.
     """
     ks = default_k_grid()
     per_member: list[tuple[str, float]] = []
@@ -360,18 +340,18 @@ def embedding_constant(
         if member.source_norm <= 0:
             raise ValueError(f"member {member.label} has nonpositive source norm")
 
-        def ok(i: int) -> bool:
-            val = modular_halfplane(
-                member.f, phi2, mu, spec, scale=ks[i] * member.source_norm
-            )
-            return val <= 1.0 + _MODULAR_TIE_BAND
-
-        guess = None
         if isinstance(phi2, Power):
             m1 = modular_halfplane(member.f, phi2, mu, spec, scale=member.source_norm)
-            if math.isfinite(m1):
-                guess = int(np.searchsorted(ks, m1 ** (1.0 / phi2.p), side="left"))
-        i = _first_admissible(len(ks), ok, guess)
+            fits = np.flatnonzero(m1 / ks ** phi2.p <= 1.0 + _MODULAR_TIE_BAND)
+            i = int(fits[0]) if fits.size else None
+        else:
+            def ok(i: int) -> bool:
+                val = modular_halfplane(
+                    member.f, phi2, mu, spec, scale=ks[i] * member.source_norm
+                )
+                return val <= 1.0 + _MODULAR_TIE_BAND
+
+            i = _first_admissible(len(ks), ok)
         per_member.append((member.label, math.inf if i is None else float(ks[i])))
 
     k_found = np.array([k for _, k in per_member])
@@ -557,8 +537,8 @@ def weak_type_constant(
     Chebyshev domination between the two constants survives discretization.
     The points and masses are computed once per call and ``|f|`` on them
     once per member; each ``(C, lambda)`` probe is then a masked sum.  The
-    ``C`` grid is bisected without a seed.  A constant over an empty,
-    non-finite or nonpositive ``lambda_grid`` means nothing: ``ValueError``.
+    ``C`` grid is bisected.  A constant over an empty, non-finite or
+    nonpositive ``lambda_grid`` means nothing: ``ValueError``.
     """
     lams = (np.geomspace(1e-3, 1e3, 25) if lambda_grid is None
             else np.asarray(lambda_grid, dtype=float))

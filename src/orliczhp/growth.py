@@ -392,7 +392,6 @@ class GrowthClassification:
     lower_type_estimate: float
     upper_type_constant: float
     tilde_conditions: dict = field(default_factory=dict)
-    grid: LogGrid = DEFAULT_GRID
 
     @property
     def nabla2_passed(self) -> bool:
@@ -401,19 +400,6 @@ class GrowthClassification:
     @property
     def tilde_passed(self) -> bool:
         return all(v.passed for v in self.tilde_conditions.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "doubling": self.doubling.as_dict(),
-            "dini": self.dini.as_dict(),
-            "lower_index": self.lower_index,
-            "upper_index": self.upper_index,
-            "upper_type_estimate": self.upper_type_estimate,
-            "lower_type_estimate": self.lower_type_estimate,
-            "upper_type_constant": self.upper_type_constant,
-            "tilde_conditions": {k: v.as_dict() for k, v in self.tilde_conditions.items()},
-            "grid": [self.grid.t_min, self.grid.t_max, self.grid.points],
-        }
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -560,7 +546,6 @@ def _classify(phi: GrowthFunction, grid: LogGrid) -> GrowthClassification:
         lower_type_estimate=p_est,
         upper_type_constant=upper_const,
         tilde_conditions=tilde,
-        grid=grid,
     )
 
 

@@ -260,8 +260,8 @@ class DensityMeasure(_HeightMeasure):
                 x_center=x_center, scale=scale,
             ).value
 
-        return _probed(segment, spec.y_min,
-                       lambda lo: segment(lo, 1.0) + segment(1.0, math.inf))
+        tail = segment(1.0, math.inf)
+        return _probed(segment, spec.y_min, lambda lo: segment(lo, 1.0) + tail)
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
         """Midpoint rule per height cell."""

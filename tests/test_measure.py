@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from orliczhp import measure
 from orliczhp.config import parse_density
 from orliczhp.growth import ComposedInverse, Power, PowerLog, derived_pair
+from orliczhp.integrals import integrate_halfplane
 from orliczhp.measure import (
     AtomicMeasure,
     BoxFamily,
@@ -26,6 +27,7 @@ from orliczhp.measure import (
     pixel_masses,
     total_mass,
 )
+from orliczhp.spaces import CarlesonKernel, modular_halfplane
 
 E2 = math.e ** 2
 
@@ -333,6 +335,41 @@ class TestPixelGrid:
         rm = RestrictedMeasure(WeightedVolume(0.0), CarlesonBox(0.0, 1.0))
         masses = pixel_masses(rm, grid)
         assert masses.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+class TestDensityIntegrate:
+    """A density integral is the probe's three segments plus ``(0, 1)`` and
+    the ``(1, inf)`` tail, each integrated once."""
+
+    F = CarlesonKernel(1j, Power(2), 1.0)
+
+    def spied(self, monkeypatch, mu):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return integrate_halfplane(*args, **kwargs)
+
+        monkeypatch.setattr(measure, "integrate_halfplane", spy)
+        return modular_halfplane(self.F, Power(4), mu), calls
+
+    def test_finite_modular_integrates_the_tail_once(self, monkeypatch):
+        got, calls = self.spied(monkeypatch, section6_density(Power(4)))
+        assert math.isfinite(got)
+        assert len(calls) == 5
+        bands = [(kw["y_lo"], kw["y_hi"]) for _, kw in calls]
+        assert bands.count((1.0, math.inf)) == 1
+
+        def segment(lo, hi):
+            args, kw = calls[0]
+            return integrate_halfplane(*args, **{**kw, "y_lo": lo, "y_hi": hi}).value
+
+        assert got == segment(0.0, 1.0) + segment(1.0, math.inf)
+
+    def test_divergent_modular_stops_after_the_probe(self, monkeypatch):
+        got, calls = self.spied(monkeypatch, DensityMeasure(parse_density("1/y"), "1/y"))
+        assert got == math.inf
+        assert len(calls) == 4
 
 
 class TestDensityGrammar:

@@ -1,5 +1,6 @@
-"""Package-level checks: every name a module exports exists, and every
-function the benchmark's metrics name is one the tracer wraps.
+"""Package-level checks: every name a module exports exists, every
+function the benchmark's metrics name is one the tracer wraps, and every
+benchmark case at seed 0 passes the benchmark's own output checks.
 
 The benchmark tracer wraps the public functions of each module and skips
 names it cannot find, so a stale ``__all__`` entry left by a deletion
@@ -7,6 +8,7 @@ would otherwise go unseen."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -30,13 +32,18 @@ def test_all_names_resolve(name):
     assert not missing, f"orliczhp.{name}.__all__ names missing attributes: {missing}"
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracing
-    spec.loader.exec_module(tracing)
-    return tracing
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_perfbench(name):
+    """A module of ``perfbench/``, loaded by path (that directory is no
+    package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 # metrics the tracer does not read off a module function: the class-level
@@ -48,7 +55,7 @@ def test_traced_functions_are_public():
     """Every ``layer.fn`` the benchmark's metrics name is a function the
     tracer wraps, so a renamed or privatised tester cannot leave a metric
     reading zero."""
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     missing = []
     for key in tracing.COUNT_METRICS + tracing.TIME_METRICS:
         layer_fn = key.rsplit(".", 1)[0]
@@ -59,3 +66,17 @@ def test_traced_functions_are_public():
         if fn not in {f.__name__ for f in tracing._public_functions(module)}:
             missing.append(key)
     assert not missing, f"metrics naming no traced function: {missing}"
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_cases_pass_their_checks(workload, tmp_path):
+    """Each case of the workload at seed 0 runs without raising, and its
+    record passes ``oracles.CHECKS``, as in a benchmark pass."""
+    workloads, oracles = _load_perfbench("workloads"), _load_perfbench("oracles")
+    fails = []
+    for case in workloads.WORKLOADS[workload](0, tmp_path):
+        fails += oracles.CHECKS[workload](case.record(case.run()))
+    assert not fails

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from orliczhp import carleson
 from orliczhp.carleson import weak_hardy_family
-from orliczhp.corpus import random_step_1d
+from orliczhp.corpus import random_atoms, random_step_1d
 from orliczhp.growth import Power, PowerLog, classify
 from orliczhp.integrals import beta
 from orliczhp.maximal import StepFunction1D, nontangential_maximal
@@ -75,14 +75,15 @@ class TestLuxembourg:
         lam = luxembourg_step_line(f, phi, tol=1e-12)
         assert step_modular_line(f, phi, scale=lam) == pytest.approx(1.0, abs=1e-10)
 
-    def test_homogeneity(self):
-        rng = np.random.default_rng(22)
-        for phi in (Power(1), Power(2), PowerLog(2, 1, E)):
-            f = random_step_1d(rng)
-            base = luxembourg_step_line(f, phi, tol=1e-13)
-            for c in (0.5, 2.0, 10.0):
-                scaled = luxembourg_step_line(f.scaled(c), phi, tol=1e-13)
-                assert scaled == pytest.approx(c * base, rel=1e-9)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           phi=st.sampled_from([Power(1), Power(2), Power(2.5, 3.0), PowerLog(2, 1, E)]),
+           c=st.floats(0.01, 100.0))
+    def test_homogeneity(self, seed, phi, c):
+        f = random_step_1d(np.random.default_rng(seed))
+        base = luxembourg_step_line(f, phi, tol=1e-13)
+        scaled = luxembourg_step_line(f.scaled(c), phi, tol=1e-13)
+        assert scaled == pytest.approx(c * base, rel=1e-9)
 
     def test_norm_modular_consistency(self):
         # modular <= C max(lux, lux^q) and lux <= C max(modular, modular^(1/q))
@@ -162,6 +163,36 @@ class TestNormHomogeneity:
         base = bergman_norm(f, self.PHI, 0.0).luxembourg
         scaled = bergman_norm(lambda x, y: c * f.abs_value(x, y), self.PHI, 0.0).luxembourg
         assert scaled == pytest.approx(c * base, rel=1e-8)
+
+
+_KERNELS = st.builds(
+    CarlesonKernel,
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.1, 10.0)),
+    st.sampled_from([Power(1), Power(2)]),
+    st.sampled_from([1.0, 2.0]),
+)
+
+
+class TestModularHomogeneity:
+    """``m(lam) = lam^-p m(1)`` for ``phi = c t^p``: the embedding constant
+    reads a power ``phi2``'s K from it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), f=_KERNELS,
+           phi=st.builds(Power, st.sampled_from([1.0, 2.0, 3.0, 4.0]), st.floats(0.1, 10.0)),
+           lam=st.floats(1e-3, 1e3))
+    def test_power_modular_on_atoms(self, seed, f, phi, lam):
+        mu = random_atoms(np.random.default_rng(seed))
+        got = modular_halfplane(f, phi, mu, scale=lam)
+        assert got == pytest.approx(lam ** -phi.p * modular_halfplane(f, phi, mu), rel=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), f=_KERNELS, lam=st.floats(0.1, 10.0))
+    def test_power_modular_on_weighted_volume(self, gamma, f, lam):
+        # t^4 keeps every kernel's integral finite for gamma < 2
+        mu, phi = WeightedVolume(gamma), Power(4.0)
+        got = modular_halfplane(f, phi, mu, scale=lam)
+        assert got == pytest.approx(lam ** -4.0 * modular_halfplane(f, phi, mu), rel=1e-8)
 
 
 class TestNontangentialEquivalence:
