@@ -61,19 +61,15 @@ import numpy as np
 
 from .growth import ComposedInverse, GrowthFunction, Power, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
-from .maximal import StepFunction1D, level_sets, nontangential_maximal
+from .maximal import StepFunction1D
 from .measure import (
-    AtomicMeasure,
     BoxFamily,
-    CarlesonBox,
     PixelGrid,
     Sweep,
     UpperHalfPlaneMeasure,
     Verdict,
-    WeightedVolume,
     _fold,
     _ladder_verdict,
-    box_mass,
     carleson_box_constant,
     pixel_masses,
 )
@@ -90,7 +86,6 @@ from .spaces import (
 
 __all__ = [
     "kernel_testing_constant",
-    "annulus_kernel_sum",
     "NormedMember",
     "hardy_test_family",
     "bergman_test_family",
@@ -101,8 +96,6 @@ __all__ = [
     "verify_equivalence",
     "WeakTypeResult",
     "weak_type_constant",
-    "levelset_comparison_hardy",
-    "levelset_comparison_bergman",
     "default_k_grid",
 ]
 
@@ -141,38 +134,6 @@ def kernel_testing_constant(
         (h, modular_halfplane(CarlesonKernel(z, phi1, s), phi2, mu, spec), z)
         for h, z in default_sample_points(mu)
     )
-
-
-def annulus_kernel_sum(
-    mu: AtomicMeasure,
-    phi1: GrowthFunction,
-    phi2: GrowthFunction,
-    s: float,
-    z: complex,
-) -> float:
-    """Kernel sum for an atomic measure accumulated over the dyadic annuli
-    ``E_j = Q_{I_j} \\ Q_{I_{j-1}}`` around the base point's box.
-
-    Pure bookkeeping: must agree with the direct sum to rounding, which the
-    tests assert.  Boxes grow until every atom is captured.
-    """
-    xs, ys, ms = mu.arrays()
-    if xs.size == 0:
-        return 0.0
-    contributions = ms * phi2(CarlesonKernel(z, phi1, s).abs_value(xs, ys))
-    total = 0.0
-    assigned = np.zeros(xs.size, dtype=bool)
-    j = 0
-    length = 2.0 * z.imag
-    while not np.all(assigned):
-        box = CarlesonBox(z.real, length * 2.0 ** j)
-        inside = box.contains(xs, ys) & ~assigned
-        total += float(contributions[inside].sum())
-        assigned |= inside
-        j += 1
-        if j > 4096:  # atoms all have finite coordinates, so unreachable
-            raise RuntimeError("annulus decomposition failed to exhaust atoms")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +476,6 @@ def _mass_points(
     return xc[:, None], yc[None, :], pixel_masses(mu, pixels)
 
 
-def _abs_on(f_abs, xs: np.ndarray, ys: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """``|f|`` on the mass points (not evaluated when there are none)."""
-    return f_abs(xs, ys) if masses.size else np.zeros(masses.shape)
-
-
 def weak_type_constant(
     mu: UpperHalfPlaneMeasure,
     phi2: GrowthFunction,
@@ -549,7 +505,8 @@ def weak_type_constant(
     per_member: list[tuple[str, float]] = []
     for member in family:
         norm = member.source_norm
-        vals = _abs_on(member.f.abs_value, xs, ys, masses)
+        # |f| on the mass points, not evaluated when there are none
+        vals = member.f.abs_value(xs, ys) if masses.size else np.zeros(masses.shape)
 
         def ok(i: int) -> bool:
             c = cs[i]
@@ -564,79 +521,3 @@ def weak_type_constant(
     vals = np.array([v for _, v in per_member])
     fam = float(np.max(vals)) if vals.size else 0.0
     return WeakTypeResult(fam, tuple(per_member))
-
-
-# ---------------------------------------------------------------------------
-# Level-set comparisons
-# ---------------------------------------------------------------------------
-
-def _phi_tilde(phi: GrowthFunction, t: float) -> float:
-    if t <= 0:
-        return 0.0
-    return 1.0 / float(phi(1.0 / t))
-
-
-@dataclass(frozen=True)
-class LevelSetReport:
-    rows: tuple       # (lambda, mu side, comparison side, ratio)
-    max_ratio: float
-
-
-def _levelset_report(phi: GrowthFunction, sides) -> LevelSetReport:
-    """Rows and worst ratio from ``(lambda, mu side, level-set size)``
-    triples; the comparison side is ``1/phi(1/size)``."""
-    rows = []
-    worst = 0.0
-    for lam, left, size in sides:
-        right = _phi_tilde(phi, size)
-        ratio = left / right if right > 0 else (math.inf if left > 0 else 0.0)
-        rows.append((float(lam), left, right, ratio))
-        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
-    return LevelSetReport(tuple(rows), worst)
-
-
-def levelset_comparison_hardy(
-    mu: UpperHalfPlaneMeasure,
-    phi: GrowthFunction,
-    f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lambda_grid: Sequence[float],
-    x_window: float = 64.0,
-    n_cells: int = 4096,
-) -> LevelSetReport:
-    """Measure of ``{|f| > lam}`` under ``mu`` against ``1/phi(1/|{f* > lam}|)``
-    with the nontangential maximal function (its default cone heights, 1e-3
-    to 1e3) sampled on a line grid; reports the per-level ratios.  A
-    measure without atoms is pixelised on the default ``PixelGrid``."""
-    edges = np.linspace(-x_window, x_window, n_cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dx = edges[1] - edges[0]
-    star = nontangential_maximal(f_abs, centers)
-    xs, ys, masses = _mass_points(mu, PixelGrid())
-    vals = _abs_on(f_abs, xs, ys, masses)
-    return _levelset_report(phi, (
-        (lam, float(masses[vals > lam].sum()), dx * float(np.count_nonzero(star > lam)))
-        for lam in lambda_grid
-    ))
-
-
-def levelset_comparison_bergman(
-    mu: UpperHalfPlaneMeasure,
-    phi: GrowthFunction,
-    alpha: float,
-    f,
-    lambda_grid: Sequence[float],
-    j_min: int = -6,
-    j_max: int = 8,
-) -> LevelSetReport:
-    """Same comparison through the weighted dyadic level sets: the level
-    set is a disjoint union of boxes, so both sides are exact sums of box
-    masses under ``mu`` and under ``WeightedVolume(alpha)``."""
-    volume = WeightedVolume(alpha)
-
-    def sides(lam: float) -> tuple[float, float, float]:
-        boxes = [CarlesonBox(0.5 * (a + b), b - a)
-                 for a, b in level_sets(f, alpha, float(lam), j_min, j_max)]
-        return (lam, sum((box_mass(mu, box) for box in boxes), 0.0),
-                sum((volume.box_mass(box) for box in boxes), 0.0))
-
-    return _levelset_report(phi, map(sides, lambda_grid))

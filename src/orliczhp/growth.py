@@ -39,7 +39,6 @@ __all__ = [
     "conjugate",
     "estimate_indices",
     "classify",
-    "nabla2_via_scaling",
     "derived_pair",
     "nominal_upper_type",
 ]
@@ -347,7 +346,6 @@ _EDGE_SLOPE_EPS = 0.02  # log-log edge slope that counts as growth (or as not fl
 _DINI_J_MAX = 60  # deepest dyadic annulus of the Dini integral
 _DINI_TAIL_FRACTION = 0.01  # share of the total a divergent decade still adds
 _TILDE_EDGE_FACTOR = 1.5  # grid max over interior max that fails a tilde scan
-_SCALING_CANDIDATES = np.geomspace(1.01, 1e6, 240)  # the C of nabla2_via_scaling
 
 
 def estimate_indices(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> tuple[float, float]:
@@ -592,20 +590,6 @@ def _tilde_ratio_value(phi: GrowthFunction, pts: np.ndarray) -> ConditionVerdict
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = np.where(a <= b, phi(a / b) * phi(ab)[None, :] / phi(ab)[:, None], np.nan)
     return _scan_2d(ratio, ab, ab)
-
-
-def nabla2_via_scaling(phi: GrowthFunction) -> ConditionVerdict:
-    """Scaling form of the Dini criterion: the first C of
-    ``_SCALING_CANDIDATES`` (240 geometric values from 1.01 to 1e6) with
-    ``phi(C t) >= 2 C phi(t)`` on the whole of ``DEFAULT_GRID``."""
-    ts = DEFAULT_GRID.values()
-    vals = phi(ts)
-    for c in _SCALING_CANDIDATES:
-        with np.errstate(over="ignore"):
-            scaled = phi(c * ts)
-        if np.all(scaled >= 2.0 * c * vals):
-            return ConditionVerdict(True, float(c), None)
-    return ConditionVerdict(False, None, None)
 
 
 def derived_pair(

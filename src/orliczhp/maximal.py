@@ -1,8 +1,9 @@
 """Maximal operators over step functions: Hardy-Littlewood and shifted
-dyadic maximal functions on the line, their weighted analogues over
-Carleson boxes in the half-plane, level-set decompositions, the
-nontangential maximal function, the Poisson extension, and the seeded
-maximal suite that checks the three dyadic inequalities.
+dyadic maximal functions on the line with the maximal dyadic intervals of
+their level sets, the weighted dyadic and translated-box maximal functions
+over Carleson boxes in the half-plane, the sampled nontangential maximal
+function, the Poisson extension, and the seeded maximal suite that checks
+the three dyadic inequalities.
 
 Step functions are the universal test class here because every supremum
 and level set is exactly computable for them: the average of a step
@@ -12,8 +13,10 @@ endpoints in the breakpoint set plus the evaluation point itself.
 
 The two shifted dyadic grids are ``2^j([0,1) + m + (-1)^j beta)`` for
 ``beta in {0, 1/3}``; together they dominate the full maximal function up
-to the factor 6 exercised in the tests.  Both level-set decompositions
-are one top-down search that averages a whole scale per array call.
+to the factor 6 exercised in the tests.  The level-set search on the line
+is top-down and averages a whole scale per array call.  The sampled
+nontangential maximal function is the oracle that the closed form
+``spaces.CarlesonKernel.cone_sup`` is tested against.
 """
 
 from __future__ import annotations
@@ -31,12 +34,9 @@ __all__ = [
     "hl_maximal",
     "dyadic_maximal",
     "dyadic_level_intervals",
-    "weighted_box_average",
-    "weighted_dyadic_maximal",
     "weighted_dyadic_maximal_batch",
     "weighted_maximal_over_boxes",
     "translated_box_table",
-    "level_sets",
     "nontangential_maximal",
     "PoissonExtension",
     "maximal_suite",
@@ -157,22 +157,24 @@ def dyadic_maximal(f: StepFunction1D, grid: DyadicGrid, x) -> np.ndarray:
     return best
 
 
-def _maximal_intervals(
-    grid: DyadicGrid,
-    window: tuple[float, float],
-    average: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    lam: float,
+def dyadic_level_intervals(
+    f: StepFunction1D, grid: DyadicGrid, lam: float
 ) -> list[tuple[float, float]]:
-    """Maximal grid intervals under the top-scale intervals meeting
-    ``window`` whose ``average(j, a, b)`` exceeds ``lam``, sorted.  Each
-    scale is averaged in one call; the next scale's intervals whose
-    midpoints lie in an interval not taken are opened (the grid nests)."""
+    """Maximal grid intervals with average of |f| above ``lam``, sorted.
+
+    Their union is exactly ``{dyadic maximal > lam}`` for the same scale
+    range, so level-set measures of the dyadic maximal are cell-exact.  The
+    search starts from the top-scale intervals meeting the window and
+    averages each scale in one call; the next scale's intervals whose
+    midpoints lie in an interval not taken are opened (the grid nests).
+    """
     if lam <= 0:
         raise ValueError("level must be positive")
+    F = _interp_prefix(f)
     taken: list[tuple[float, float]] = []
-    a, b = grid.intervals_at(grid.j_max, *window)
+    a, b = grid.intervals_at(grid.j_max, *f.window)
     for j in range(grid.j_max, grid.j_min - 1, -1):
-        hit = average(j, a, b) > lam
+        hit = (F(b) - F(a)) / (b - a) > lam
         taken += zip(a[hit].tolist(), b[hit].tolist())
         a, b = a[~hit], b[~hit]
         if j == grid.j_min or a.size == 0:
@@ -183,20 +185,6 @@ def _maximal_intervals(
         under = (parent >= 0) & (mid < b[parent])
         a, b = a_next[under], b_next[under]
     return sorted(taken)
-
-
-def dyadic_level_intervals(
-    f: StepFunction1D, grid: DyadicGrid, lam: float
-) -> list[tuple[float, float]]:
-    """Maximal grid intervals with average of |f| above ``lam``.
-
-    Their union is exactly ``{dyadic maximal > lam}`` for the same scale
-    range, so level-set measures of the dyadic maximal are cell-exact.
-    """
-    F = _interp_prefix(f)
-    return _maximal_intervals(
-        grid, f.window, lambda j, a, b: (F(b) - F(a)) / (b - a), lam
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +240,11 @@ def _y_overlap_weighted(ye: np.ndarray, y0: float, y1: float, alpha: float) -> n
 def _box_averages(f: StepFunction2D, alpha: float, length: float, a, b):
     """Averages of |f| over the boxes ``[a, b) x (0, length)`` against the
     ``y^alpha`` volume, summed over cell overlaps (exact on one cell);
-    ``a`` and ``b`` are floats, or arrays with a trailing axis of one."""
+    ``a`` and ``b`` are arrays with a trailing axis of one."""
     xe = f.x_edges
     wx = np.clip(np.minimum(xe[1:], b) - np.maximum(xe[:-1], a), 0.0, None)
     wy = _y_overlap_weighted(f.y_edges, 0.0, length, alpha)
     return (wx @ np.abs(f.values) @ wy) / (length ** (2.0 + alpha) / (1.0 + alpha))
-
-
-def weighted_box_average(
-    f: StepFunction2D, alpha: float, a: float, b: float
-) -> float:
-    """Average of |f| over the box ``[a, b) x (0, b-a)`` against the
-    ``y^alpha`` volume, cell-exact."""
-    return float(_box_averages(f, alpha, b - a, a, b))
-
-
-def weighted_dyadic_maximal(
-    f: StepFunction2D,
-    alpha: float,
-    z: tuple[float, float],
-    j_min: int = -6,
-    j_max: int = 8,
-) -> float:
-    """Supremum of weighted box averages over standard dyadic intervals
-    whose box contains ``z = (x, y)``."""
-    return float(weighted_dyadic_maximal_batch(f, alpha, [z[0]], [z[1]], j_min, j_max)[0])
 
 
 _TRANSLATION_STEP = 0.25  # box translation step, as a fraction of the box length
@@ -339,23 +307,6 @@ def weighted_maximal_over_boxes(
     )
     vals = np.where(contains, avg[None, :], 0.0)
     return vals.max(axis=1)
-
-
-def level_sets(
-    f: StepFunction2D,
-    alpha: float,
-    lam: float,
-    j_min: int = -6,
-    j_max: int = 8,
-) -> list[tuple[float, float]]:
-    """Disjoint maximal standard dyadic intervals whose box average of |f|
-    exceeds ``lam``; the union of their boxes is the dyadic level set over
-    this scale range."""
-    window = (float(f.x_edges[0]), float(f.x_edges[-1]))
-    return _maximal_intervals(
-        DyadicGrid(0.0, j_min, j_max), window,
-        lambda j, a, b: _box_averages(f, alpha, 2.0 ** j, a[:, None], b[:, None]), lam,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ __all__ = [
     "Sweep",
     "box_mass",
     "carleson_box_constant",
-    "total_mass",
     "PixelGrid",
     "pixel_masses",
 ]
@@ -360,16 +359,6 @@ def box_mass(
     return mu.box_mass(box, spec)
 
 
-def total_mass(mu: UpperHalfPlaneMeasure) -> float:
-    """Total mass when finitely supported / restricted; ``inf`` otherwise."""
-    atoms = mu.atoms()
-    if atoms is not None:
-        return float(np.sum(atoms.arrays()[2])) if len(atoms.masses) else 0.0
-    if mu.region is not None:
-        return mu.box_mass(mu.region, DEFAULT_SPEC)
-    return math.inf
-
-
 # ---------------------------------------------------------------------------
 # Families and the box-testing sweep
 # ---------------------------------------------------------------------------
@@ -392,6 +381,8 @@ class BoxFamily:
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
             raise ValueError("need j_min <= j_max")
+        if not 0 < self.extent < math.inf:
+            raise ValueError("window half-width must be positive and finite")
         if not (0 < self.step_fraction <= 0.5):
             raise ValueError("translation step must be at most half a length")
 
@@ -598,7 +589,7 @@ def carleson_box_constant(
 
 
 # ---------------------------------------------------------------------------
-# Pixelization (shared by the weak-type and level-set testers)
+# Pixelization (for the weak-type tester)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "embed_check",
     "MultiplierVerdict",
     "multiplier_space",
-    "hinf_omega_norm",
     "section6_measure",
     "section6_annulus_bound",
     "POWER_LATTICE_P",
@@ -107,13 +106,6 @@ class OmegaProfile:
     values: tuple
     classification: str
     bracket: tuple
-
-    def omega(self, t) -> np.ndarray:
-        """Fresh evaluation from the defining formula (not interpolation)."""
-        return omega_values(
-            self.phi1, self.phi2, self.variant, self.alpha, self.beta,
-            np.atleast_1d(np.asarray(t, dtype=float)),
-        )
 
 
 _FLAT_BRACKET = 4.0  # a flat profile's range stays within [1/4, 4]
@@ -287,22 +279,6 @@ def multiplier_space(
     if failed:
         return MultiplierVerdict("out_of_theorem", cls, table, required, failed)
     return MultiplierVerdict(space, cls, table, required, ())
-
-
-def hinf_omega_norm(
-    f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    omega: Callable[[np.ndarray], np.ndarray],
-    probes: Sequence[tuple[float, float]],
-) -> float:
-    """Probe-grid supremum of ``|f(z)| / omega(Im z)`` (a lower bound)."""
-    best = 0.0
-    for x, y in probes:
-        if y <= 0:
-            raise ValueError("probes must lie in the upper half-plane")
-        w = float(np.atleast_1d(omega(np.asarray([y])))[0])
-        v = float(np.atleast_1d(f_abs(np.asarray([x]), np.asarray([y])))[0])
-        best = max(best, v / w)
-    return best
 
 
 def section6_measure(

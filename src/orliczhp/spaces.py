@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "hardy_norm",
     "BergmanNormResult",
     "bergman_norm",
-    "pointwise_bound_check",
     "default_height_grid",
 ]
 
@@ -326,29 +325,3 @@ def bergman_norm(
         phi, mod, lambda lam: modular_halfplane(f, phi, mu, spec, scale=lam)
     )
     return BergmanNormResult(modular=mod, luxembourg=lux, alpha=alpha)
-
-
-@dataclass(frozen=True)
-class PointwiseBoundReport:
-    ratios: tuple
-    max_ratio: float
-    probes: tuple
-
-
-def pointwise_bound_check(
-    f_abs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    phi: GrowthFunction,
-    alpha: float,
-    probes: Sequence[tuple[float, float]],
-    lux_norm: float,
-) -> PointwiseBoundReport:
-    """Ratios ``|f(z)| / (phi^{-1}(1/y^(2+alpha)) * ||f||)`` at the probes;
-    the maximum is the empirical constant of the pointwise growth bound."""
-    if lux_norm <= 0:
-        raise ValueError("needs a positive Luxembourg norm")
-    ratios = []
-    for x, y in probes:
-        bound = float(phi.inverse(1.0 / y ** (2.0 + alpha))) * lux_norm
-        val = float(f_abs(np.asarray([x]), np.asarray([y]))[0])
-        ratios.append(val / bound if bound > 0 else math.inf)
-    return PointwiseBoundReport(tuple(ratios), max(ratios) if ratios else 0.0, tuple(probes))

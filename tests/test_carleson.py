@@ -9,7 +9,6 @@ from orliczhp import carleson, spaces
 from orliczhp.corpus import random_atoms
 from orliczhp.growth import Power, PowerLog
 from orliczhp.integrals import DEFAULT_SPEC, beta
-from orliczhp.maximal import PoissonExtension, StepFunction1D
 from orliczhp.measure import (
     AtomicMeasure,
     BoxFamily,
@@ -20,19 +19,16 @@ from orliczhp.measure import (
     WeightedVolume,
 )
 from orliczhp.carleson import (
-    annulus_kernel_sum,
     bergman_test_family,
     embedding_constant,
     hardy_test_family,
     kernel_testing_constant,
-    levelset_comparison_bergman,
-    levelset_comparison_hardy,
     verify_equivalence,
     weak_hardy_family,
     weak_type_constant,
 )
 from orliczhp.multipliers import section6_measure
-from orliczhp.spaces import BergmanKernel, CarlesonKernel, bergman_norm, modular_halfplane
+from orliczhp.spaces import CarlesonKernel, bergman_norm, modular_halfplane
 
 E2 = math.e ** 2
 
@@ -64,16 +60,6 @@ class TestKernelConstant:
         assert sweep.verdict == Verdict("divergent")
         assert sweep.ladder == ((2.0 ** -8, math.inf),)
         assert sweep.witness == 2.0 ** -8 * 1j
-
-    def test_annulus_bookkeeping_exact(self):
-        rng = np.random.default_rng(42)
-        mu = random_atoms(rng)
-        for z in (0.3 + 0.7j, 1j, -2 + 0.05j):
-            k = CarlesonKernel(z, Power(2), 1.0)
-            xs, ys, ms = mu.arrays()
-            direct = float(np.sum(ms * Power(2)(k.abs_value(xs, ys))))
-            ann = annulus_kernel_sum(mu, Power(2), Power(2), 1.0, z)
-            assert abs(ann - direct) <= 1e-12 * max(direct, 1.0)
 
 
 # measures that do not depend on x: weighted volumes and a section-6 density
@@ -326,44 +312,6 @@ class TestWeakType:
             strong = embedding_constant(mu, phi2, strong_fam)
             for (_, wk), (_, sk) in zip(weak.per_member, strong.per_member):
                 assert wk <= sk * (1 + 1e-6)
-
-
-class TestLevelSetComparison:
-    def test_poisson_of_scaled_indicator(self):
-        lam = 0.5
-        g = StepFunction1D(np.array([0.0, 1.0]), np.array([4.0 * lam]))
-        ext = PoissonExtension(g)
-        mu = AtomicMeasure((0.3, 0.7), (0.4, 0.8), (1.0, 1.0))  # atoms inside Q_I
-        rep = levelset_comparison_hardy(
-            mu, Power(2), lambda x, y: np.abs(ext(x, y)), [lam],
-            x_window=16.0, n_cells=1024,
-        )
-        lam_, left, right, ratio = rep.rows[0]
-        assert left == pytest.approx(2.0)  # the extension exceeds lam on the box
-        assert right > 0 and math.isfinite(ratio)
-
-    def test_empty_superlevel(self):
-        zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-        mu = AtomicMeasure((0.0,), (1.0,), (1.0,))
-        rep = levelset_comparison_hardy(mu, Power(2), zero, [1.0], n_cells=256)
-        assert rep.rows[0][1] == 0.0
-        assert rep.max_ratio == 0.0
-
-    def test_bergman_single_box_arithmetic(self):
-        from orliczhp.maximal import StepFunction2D
-
-        xe = np.linspace(-8, 8, 65)
-        ye = np.linspace(0, 8, 65)
-        v = np.zeros((64, 64))
-        v[32:36, 0:8] = 4.0
-        f = StepFunction2D(xe, ye, v)
-        mu = AtomicMeasure((0.5,), (0.5,), (1.0,))  # point mass at the box center
-        rep = levelset_comparison_bergman(mu, Power(1), 0.0, f, [1.0], -2, 3)
-        lam, left, right, ratio = rep.rows[0]
-        # level set is exactly Q_[0,1): left = mu(Q) = 1; right = 1/phi(1/|Q|_0) = 1
-        assert left == pytest.approx(1.0)
-        assert right == pytest.approx(1.0)
-        assert ratio == pytest.approx(1.0)
 
 
 class TestRatioStability:

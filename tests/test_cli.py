@@ -447,6 +447,19 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extent", [-1.0, 0.0])
+    def test_nonpositive_box_window_is_config_error(self, tmp_path, capsys, extent):
+        # mass 1 on [4, 6) x (0, 2): the family of half-width 16 finds the
+        # constant 1 of s = 2; a window of no width saw only boxes at 0
+        cfg = {"command": "carleson-test", "phi": "power(1)", "s": 2.0,
+               "measure": {"kind": "restricted", "base": {"kind": "weighted_volume"},
+                           "region": {"center": 5, "length": 2}}}
+        (rec,) = run({**cfg, "box_family": {"extent": 16.0}})["records"]
+        assert rec["values"]["constant"] == 1.0
+        path = write_config(tmp_path, {**cfg, "box_family": {"extent": extent}})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("phi", [
         "power(-1)", "power(2, 0)", "powerlog(2, 1, 1)", "tabulated((1, 0))",
     ])

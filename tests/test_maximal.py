@@ -21,12 +21,9 @@ from orliczhp.maximal import (
     dyadic_level_intervals,
     dyadic_maximal,
     hl_maximal,
-    level_sets,
     maximal_suite,
     nontangential_maximal,
     translated_box_table,
-    weighted_box_average,
-    weighted_dyadic_maximal,
     weighted_dyadic_maximal_batch,
     weighted_maximal_over_boxes,
 )
@@ -161,40 +158,20 @@ class TestDyadicMaximal:
 class TestWeighted:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_box_average_indicator(self, alpha):
+        # one scale, length 1: the maximal at (0.5, 0.5) is the average
+        # over the box on [0, 1)
         f = box_indicator_2d()
-        got = weighted_box_average(f, alpha, 0.0, 1.0)
+        got = weighted_dyadic_maximal_batch(f, alpha, [0.5], [0.5], 0, 0)[0]
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_dyadic_point_in_box(self):
         f = box_indicator_2d()
-        assert weighted_dyadic_maximal(f, 0.0, (0.5, 0.5), -2, 3) == pytest.approx(1.0)
+        assert weighted_dyadic_maximal_batch(f, 0.0, [0.5], [0.5], -2, 3)[0] == pytest.approx(1.0)
 
     def test_dyadic_point_above_box(self):
         f = box_indicator_2d()
         # smallest containing dyadic box is over [0, 2)
-        assert weighted_dyadic_maximal(f, 0.0, (0.5, 1.5), -2, 3) == pytest.approx(0.25)
-
-    def test_level_sets_examples(self):
-        f = box_indicator_2d(4.0)
-        assert level_sets(f, 0.0, 1.0, -2, 3) == [(0.0, 1.0)]
-        assert level_sets(f, 0.0, 5.0, -2, 3) == []
-        assert level_sets(f, 0.0, 0.125, -2, 3) == [(0.0, 4.0)]
-
-    def test_level_sets_structure(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            f = random_step_2d(rng)
-            top = float(np.max(np.abs(f.values)) or 1.0)
-            for lam in (0.1 * top, 0.5 * top):
-                intervals = level_sets(f, 1.0, lam, -3, 4)
-                for i, (a, b) in enumerate(intervals):
-                    # pairwise disjoint
-                    for c, d in intervals[i + 1:]:
-                        assert b <= c or d <= a
-                    # the dyadic parent does not qualify
-                    length = b - a
-                    pa = 2 * length * math.floor(a / (2 * length))
-                    assert weighted_box_average(f, 1.0, pa, pa + 2 * length) <= lam
+        assert weighted_dyadic_maximal_batch(f, 0.0, [0.5], [1.5], -2, 3)[0] == pytest.approx(0.25)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_dyadic_comparison_68(self, alpha):
@@ -205,10 +182,7 @@ class TestWeighted:
             xs = rng.uniform(-4, 4, 40)
             ys = rng.uniform(1e-3, 3.9, 40)
             full = weighted_maximal_over_boxes(table, (xs, ys))
-            dyad = np.array([
-                weighted_dyadic_maximal(f, alpha, (float(x), float(y)), -3, 4)
-                for x, y in zip(xs, ys)
-            ])
+            dyad = weighted_dyadic_maximal_batch(f, alpha, xs, ys, -3, 4)
             live = full > 1e-12
             assert np.all(dyad[live] >= full[live] / 68.0 - 1e-12)
 
@@ -225,7 +199,7 @@ class TestWeighted:
                     val = abs(f.values[i, j])
                     if val == 0:
                         continue
-                    m = weighted_dyadic_maximal(f, alpha, (float(xc[i]), float(yc[j])), -3, 4)
+                    m = weighted_dyadic_maximal_batch(f, alpha, [xc[i]], [yc[j]], -3, 4)[0]
                     worst = max(worst, val / m)
         assert worst <= 100.0
 
@@ -276,9 +250,9 @@ class TestPoisson:
         assert np.all(vals > lam)
 
 
-# -- references: copies of the per-interval recursions that
-# ``maximal._maximal_intervals`` replaced, and of the maximal suite as the
-# CLI ran it before ``maximal.maximal_suite``
+# -- references: a copy of the per-interval recursion that
+# ``maximal.dyadic_level_intervals`` replaced, the per-box average, and the
+# maximal suite as the CLI ran it before ``maximal.maximal_suite``
 
 def _ref_dyadic_level_intervals(f, grid, lam):
     prefix = f.abs_prefix()
@@ -311,37 +285,13 @@ def _ref_height_weights(f, alpha, length):
     return (hi ** (1.0 + alpha) - lo ** (1.0 + alpha)) / (1.0 + alpha)
 
 
-def _ref_box_average(f, alpha, a, b, wy=None):
-    """The cell-overlap box average the level-set recursion used; ``wy``
-    depends on the box length only, so a caller may pass it in."""
+def _ref_box_average(f, alpha, a, b):
+    """The cell-overlap average of |f| over the box ``[a, b) x (0, b - a)``."""
     length = b - a
-    if wy is None:
-        wy = _ref_height_weights(f, alpha, length)
+    wy = _ref_height_weights(f, alpha, length)
     xe = f.x_edges
     wx = np.clip(np.minimum(xe[1:], b) - np.maximum(xe[:-1], a), 0.0, None)
     return float(wx @ np.abs(f.values) @ wy) / (length ** (2.0 + alpha) / (1.0 + alpha))
-
-
-def _ref_level_sets(f, alpha, lam, j_min=-6, j_max=8):
-    grid = DyadicGrid(0.0, j_min, j_max)
-    wys = {}  # height weights per box length, computed once
-    taken = []
-
-    def descend(j, a, b):
-        if j not in wys:
-            wys[j] = _ref_height_weights(f, alpha, b - a)
-        if _ref_box_average(f, alpha, a, b, wys[j]) > lam:
-            taken.append((a, b))
-            return
-        if j == j_min:
-            return
-        mid = 0.5 * (a + b)
-        descend(j - 1, a, mid)
-        descend(j - 1, mid, b)
-
-    for a, b in zip(*grid.intervals_at(j_max, float(f.x_edges[0]), float(f.x_edges[-1]))):
-        descend(j_max, float(a), float(b))
-    return sorted(taken)
 
 
 def _ref_finest_cells(grid, window):
@@ -453,45 +403,23 @@ class TestOneSearch:
         lam = u * float(np.max(np.abs(f.values)) or 1.0)
         assert dyadic_level_intervals(f, grid, lam) == _ref_dyadic_level_intervals(f, grid, lam)
 
-    @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans(),
-           alpha=st.sampled_from([0.0, 1.0]), j_range=st.sampled_from(J_RANGES), u=LEVELS)
-    def test_level_sets_equal_recursion(self, seed, planted, alpha, j_range, u):
-        f = _planted_step_2d(seed) if planted else random_step_2d(np.random.default_rng(seed))
-        lam = u * float(np.max(np.abs(f.values)) or 1.0)
-        assert level_sets(f, alpha, lam, *j_range) == _ref_level_sets(f, alpha, lam, *j_range)
-
-    # the recursions take about a second per call on the default range
-    # (-6, 8), so it gets one case each
+    # the recursion takes about a second per call on the default range
+    # (-6, 8), so it gets one case
     def test_dyadic_level_intervals_default_range(self):
         f = random_step_1d(np.random.default_rng(5))
         lam = 0.6 * float(np.max(np.abs(f.values)))
         grid = DyadicGrid(1.0 / 3.0)
         assert dyadic_level_intervals(f, grid, lam) == _ref_dyadic_level_intervals(f, grid, lam) != []
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_level_sets_tie_at_the_top(self, alpha):
-        # boxes inside the planted cell average exactly lam: none is taken
-        f = _planted_step_2d(11)
-        lam = float(np.max(f.values))
-        assert level_sets(f, alpha, lam, -4, 6) == _ref_level_sets(f, alpha, lam, -4, 6) == []
-
-    def test_level_sets_default_range(self):
-        f = _planted_step_2d(3)
-        lam = 0.5 * float(np.max(f.values))
-        assert level_sets(f, 1.0, lam) == _ref_level_sets(f, 1.0, lam) != []
-
     def test_nonpositive_level_rejected(self):
         f = random_step_1d(np.random.default_rng(0))
         with pytest.raises(ValueError):
             dyadic_level_intervals(f, DyadicGrid(), 0.0)
-        with pytest.raises(ValueError):
-            level_sets(random_step_2d(np.random.default_rng(0)), 0.0, -1.0)
 
 
 class TestBoxAverages:
-    """The box table, the batched dyadic maximal and the level sets share
-    one cell-overlap box average; each value is the per-box average."""
+    """The box table and the batched dyadic maximal share one cell-overlap
+    box average; each value is the per-box average."""
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_table_matches_per_box_average(self, alpha):
@@ -520,7 +448,7 @@ class TestBoxAverages:
         top = float(np.max(f.values))
         i = 7 % f.values.shape[0]
         a = float(f.x_edges[i])
-        assert weighted_box_average(f, 1.0, a, a + 0.125) == top
+        assert weighted_dyadic_maximal_batch(f, 1.0, [a + 0.0625], [0.0625], -3, -3)[0] == top
         table = translated_box_table(f, 1.0, -3, -3, extent=4.0)
         assert np.max(table[2]) == top
 
@@ -558,7 +486,7 @@ class TestMaximalSuite:
 
 class TestOneImplementation:
     """Each maximal-operator concept has one home: the CLI calls only the
-    suite, and the level-set searches share one loop."""
+    suite, and the level-set search is one loop."""
 
     @staticmethod
     def _tree(module):

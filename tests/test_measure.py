@@ -25,7 +25,6 @@ from orliczhp.measure import (
     box_mass,
     carleson_box_constant,
     pixel_masses,
-    total_mass,
 )
 from orliczhp.spaces import CarlesonKernel, modular_halfplane
 
@@ -109,7 +108,7 @@ class TestBoxMass:
         rm = RestrictedMeasure(WeightedVolume(0.0), CarlesonBox(0.0, 1.0))
         assert box_mass(rm, CarlesonBox(0.0, 4.0)) == pytest.approx(1.0)
         assert box_mass(rm, CarlesonBox(0.0, 0.5)) == pytest.approx(0.25)
-        assert total_mass(rm) == pytest.approx(1.0)
+        assert box_mass(rm, rm.region) == pytest.approx(1.0)
 
     def test_section6_counterexample_diverges(self):
         mu = section6_density(PowerLog(2, 1, E2))
@@ -200,6 +199,13 @@ class TestBoxSweep:
         mu = AtomicMeasure((0.0,), (1e-3,), (1.0,))
         fam = adapted_box_family(mu, BoxFamily(-4, 4))
         assert 2.0 ** fam.j_min < 1e-3
+
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.inf, math.nan])
+    def test_window_must_be_positive_and_finite(self, extent):
+        # a window of no width holds no centre but 0, so a sweep over it
+        # would miss every box of a measure away from the origin
+        with pytest.raises(ValueError):
+            BoxFamily(extent=extent)
 
 
 def dense_rows(mu, phi, s, family=BoxFamily()):

@@ -9,13 +9,11 @@ from orliczhp.multipliers import (
     POWER_LATTICE_P,
     POWER_LATTICE_Q,
     embed_check,
-    hinf_omega_norm,
     multiplier_space,
     omega_profile,
     section6_annulus_bound,
     section6_measure,
 )
-from orliczhp.spaces import BergmanKernel
 
 E2 = math.e ** 2
 
@@ -158,36 +156,6 @@ class TestTrichotomy:
                         )
                         _, verdict = power_verdict(p, q, "bergman_to_bergman", alpha, beta_w)
                         assert verdict.space == expect, (p, q, alpha, beta_w, e)
-
-
-class TestHinfOmegaNorm:
-    def test_constant_function(self):
-        one = lambda x, y: np.ones(np.broadcast(x, y).shape)
-        omega = lambda t: np.ones_like(t)
-        probes = [(0.0, 0.1), (1.0, 1.0), (0.0, 10.0)]
-        assert hinf_omega_norm(one, omega, probes) == pytest.approx(1.0)
-
-    def test_matching_profile_gives_one(self):
-        omega = lambda t: np.asarray(t) ** -0.5
-        f = lambda x, y: np.asarray(y) ** -0.5 + 0.0 * np.asarray(x)
-        probes = [(0.0, 0.1), (2.0, 1.0), (0.0, 30.0)]
-        assert hinf_omega_norm(f, omega, probes) == pytest.approx(1.0)
-
-    def test_scaling_exact(self):
-        omega = lambda t: np.asarray(t) ** -0.25
-        f = lambda x, y: 1.0 / (np.asarray(x) ** 2 + (np.asarray(y) + 1) ** 2)
-        probes = [(0.0, 0.5), (1.0, 2.0)]
-        base = hinf_omega_norm(f, omega, probes)
-        scaled = hinf_omega_norm(lambda x, y: 3.0 * f(x, y), omega, probes)
-        assert scaled == pytest.approx(3.0 * base, rel=1e-14)
-
-    def test_bergman_kernel_witness_finite(self):
-        p, q, alpha = 3.0, 4.0, 0.0
-        prof = omega_profile(Power(p), Power(q), "hardy_to_bergman", alpha)
-        f = BergmanKernel(1j, Power(p), alpha)
-        probes = [(0.0, 10.0 ** k) for k in (-2, -1, 0, 1, 2)]
-        val = hinf_omega_norm(f.abs_value, prof.omega, probes)
-        assert math.isfinite(val) and val > 0
 
 
 class TestSection6:

@@ -1,15 +1,18 @@
-"""Package-level checks: every name a module exports exists, every
-function the benchmark's metrics name is one the tracer wraps, and every
-benchmark case at seed 0 passes the benchmark's own output checks.
+"""Package-level checks: every name a module exports exists and is reached
+by the library or the benchmark, every function the benchmark's metrics
+name is one the tracer wraps, and every benchmark case at seed 0 passes the
+benchmark's own output checks.
 
 The benchmark tracer wraps the public functions of each module and skips
 names it cannot find, so a stale ``__all__`` entry left by a deletion
 would otherwise go unseen."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +47,59 @@ def _load_perfbench(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+SRC = ROOT / "src" / "orliczhp"
+
+# exported names that only tests call, each with the reason it stays public
+_TEST_ONLY = {
+    "growth.conjugate": "acceptance criterion 9 checks it against closed forms",
+    "multipliers.section6_annulus_bound": "acceptance criterion 6 bounds the section-6 "
+                                          "box masses with it",
+    "integrals.line_kernel_value": "acceptance criterion 1 is its beta-function oracle",
+    "integrals.halfplane_kernel_value": "the beta-function oracle of the half-plane rule",
+    "integrals.sinh_sinh": "the line-rule tests check it against closed forms",
+    "integrals.exp_sinh": "the quadrature tests use it as an oracle",
+}
+
+
+def _identifiers(tree, skip=None):
+    """Names, attributes and imported names used in ``tree``, outside the
+    top-level definition of ``skip``; docstrings and comments do not count."""
+    found = set()
+    stack = [node for node in tree.body
+             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_exported_name_is_reached():
+    """Each ``__all__`` name is used by the library outside its own
+    definition or named by the benchmark (its tracer's metric keys
+    included), or it is an exported test oracle listed in ``_TEST_ONLY``.
+    Public API that nothing runs is deleted, or moved into the tests."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    benchmark = set(re.findall(r"\w+", "\n".join(
+        path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py")))))
+    unreached = []
+    for name in MODULES:
+        for exported in getattr(importlib.import_module(f"orliczhp.{name}"), "__all__", ()):
+            used = set().union(*(_identifiers(tree, exported if mod == name else None)
+                                 for mod, tree in trees.items()))
+            if exported not in used | benchmark:
+                unreached.append(f"{name}.{exported}")
+    assert sorted(unreached) == sorted(_TEST_ONLY), (
+        f"unreached and not listed: {sorted(set(unreached) - set(_TEST_ONLY))}; "
+        f"listed but reached or gone: {sorted(set(_TEST_ONLY) - set(unreached))}")
 
 
 # metrics the tracer does not read off a module function: the class-level
