@@ -49,6 +49,14 @@ other grid constant (the embedding K of a non-power ``phi2``, the weak-type
 C) is bisected over grid indices by ``_first_admissible``.  The weak-type
 search computes the measure's mass points once per call and ``|f|`` on them
 once per member.
+
+On a weighted volume ``y^gamma dx dy`` the kernel and embedding modulars of a
+power ``phi2``, and the shared Bergman norm of a power ``phi1``, run no 2-D
+rule: the x-integral of a power of a kernel is a beta function, and one
+exp-sinh height integral is left (``spaces.modular_halfplane``).  Where the
+x-integral (``s q <= 1/2``) or the height integral (``2 s q - 2 - gamma <= 0``)
+diverges the modular is ``inf``: the kernel verdict is ``divergent`` at the
+first ladder height, and every member is unbounded.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Quadrature on the line and the weighted upper half-plane, plus the
-closed-form beta-function values used to cross-check it.
+closed-form beta-function values of the rational kernel integrals.
 
-Two closed forms recur throughout the package and double as oracles for the
-adaptive quadrature:
+Two closed forms recur throughout the package:
 
 * ``int_R dx / |x + iy|^a = B(1/2, (a-1)/2) * y^(1-a)`` for ``a > 1``,
 * ``int_0^inf y^a / (t + y)^b dy = B(a+1, b-a-1) * t^(a-b+1)`` for
   ``a > -1`` and ``b - a > 1``.
+
+The first is a runtime closed form: ``spaces.modular_halfplane`` takes the
+x-integral of a power of a kernel with it, and integrates the height by
+``exp_sinh``.  Both double as oracles for the quadrature
+(``line_kernel_value``, ``halfplane_kernel_value``).
 
 Quadrature engines: three double-exponential changes of variables
 (Takahasi-Mori): tanh-sinh on a finite interval (absorbing endpoint

@@ -12,7 +12,9 @@ A Carleson box over an interval ``I = [a, b)`` is the half-open square
 Each kind carries its own rules: ``box_mass``, ``integrate`` (the integral
 of a function of ``(x, y)``), ``pixel_masses`` and ``atoms`` (the atoms of
 positive mass, ``None`` for the height-only kinds).  The module functions
-of the same names are kind-agnostic entry points.
+of the same names are kind-agnostic entry points.  ``WeightedVolume`` alone
+also gives ``kernel_height_integral``, the height integral of a power of a
+rational kernel once its x-integral is taken in closed form.
 
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
 for weighted volume, and quadrature with a divergence probe for densities.
@@ -46,6 +48,7 @@ from .growth import GrowthFunction, _growing_at_edge
 from .integrals import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    exp_sinh,
     integrate_box,
     integrate_halfplane,
     tanh_sinh,
@@ -217,6 +220,35 @@ class WeightedVolume(_HeightMeasure):
         return integrate_halfplane(
             g, self.alpha, spec, x_center=x_center, scale=scale,
         ).value
+
+    def kernel_height_integral(self, m: float, y0: float,
+                               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        """``y0^(2m) int_0^inf (y + y0)^(1-2m) y^alpha dy``: what is left of
+        ``int (y0^2 / |w - conj(z0)|^2)^m dmu(w)`` once the x-integral is
+        taken in closed form (``spaces.modular_halfplane``).
+
+        In ``u = y / y0`` it is ``y0^(2+alpha)`` times
+        ``int_0^inf g(u) du``, ``g(u) = (u/(1+u))^alpha (1+u)^e`` with
+        ``e = 1 + alpha - 2m``; that form keeps both factors in range at the
+        far nodes, where ``u^alpha (1+u)^(1-2m)`` would be ``inf * 0``.
+        ``u g(u)`` peaks at ``c = (1+alpha) / (-1-e)``, and its peak value
+        sets the integral's size (``B(alpha+1, -1-e)``, 1e-51 at alpha = 60),
+        so the exp-sinh integral runs in ``u = c v`` on ``g(c v) / g(c)``:
+        its centre node sits on the peak, and the spec's absolute tolerance
+        acts on an integral of order one.  The integral diverges at infinity
+        unless ``-1 - e = 2m - 2 - alpha > 0``: ``inf``."""
+        a = self.alpha
+        e = 1.0 + a - 2.0 * m
+        if e >= -1.0:
+            return math.inf
+        c = (1.0 + a) / (-1.0 - e)
+
+        def g_ratio(v: np.ndarray) -> np.ndarray:
+            w = 1.0 + c * v
+            return (v * (1.0 + c) / w) ** a * (w / (1.0 + c)) ** e
+
+        v_part = exp_sinh(g_ratio, spec.abs_tol, spec.rel_tol)
+        return y0 ** (2.0 + a) * c * (c / (1.0 + c)) ** a * (1.0 + c) ** e * v_part.value
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
         a = self.alpha

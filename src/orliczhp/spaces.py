@@ -14,6 +14,13 @@ Luxembourg norms is one bisection on the row maximum of the line modulars.
 Bergman-type norms integrate over the half-plane against ``y^alpha``.
 Both report the modular form and the Luxembourg form.
 
+A half-plane modular runs the measure's own rule, except for a
+``CarlesonKernel`` under a power ``phi`` on a weighted volume: there the
+x-integral is a beta function, and what is left is one exp-sinh height
+integral (``modular_halfplane``).  That covers the kernel and embedding
+testers' modulars on weighted volumes and the Bergman norm of a power
+``phi``.
+
 Test functions are the rational kernels
 
 * ``CarlesonKernel``: ``phi^{-1}(1/y0^s) * y0^(2s) / (w - conj(z0))^(2s)``, s > 0,
@@ -33,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .growth import GrowthFunction, Power
-from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line_rows
+from .integrals import DEFAULT_SPEC, QuadratureSpec, beta, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
@@ -169,16 +176,32 @@ def modular_halfplane(
     scale: float = 1.0,
 ) -> float:
     """``int phi(|f| / scale) dmu`` over the half-plane by the measure's own
-    rule; ``inf`` marks a detected divergence for density measures.
+    rule; ``inf`` marks a detected divergence.
 
     ``f`` is a test function (anything with ``abs_value``) or a bare
     ``|f|(x, y)`` callable.  Scaled box indicators short-circuit to the
     exact value ``phi(lam/scale) * mu(box)``.
+
+    A ``CarlesonKernel`` under a power ``phi = c t^q``, against a measure
+    with a ``kernel_height_integral`` (a weighted volume), takes the
+    x-integral in closed form: ``|f| = a y0^(2s) d2^(-s)`` with
+    ``d2 = (x - x0)^2 + (y + y0)^2``, so with ``m = s q`` the modular is
+    ``c (a/scale)^q B(1/2, m - 1/2)`` times the measure's height integral
+    of ``y0^(2m) (y + y0)^(1-2m)``.  It does not depend on ``x0``, and
+    ``y0^(2s)`` is never formed.  The x-integral diverges for ``m <= 1/2``
+    (``inf``).  Every other case runs the measure's ``integrate``.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(f, IndicatorScaled):
         return float(phi(abs(f.lam) / scale)) * box_mass(mu, f.box, spec)
+    height_integral = getattr(mu, "kernel_height_integral", None)
+    if height_integral is not None and isinstance(f, CarlesonKernel) and isinstance(phi, Power):
+        m = f.s * phi.p
+        height = math.inf if m <= 0.5 else height_integral(m, f.z0.imag, spec)
+        if math.isinf(height):  # divergent, even where (a/scale)^q underflows
+            return math.inf
+        return phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5) * height
     hint_scale = float(getattr(f, "natural_scale", 1.0))
     hint_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f

@@ -54,6 +54,17 @@ class TestKernelConstant:
         want = beta(0.5, 1.5) * beta(1, 2)
         assert value == pytest.approx(want, rel=1e-4)
 
+    @pytest.mark.parametrize("mode, s", [("hardy", None), ("raw", 0.4)])
+    def test_divergent_volume_kernel(self, mode, s):
+        # t -> t on dx dy: at s = 1 the height integral diverges (2m - 2 = 0),
+        # at s = 0.4 already the x-integral (m = 0.4 <= 1/2); the sweep stops
+        # at the first ladder height
+        rep = verify_equivalence(WeightedVolume(0.0), Power(1), Power(1), mode=mode, s=s)
+        assert rep.kernel.verdict == Verdict("divergent")
+        assert rep.kernel.ladder == ((2.0 ** -8, math.inf),)
+        assert rep.kernel.witness == 2.0 ** -8 * 1j
+        assert not any(rep.verdicts.values())
+
     def test_sweep_stops_at_the_first_infinite_value(self):
         mu = section6_measure(Power(2), PowerLog(2, 1, E2))[0]
         sweep = kernel_testing_constant(mu, Power(2), PowerLog(2, 1, E2), 1.0)

@@ -162,6 +162,15 @@ class TestModularTie:
         assert [k for _, k in res.per_member] == [want] * len(fam)
 
 
+def test_matched_volume_members_keep_their_grid_k():
+    # bergman p = 2, q = 3, alpha = 1 on y^2.5 dA, where s q / p = 2 + 2.5:
+    # every member's modular is the same, and so is its grid K
+    rep = verify_equivalence(WeightedVolume(2.5), Power(2), Power(3), mode="bergman", alpha=1.0)
+    assert [k for _, k in rep.embedding.per_member] == [0.6309573444801936] * 9
+    assert rep.embedding.verdict == Verdict()
+    assert rep.coherent and rep.carleson is True
+
+
 def _real_modular_search(mu, phi2, member):
     """The search the power path replaced: ``_bisection_reference`` over the
     K grid, with the real modular at each probed K deciding.  Returns that K

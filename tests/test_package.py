@@ -59,16 +59,14 @@ _TEST_ONLY = {
     "integrals.line_kernel_value": "acceptance criterion 1 is its beta-function oracle",
     "integrals.halfplane_kernel_value": "the beta-function oracle of the half-plane rule",
     "integrals.sinh_sinh": "the line-rule tests check it against closed forms",
-    "integrals.exp_sinh": "the quadrature tests use it as an oracle",
 }
 
 
-def _identifiers(tree, skip=None):
-    """Names, attributes and imported names used in ``tree``, outside the
-    top-level definition of ``skip``; docstrings and comments do not count."""
+def _identifiers(node):
+    """Names, attributes and imported names used in ``node``; docstrings
+    and comments do not count."""
     found = set()
-    stack = [node for node in tree.body
-             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)]
+    stack = [node]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name):
@@ -81,21 +79,33 @@ def _identifiers(tree, skip=None):
     return found
 
 
+def _top_level_identifiers(path):
+    """``(name, identifiers)`` per top-level statement of a module: the
+    name of a top-level function or class definition, else ``None``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None,
+             _identifiers(node)) for node in tree.body]
+
+
 def test_every_exported_name_is_reached():
     """Each ``__all__`` name is used by the library outside its own
     definition or named by the benchmark (its tracer's metric keys
     included), or it is an exported test oracle listed in ``_TEST_ONLY``.
-    Public API that nothing runs is deleted, or moved into the tests."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    Public API that nothing runs is deleted, or moved into the tests.
+
+    Each module is parsed and walked once; a name's own module counts
+    every top-level statement except that name's definition."""
+    parts = {path.stem: _top_level_identifiers(path) for path in sorted(SRC.glob("*.py"))}
     benchmark = set(re.findall(r"\w+", "\n".join(
         path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py")))))
     unreached = []
     for name in MODULES:
+        elsewhere = benchmark.union(*(ids for mod, stmts in parts.items() if mod != name
+                                      for _, ids in stmts))
         for exported in getattr(importlib.import_module(f"orliczhp.{name}"), "__all__", ()):
-            used = set().union(*(_identifiers(tree, exported if mod == name else None)
-                                 for mod, tree in trees.items()))
-            if exported not in used | benchmark:
+            if exported in elsewhere:
+                continue
+            if not any(exported in ids for defined, ids in parts[name] if defined != exported):
                 unreached.append(f"{name}.{exported}")
     assert sorted(unreached) == sorted(_TEST_ONLY), (
         f"unreached and not listed: {sorted(set(unreached) - set(_TEST_ONLY))}; "

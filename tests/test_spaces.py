@@ -11,7 +11,7 @@ from orliczhp import maximal
 from orliczhp.carleson import weak_hardy_family
 from orliczhp.corpus import random_atoms, random_step_1d
 from orliczhp.growth import Power, PowerLog, classify
-from orliczhp.integrals import beta
+from orliczhp.integrals import QuadratureSpec, beta, integrate_halfplane
 from orliczhp.maximal import StepFunction1D, nontangential_maximal
 from orliczhp.measure import AtomicMeasure, CarlesonBox, WeightedVolume
 from orliczhp.spaces import (
@@ -459,8 +459,10 @@ def _kernel_cases(kind):
                 yield f, a, q, _kernel_modular(f.amplitude, y0, e, q, a)
 
 
-# a bergman-kernel modular reaches the default tolerance within this many
-# integrand points; the full tensor grids of levels 3-5 are 194,883
+# a bergman-kernel modular by the product rule (``_CountingKernel`` is no
+# ``CarlesonKernel``, so it takes no closed x-integral) reaches the default
+# tolerance within this many integrand points; the full tensor grids of
+# levels 3-5 are 194,883
 BERGMAN_MODULAR_POINT_BUDGET = 60_000
 
 
@@ -471,13 +473,21 @@ class TestKernelModularOracle:
     takes it."""
 
     def test_closed_form_against_mpmath(self):
+        # one 30-digit case off the integer exponents: s = 2, phi = 0.8 t^1.5
+        # on y^0.5 dA, against the closed form and the closed-x modular
+        f, x0, y0 = CarlesonKernel(0.3 + 0.7j, Power(2), 2.0), 0.3, 0.7
         with mp.workdps(30):
+            # phi(|f|) = 0.8 (amp y0^4)^1.5 / d2^3
+            c = 0.8 * (mp.mpf(f.amplitude) * mp.mpf(y0) ** 4) ** 1.5
             want = mp.quad(
-                lambda y: mp.quad(lambda x: ((x - 0.3) ** 2 + (y + 1) ** 2) ** -2,
-                                  [-mp.inf, 0.3, mp.inf]),
-                [0, 1, mp.inf],
+                lambda y: mp.quad(lambda x: c / ((x - x0) ** 2 + (y + y0) ** 2) ** 3,
+                                  [-mp.inf, x0, mp.inf]) * mp.sqrt(y),
+                [0, y0, mp.inf],
             )
-        assert abs(_kernel_modular(1.0, 1.0, 2.0, 2, 0.0) - want) <= 1e-14 * want
+        closed = 0.8 * _kernel_modular(f.amplitude, y0, 4.0, 1.5, 0.5)
+        assert abs(closed - want) <= 1e-14 * want
+        got = modular_halfplane(f, Power(1.5, 0.8), WeightedVolume(0.5))
+        assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("kind", ["hardy", "bergman"])
     def test_modulars_match_closed_form(self, kind):
@@ -490,3 +500,73 @@ class TestKernelModularOracle:
             counted = _CountingKernel(f)
             modular_halfplane(counted, Power(q), WeightedVolume(a), scale=want ** (1.0 / q))
             assert counted.points <= BERGMAN_MODULAR_POINT_BUDGET, (f.z0, a, q, counted.points)
+
+
+# the product rule run past the default tolerances, as the oracle of the
+# closed-x kernel modular: abs_tol off, so tiny modulars stay relative
+PRODUCT_RULE_ORACLE = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13)
+
+
+def _product_rule_modular(f, phi, gamma):
+    """The kernel modular on ``y^gamma dA`` by the 2-D product rule."""
+    return integrate_halfplane(lambda x, y: phi(f.abs_value(x, y)), gamma,
+                               PRODUCT_RULE_ORACLE, x_center=f.natural_center,
+                               scale=f.natural_scale).value
+
+
+class TestClosedXKernelModular:
+    """A ``CarlesonKernel`` under a power phi on a weighted volume takes the
+    x-integral in closed form and the height integral by exp-sinh: the 2-D
+    product rule, 30-digit mpmath and the scaling laws are its oracles."""
+
+    def test_matches_product_rule(self):
+        worst = 0.0
+        for gamma in (-0.5, 0.0, 0.5, 2.5):
+            for s in (1.0, 2.0, 3.0):
+                for q in (1.5, 2.0, 3.0, 4.0):
+                    if 2.0 * s * q - 2.0 - gamma <= 0:
+                        continue  # the height integral diverges
+                    phi = Power(q, 1.5)
+                    for i, k in enumerate(range(-8, 9, 2)):
+                        f = CarlesonKernel(complex(3.7 * (i % 2), 2.0 ** k), Power(2), s)
+                        got = modular_halfplane(f, phi, WeightedVolume(gamma))
+                        want = _product_rule_modular(f, phi, gamma)
+                        worst = max(worst, abs(got / want - 1.0))
+                        assert abs(got / want - 1.0) <= 1e-11, (gamma, s, q, f.z0)
+        assert worst > 0.0  # the two rules are independent
+
+    @pytest.mark.parametrize("alpha, q", [(10.0, 1.25), (10.0, 2.0), (30.0, 2.0), (60.0, 1.0),
+                                          (60.0, 2.0)])
+    def test_peaked_heights_match_closed_form(self, alpha, q):
+        # Bergman kernels of y^alpha dA: the height integrand peaks sharply
+        # and its integral is as small as 1e-51, below any absolute tolerance
+        for y0 in (2.0 ** -4, 1.0, 2.0 ** 4):
+            f = BergmanKernel(complex(1.5, y0), Power(2), alpha)
+            got = modular_halfplane(f, Power(q), WeightedVolume(alpha))
+            want = _kernel_modular(f.amplitude, y0, 2.0 * f.s, q, alpha)
+            assert abs(got / want - 1.0) <= 1e-12, (alpha, q, y0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.sampled_from([-0.5, 0.0, 0.5, 2.5]), s=st.sampled_from([1.0, 2.0, 3.0]),
+           q=st.sampled_from([1.5, 2.0, 3.0, 4.0]), x0=st.floats(-1e3, 1e3),
+           k=st.floats(-8.0, 8.0), lam=st.floats(1e-2, 1e2))
+    def test_translation_and_height_scaling(self, gamma, s, q, x0, k, lam):
+        mu, phi, y0 = WeightedVolume(gamma), Power(q), 2.0 ** k
+        f = CarlesonKernel(complex(x0, y0), Power(2), s)
+        at_x0 = modular_halfplane(f, phi, mu, scale=lam)
+        if 2.0 * s * q - 2.0 - gamma <= 0:
+            assert at_x0 == math.inf
+            return
+        assert at_x0 == modular_halfplane(CarlesonKernel(complex(0.0, y0), Power(2), s),
+                                          phi, mu, scale=lam)
+        unit = modular_halfplane(CarlesonKernel(1j, Power(2), s), phi, mu, scale=lam)
+        # amplitude^q = y0^-s (phi1 = t^2), so the y0 factor is y0^(2+gamma-s)
+        amp_ratio = f.amplitude / CarlesonKernel(1j, Power(2), s).amplitude
+        assert abs(at_x0 / (unit * amp_ratio ** q * y0 ** (2.0 + gamma)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("s, q, gamma", [(0.4, 1.0, 0.0), (0.25, 2.0, 1.0),
+                                             (1.0, 1.0, 0.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.5)])
+    def test_divergent_exponents_are_infinite(self, s, q, gamma):
+        # m = s q <= 1/2 (the x-integral) or 2m - 2 - gamma <= 0 (the height)
+        f = CarlesonKernel(1j, Power(2), s)
+        assert modular_halfplane(f, Power(q), WeightedVolume(gamma)) == math.inf
