@@ -56,7 +56,9 @@ rule: the x-integral of a power of a kernel is a beta function, and one
 exp-sinh height integral is left (``spaces.modular_halfplane``).  Where the
 x-integral (``s q <= 1/2``) or the height integral (``2 s q - 2 - gamma <= 0``)
 diverges the modular is ``inf``: the kernel verdict is ``divergent`` at the
-first ladder height, and every member is unbounded.
+first ladder height, and every member is unbounded.  On a density the same
+modulars run 1-D rules on the density's height segments, and its divergence
+probe decides ``inf``.
 """
 
 from __future__ import annotations

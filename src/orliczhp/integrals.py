@@ -9,7 +9,8 @@ Two closed forms recur throughout the package:
 
 The first is a runtime closed form: ``spaces.modular_halfplane`` takes the
 x-integral of a power of a kernel with it, and integrates the height by
-``exp_sinh``.  Both double as oracles for the quadrature
+``exp_sinh`` (and ``tanh_sinh`` on a density's bands).  Both double as
+oracles for the quadrature
 (``line_kernel_value``, ``halfplane_kernel_value``).
 
 Quadrature engines: three double-exponential changes of variables

@@ -12,9 +12,11 @@ A Carleson box over an interval ``I = [a, b)`` is the half-open square
 Each kind carries its own rules: ``box_mass``, ``integrate`` (the integral
 of a function of ``(x, y)``), ``pixel_masses`` and ``atoms`` (the atoms of
 positive mass, ``None`` for the height-only kinds).  The module functions
-of the same names are kind-agnostic entry points.  ``WeightedVolume`` alone
-also gives ``kernel_height_integral``, the height integral of a power of a
-rational kernel once its x-integral is taken in closed form.
+of the same names are kind-agnostic entry points.  The two unrestricted
+height measures also give ``kernel_modular``, the modular of a power of a
+rational kernel once its x-integral is taken in closed form: one exp-sinh
+integral for ``WeightedVolume``, and for ``DensityMeasure`` a 1-D rule per
+height segment of ``integrate``, behind the same probe.
 
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
 for weighted volume, and quadrature with a divergence probe for densities.
@@ -23,7 +25,9 @@ an increment that fails to decay geometrically (second increment at least
 half the first, and non-negligible) marks the mass divergent, as does
 outright growth above ten percent per halving.  The ratio rule is what
 catches log-log divergences whose per-halving growth is arbitrarily small.
-The same probe guards density integrals over the half-plane.
+The same probe guards density integrals over the half-plane, on the 2-D
+product rule (``integrate``) and on the 1-D height path (``kernel_modular``)
+alike (``_tail_probed``).
 
 The box and kernel testers each adapt their own ladder to the measure and
 return one fold, ``_fold``, of their ``(scale | None, value, witness)``
@@ -48,6 +52,7 @@ from .growth import GrowthFunction, _growing_at_edge
 from .integrals import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _safe_products,
     exp_sinh,
     integrate_box,
     integrate_halfplane,
@@ -101,12 +106,15 @@ def _probed(
     c: float,
     above: Callable[[float], float],
 ) -> float:
-    """The divergence probe shared by every density integral.
+    """The divergence probe shared by every density integral: box masses,
+    2-D integrals and the kernel modulars of the 1-D height path.
 
     ``above(lo)`` is the integral over heights above ``lo`` and
     ``segment(lo, hi)`` the one over a height band.  Returns ``above(0)``
     unless the increments ``segment(c/2, c)`` and ``segment(c/4, c/2)``
-    fail to decay, in which case the integral is flagged ``inf``.
+    fail to decay, in which case the integral is flagged ``inf``.  The
+    thresholds are absolute (a floor of 1e-12), so they act on the whole
+    integral its caller returns.
     """
     base = above(c)
     d1 = segment(c / 2, c)
@@ -117,6 +125,14 @@ def _probed(
     if spec_rule or ratio_rule:
         return math.inf
     return above(0.0)
+
+
+def _tail_probed(segment: Callable[[float, float], float], spec: QuadratureSpec) -> float:
+    """A density's integral over the half-plane from its height segments
+    ``segment(lo, hi)``: the ``(1, inf)`` tail once, and ``(0, 1)`` behind
+    the divergence probe at ``spec.y_min``."""
+    tail = segment(1.0, math.inf)
+    return _probed(segment, spec.y_min, lambda lo: segment(lo, 1.0) + tail)
 
 
 @dataclass(frozen=True)
@@ -221,13 +237,13 @@ class WeightedVolume(_HeightMeasure):
             g, self.alpha, spec, x_center=x_center, scale=scale,
         ).value
 
-    def kernel_height_integral(self, m: float, y0: float,
-                               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """``y0^(2m) int_0^inf (y + y0)^(1-2m) y^alpha dy``: what is left of
-        ``int (y0^2 / |w - conj(z0)|^2)^m dmu(w)`` once the x-integral is
+    def kernel_modular(self, m: float, y0: float, factor: float,
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        """``factor`` times ``y0^(2m) int_0^inf (y + y0)^(1-2m) y^alpha dy``:
+        the modular of a power of a rational kernel once its x-integral is
         taken in closed form (``spaces.modular_halfplane``).
 
-        In ``u = y / y0`` it is ``y0^(2+alpha)`` times
+        In ``u = y / y0`` the height integral is ``y0^(2+alpha)`` times
         ``int_0^inf g(u) du``, ``g(u) = (u/(1+u))^alpha (1+u)^e`` with
         ``e = 1 + alpha - 2m``; that form keeps both factors in range at the
         far nodes, where ``u^alpha (1+u)^(1-2m)`` would be ``inf * 0``.
@@ -236,7 +252,8 @@ class WeightedVolume(_HeightMeasure):
         so the exp-sinh integral runs in ``u = c v`` on ``g(c v) / g(c)``:
         its centre node sits on the peak, and the spec's absolute tolerance
         acts on an integral of order one.  The integral diverges at infinity
-        unless ``-1 - e = 2m - 2 - alpha > 0``: ``inf``."""
+        unless ``-1 - e = 2m - 2 - alpha > 0``: ``inf``, even where
+        ``factor`` underflows."""
         a = self.alpha
         e = 1.0 + a - 2.0 * m
         if e >= -1.0:
@@ -248,7 +265,8 @@ class WeightedVolume(_HeightMeasure):
             return (v * (1.0 + c) / w) ** a * (w / (1.0 + c)) ** e
 
         v_part = exp_sinh(g_ratio, spec.abs_tol, spec.rel_tol)
-        return y0 ** (2.0 + a) * c * (c / (1.0 + c)) ** a * (1.0 + c) ** e * v_part.value
+        height = y0 ** (2.0 + a) * c * (c / (1.0 + c)) ** a * (1.0 + c) ** e * v_part.value
+        return math.inf if math.isinf(height) else factor * height
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
         a = self.alpha
@@ -269,7 +287,11 @@ class DensityMeasure(_HeightMeasure):
 
     The density grammar of the config layer only produces height profiles;
     horizontal structure enters through :class:`RestrictedMeasure`.  Box
-    masses and integrals run the divergence probe at y = 0.
+    masses and integrals run the divergence probe at y = 0.  An integral
+    over the half-plane is the ``(1, inf)`` tail plus ``(0, 1)`` behind the
+    probe: 2-D product rules in ``integrate``, and 1-D rules in
+    ``kernel_modular``, which ``spaces.modular_halfplane`` takes for a
+    kernel under a power ``phi``.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -291,8 +313,31 @@ class DensityMeasure(_HeightMeasure):
                 x_center=x_center, scale=scale,
             ).value
 
-        tail = segment(1.0, math.inf)
-        return _probed(segment, spec.y_min, lambda lo: segment(lo, 1.0) + tail)
+        return _tail_probed(segment, spec)
+
+    def kernel_modular(self, m: float, y0: float, factor: float,
+                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+        """``factor * int_0^inf rho(y) y0 (1 + y/y0)^(1-2m) dy``, the modular
+        of a power of a rational kernel once its x-integral is taken in
+        closed form (``spaces.modular_halfplane``), by the segments and the
+        probe of ``integrate``: one 1-D rule per segment on the height map
+        of the 2-D rule, tanh-sinh on a band and exp-sinh in
+        ``y = lo + y0 u`` above ``lo``.  ``factor`` sits in the integrand,
+        so the tolerances and the probe see the whole modular, as they do in
+        the 2-D rule.  A vanishing kernel value times an infinite profile
+        value counts 0: the section-6 profiles leave the double range at the
+        far nodes."""
+        def kernel(y: np.ndarray) -> np.ndarray:
+            return _safe_products(factor * y0 * (1.0 + y / y0) ** (1.0 - 2.0 * m),
+                                  self.profile(y))
+
+        def segment(lo: float, hi: float) -> float:
+            if math.isinf(hi):
+                return exp_sinh(lambda u: y0 * kernel(lo + y0 * u),
+                                spec.abs_tol, spec.rel_tol).value
+            return tanh_sinh(kernel, lo, hi, spec.abs_tol, spec.rel_tol).value
+
+        return _tail_probed(segment, spec)
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
         """Midpoint rule per height cell."""

@@ -15,10 +15,10 @@ Bergman-type norms integrate over the half-plane against ``y^alpha``.
 Both report the modular form and the Luxembourg form.
 
 A half-plane modular runs the measure's own rule, except for a
-``CarlesonKernel`` under a power ``phi`` on a weighted volume: there the
-x-integral is a beta function, and what is left is one exp-sinh height
+``CarlesonKernel`` under a power ``phi`` on a weighted volume or a density:
+there the x-integral is a beta function, and what is left is a 1-D height
 integral (``modular_halfplane``).  That covers the kernel and embedding
-testers' modulars on weighted volumes and the Bergman norm of a power
+testers' modulars on those measures and the Bergman norm of a power
 ``phi``.
 
 Test functions are the rational kernels
@@ -102,8 +102,10 @@ class CarlesonKernel:
         return self.z0.real
 
     def _of_d2(self, d2) -> np.ndarray:
-        """``|f|`` as a function of ``d2 = |w - conj(z0)|^2``."""
-        return self._amp * self.z0.imag ** (2.0 * self.s) * d2 ** (-self.s)
+        """``|f|`` as a function of ``d2 = |w - conj(z0)|^2``, in the ratio
+        form ``amp (y0^2 / d2)^s``: ``y0^(2s)`` alone overflows from s = 64
+        at y0 = 2^8, while ``y0^2 / d2 < 1`` in the half-plane."""
+        return self._amp * (self.z0.imag ** 2 / d2) ** self.s
 
     def abs_value(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -183,25 +185,29 @@ def modular_halfplane(
     exact value ``phi(lam/scale) * mu(box)``.
 
     A ``CarlesonKernel`` under a power ``phi = c t^q``, against a measure
-    with a ``kernel_height_integral`` (a weighted volume), takes the
+    with a ``kernel_modular`` (a weighted volume or a density), takes the
     x-integral in closed form: ``|f| = a y0^(2s) d2^(-s)`` with
     ``d2 = (x - x0)^2 + (y + y0)^2``, so with ``m = s q`` the modular is
-    ``c (a/scale)^q B(1/2, m - 1/2)`` times the measure's height integral
-    of ``y0^(2m) (y + y0)^(1-2m)``.  It does not depend on ``x0``, and
-    ``y0^(2s)`` is never formed.  The x-integral diverges for ``m <= 1/2``
-    (``inf``).  Every other case runs the measure's ``integrate``.
+    ``factor = c (a/scale)^q B(1/2, m - 1/2)`` times the height integral
+    of ``y0^(2m) (y + y0)^(1-2m) = y0 (1 + y/y0)^(1-2m)`` against the
+    measure, which ``mu.kernel_modular(m, y0, factor, spec)`` returns with
+    the factor applied: one exp-sinh integral on a weighted volume, and on
+    a density one 1-D rule per segment of its ``integrate``, behind the
+    same divergence probe.  It does not depend on ``x0``, and ``y0^(2s)``
+    is never formed.  The x-integral diverges for ``m <= 1/2`` (``inf``).
+    Every other case runs the measure's ``integrate``.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(f, IndicatorScaled):
         return float(phi(abs(f.lam) / scale)) * box_mass(mu, f.box, spec)
-    height_integral = getattr(mu, "kernel_height_integral", None)
-    if height_integral is not None and isinstance(f, CarlesonKernel) and isinstance(phi, Power):
+    kernel_modular = getattr(mu, "kernel_modular", None)
+    if kernel_modular is not None and isinstance(f, CarlesonKernel) and isinstance(phi, Power):
         m = f.s * phi.p
-        height = math.inf if m <= 0.5 else height_integral(m, f.z0.imag, spec)
-        if math.isinf(height):  # divergent, even where (a/scale)^q underflows
+        if m <= 0.5:  # the x-integral diverges
             return math.inf
-        return phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5) * height
+        factor = phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5)
+        return kernel_modular(m, f.z0.imag, factor, spec)
     hint_scale = float(getattr(f, "natural_scale", 1.0))
     hint_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f

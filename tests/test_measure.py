@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from orliczhp import measure
 from orliczhp.config import parse_density
 from orliczhp.growth import ComposedInverse, Power, PowerLog, derived_pair
-from orliczhp.integrals import integrate_halfplane
 from orliczhp.measure import (
     AtomicMeasure,
     BoxFamily,
@@ -344,33 +343,38 @@ class TestPixelGrid:
 
 
 class TestDensityIntegrate:
-    """A density integral is the probe's three segments plus ``(0, 1)`` and
-    the ``(1, inf)`` tail, each integrated once."""
+    """A density kernel modular is the probe's three segments plus ``(0, 1)``
+    and the ``(1, inf)`` tail, each one 1-D rule run once: tanh-sinh on a
+    band, exp-sinh on the tail."""
 
     F = CarlesonKernel(1j, Power(2), 1.0)
 
     def spied(self, monkeypatch, mu):
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return integrate_halfplane(*args, **kwargs)
+        def spy(name, engine):
+            def run(*args, **kwargs):
+                calls.append((name, engine, args, kwargs))
+                return engine(*args, **kwargs)
+            return run
 
-        monkeypatch.setattr(measure, "integrate_halfplane", spy)
+        for name in ("tanh_sinh", "exp_sinh"):
+            monkeypatch.setattr(measure, name, spy(name, getattr(measure, name)))
         return modular_halfplane(self.F, Power(4), mu), calls
 
     def test_finite_modular_integrates_the_tail_once(self, monkeypatch):
         got, calls = self.spied(monkeypatch, section6_density(Power(4)))
         assert math.isfinite(got)
         assert len(calls) == 5
-        bands = [(kw["y_lo"], kw["y_hi"]) for _, kw in calls]
-        assert bands.count((1.0, math.inf)) == 1
+        tails = [c for c in calls if c[0] == "exp_sinh"]
+        assert len(tails) == 1
+        bands = {args[1:3]: (engine, args, kw) for name, engine, args, kw in calls
+                 if name == "tanh_sinh"}
 
-        def segment(lo, hi):
-            args, kw = calls[0]
-            return integrate_halfplane(*args, **{**kw, "y_lo": lo, "y_hi": hi}).value
+        def rerun(engine, args, kw):
+            return engine(*args, **kw).value
 
-        assert got == segment(0.0, 1.0) + segment(1.0, math.inf)
+        assert got == rerun(*bands[(0.0, 1.0)]) + rerun(*tails[0][1:])
 
     def test_divergent_modular_stops_after_the_probe(self, monkeypatch):
         got, calls = self.spied(monkeypatch, DensityMeasure(parse_density("1/y"), "1/y"))

@@ -13,7 +13,8 @@ from orliczhp.corpus import random_atoms, random_step_1d
 from orliczhp.growth import Power, PowerLog, classify
 from orliczhp.integrals import QuadratureSpec, beta, integrate_halfplane
 from orliczhp.maximal import StepFunction1D, nontangential_maximal
-from orliczhp.measure import AtomicMeasure, CarlesonBox, WeightedVolume
+from orliczhp.measure import AtomicMeasure, CarlesonBox, DensityMeasure, WeightedVolume
+from orliczhp.multipliers import section6_measure
 from orliczhp.spaces import (
     BergmanKernel,
     CarlesonKernel,
@@ -373,18 +374,20 @@ class TestCarlesonKernel:
         x = np.array(xs)
         y = 10.0 ** np.array(log_ys[: len(xs)])
         s = 2.0 + alpha
-        np.testing.assert_array_equal(
-            BergmanKernel(z0, phi, alpha).abs_value(x, y),
-            _bergman_kernel_formula(z0, phi, alpha, x, y),
-        )
+
+        def assert_within_ulps(got, old, t):
+            # the ratio form amp (y0^2 / d2)^t rounds y0^2 / d2 twice and the
+            # power multiplies that by t; the product form rounds y0^(2t),
+            # d2^(-t) and two products (and overflows from t = 64 at y0 = 2^8)
+            assert np.all(np.abs(got - old) <= (2.0 * t + 4.0) * np.spacing(old))
+
+        assert_within_ulps(BergmanKernel(z0, phi, alpha).abs_value(x, y),
+                           _bergman_kernel_formula(z0, phi, alpha, x, y), s)
         for t in (1.0, s):
-            np.testing.assert_array_equal(
-                CarlesonKernel(z0, phi, t).abs_value(x, y),
-                _testing_kernel_formula(phi, t, z0, x, y),
-            )
-        # the Hardy kernel multiplies by d2^-1 where the old form divided
-        old = _hardy_kernel_formula(z0, phi, x, y)
-        assert np.all(np.abs(HardyKernel(z0, phi).abs_value(x, y) - old) <= np.spacing(old))
+            assert_within_ulps(CarlesonKernel(z0, phi, t).abs_value(x, y),
+                               _testing_kernel_formula(phi, t, z0, x, y), t)
+        assert_within_ulps(HardyKernel(z0, phi).abs_value(x, y),
+                           _hardy_kernel_formula(z0, phi, x, y), 1.0)
         for k in (HardyKernel(z0, phi), BergmanKernel(z0, phi, alpha)):
             at_base = float(k.abs_value(x0, z0.imag))
             assert at_base == pytest.approx(k.amplitude / 4.0 ** k.s, rel=1e-15, abs=0.0)
@@ -507,11 +510,12 @@ class TestKernelModularOracle:
 PRODUCT_RULE_ORACLE = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13)
 
 
-def _product_rule_modular(f, phi, gamma):
-    """The kernel modular on ``y^gamma dA`` by the 2-D product rule."""
+def _product_rule_modular(f, phi, gamma, weight=None, y_lo=0.0, y_hi=math.inf):
+    """The kernel modular on ``y^gamma dA``, times ``weight(y)`` when given,
+    over the heights ``(y_lo, y_hi)`` by the 2-D product rule."""
     return integrate_halfplane(lambda x, y: phi(f.abs_value(x, y)), gamma,
-                               PRODUCT_RULE_ORACLE, x_center=f.natural_center,
-                               scale=f.natural_scale).value
+                               PRODUCT_RULE_ORACLE, y_lo, y_hi, weight,
+                               x_center=f.natural_center, scale=f.natural_scale).value
 
 
 class TestClosedXKernelModular:
@@ -570,3 +574,69 @@ class TestClosedXKernelModular:
         # m = s q <= 1/2 (the x-integral) or 2m - 2 - gamma <= 0 (the height)
         f = CarlesonKernel(1j, Power(2), s)
         assert modular_halfplane(f, Power(q), WeightedVolume(gamma)) == math.inf
+
+
+def _power_density(gamma):
+    return DensityMeasure(lambda y: np.asarray(y, dtype=float) ** gamma, f"y^{gamma:g}")
+
+
+# the section-6 densities of phi1 = t^2: phi2 = t^4 gives the profile 1 and
+# t^6 the profile y, each formed as 1 / (y^2 g(1/y)), which is 0 or inf past
+# about 1e+-154; and plain powers y^gamma, whose closed form is WeightedVolume
+_DENSITIES = {
+    "section6-power4": section6_measure(Power(2), Power(4))[0],
+    "section6-power6": section6_measure(Power(2), Power(6))[0],
+    **{f"y^{g:g}": _power_density(g) for g in (0.0, 0.5, 2.0)},
+}
+
+
+class TestClosedXDensityModular:
+    """A ``CarlesonKernel`` under a power phi on a ``DensityMeasure`` takes
+    the x-integral in closed form and the height integral by 1-D rules on the
+    density's segments: the 2-D product rule with the profile as its height
+    weight, the weighted-volume path and the scaling laws are its oracles."""
+
+    @pytest.mark.parametrize("name", sorted(_DENSITIES))
+    def test_matches_product_rule(self, name):
+        mu, phi = _DENSITIES[name], Power(4)
+        for s in (1.0, 2.0):
+            for k in range(-8, 9):
+                for x0 in (0.0, 3.7):
+                    f = CarlesonKernel(complex(x0, 2.0 ** k), Power(2), s)
+                    got = modular_halfplane(f, phi, mu)
+                    # split at 1, as the density's own segments are: the
+                    # exp-sinh nodes from 0 reach y = 1e-275, where the
+                    # section-6 profile is inf
+                    want = sum(_product_rule_modular(f, phi, 0.0, mu.profile, lo, hi)
+                               for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+                    assert abs(got / want - 1.0) <= 1e-11, (name, s, f.z0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_power_density_is_the_weighted_volume(self, gamma):
+        mu, vol = _power_density(gamma), WeightedVolume(gamma)
+        for s in (1.0, 2.0):
+            for k in range(-8, 9):
+                f = CarlesonKernel(complex(3.7, 2.0 ** k), Power(2), s)
+                got = modular_halfplane(f, Power(4), mu)
+                want = modular_halfplane(f, Power(4), vol)
+                assert abs(got / want - 1.0) <= 1e-11, (gamma, s, f.z0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_DENSITIES)), s=st.sampled_from([1.0, 2.0]),
+           q=st.sampled_from([3.0, 4.0]), x0=st.floats(-1e3, 1e3),
+           k=st.floats(-8.0, 8.0), lam=st.floats(1e-2, 1e2))
+    def test_translation_and_scale_homogeneity(self, name, s, q, x0, k, lam):
+        # abs_tol off, so the level loops stop on the relative test at every
+        # scale: the default abs_tol = 1e-10 ends a 1e-9 modular early
+        spec, mu, phi = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12), _DENSITIES[name], Power(q)
+        at_x0 = modular_halfplane(CarlesonKernel(complex(x0, 2.0 ** k), Power(2), s),
+                                  phi, mu, spec, scale=lam)
+        at_0 = CarlesonKernel(complex(0.0, 2.0 ** k), Power(2), s)
+        assert at_x0 == modular_halfplane(at_0, phi, mu, spec, scale=lam)
+        unit = modular_halfplane(at_0, phi, mu, spec)
+        assert abs(at_x0 / (lam ** -q * unit) - 1.0) <= 1e-13
+
+    def test_divergent_x_integral_is_infinite(self):
+        # raw s = 0.4, q = 1: m = 0.4 <= 1/2, so no height is integrated
+        f = CarlesonKernel(1j, Power(2), 0.4)
+        assert modular_halfplane(f, Power(1), _DENSITIES["section6-power4"]) == math.inf
