@@ -35,13 +35,6 @@ report bodies show as follows.
 ``verdicts`` maps each tester to whether its verdict is finite, and
 ``coherent``, ``carleson`` and ``kernel_box_ratio`` are read off them.
 
-A Bergman test family for a power ``phi1`` is normalised by one
-``bergman_norm``: the dilation ``w = x0 + y0 w'`` carries each member onto
-the one at ``i``, and the amplitude ``phi1^{-1}(1/y0^s)`` absorbs the
-factor ``y0^s`` of the dilated measure, so all members share that norm
-(``bergman_test_family``).  Other ``phi1`` and all Hardy families keep one
-norm per member.
-
 For a power ``phi2 = c t^p`` the member modular is homogeneous,
 ``m(K ||f||) = K^-p m(||f||)``, so each member's embedding K comes from one
 modular, as the Luxembourg norms of a power ``phi`` do (``spaces``).  Every
@@ -51,9 +44,9 @@ search computes the measure's mass points once per call and ``|f|`` on them
 once per member.
 
 On a weighted volume ``y^gamma dx dy`` the kernel and embedding modulars of a
-power ``phi2``, and the shared Bergman norm of a power ``phi1``, run no 2-D
-rule: the x-integral of a power of a kernel is a beta function, and one
-exp-sinh height integral is left (``spaces.modular_halfplane``).  Where the
+power ``phi2``, and the Bergman norms of a power ``phi1``, run no quadrature:
+the x-integral of a power of a kernel and the height integral left after it
+are both beta functions (``spaces.modular_halfplane``).  Where the
 x-integral (``s q <= 1/2``) or the height integral (``2 s q - 2 - gamma <= 0``)
 diverges the modular is ``inf``: the kernel verdict is ``divergent`` at the
 first ladder height, and every member is unbounded.  On a density the same
@@ -207,23 +200,21 @@ def bergman_test_family(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[NormedMember]:
     """Bergman-kernel family normalized by the Bergman-Orlicz Luxembourg
-    norm against ``y^alpha``.
+    norm against ``y^alpha``, one ``bergman_norm`` per member.
 
-    For a power ``phi1 = c t^p`` every member has the same norm: the
-    substitution ``w = x0 + y0 w'`` carries the member at ``x0 + i y0`` onto
-    the one at ``i``, and its amplitude ``phi1^{-1}(1/y0^s) = (c y0^s)^(-1/p)``
-    (``s = 2 + alpha``) absorbs the factor ``y0^s`` of the dilated measure.
-    The modular is ``B(1/2, (2sp-1)/2) B(alpha+1, 2sp-alpha-2)`` at every
-    base point, so the norm is computed once, at ``i``, and shared.  Any
-    other ``phi1`` is not homogeneous and normalises each member.
+    For a power ``phi1 = c t^p`` that norm is arithmetic: both integrals of
+    the modular are beta functions (``spaces.modular_halfplane``) and the
+    norm is ``modular^(1/p)``.  Its value is the same for every member, up
+    to rounding: the substitution ``w = x0 + y0 w'`` carries the member at
+    ``x0 + i y0`` onto the one at ``i``, and its amplitude
+    ``phi1^{-1}(1/y0^s) = (c y0^s)^(-1/p)`` (``s = 2 + alpha``) absorbs the
+    factor ``y0^s`` of the dilated measure, so the modular is
+    ``B(1/2, (2sp-1)/2) B(alpha+1, 2sp-alpha-2)`` at every base point.
     """
-    shared = (bergman_norm(BergmanKernel(1j, phi1, alpha), phi1, alpha, spec=spec).luxembourg
-              if isinstance(phi1, Power) else None)
     members = []
     for y0 in heights:
         f = BergmanKernel(complex(0.0, y0), phi1, alpha)
-        norm = (bergman_norm(f, phi1, alpha, spec=spec).luxembourg
-                if shared is None else shared)
+        norm = bergman_norm(f, phi1, alpha, spec=spec).luxembourg
         members.append(NormedMember(f"bergman_kernel(y0={y0:g})", f, norm, y0))
     return members
 

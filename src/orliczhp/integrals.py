@@ -7,11 +7,12 @@ Two closed forms recur throughout the package:
 * ``int_0^inf y^a / (t + y)^b dy = B(a+1, b-a-1) * t^(a-b+1)`` for
   ``a > -1`` and ``b - a > 1``.
 
-The first is a runtime closed form: ``spaces.modular_halfplane`` takes the
-x-integral of a power of a kernel with it, and integrates the height by
-``exp_sinh`` (and ``tanh_sinh`` on a density's bands).  Both double as
-oracles for the quadrature
-(``line_kernel_value``, ``halfplane_kernel_value``).
+Both are runtime closed forms: ``spaces.modular_halfplane`` takes the
+x-integral of a power of a kernel with the first, and
+``measure.WeightedVolume.kernel_modular`` the height integral left after it
+with the second (``halfplane_kernel_value``); on a density the height runs
+by ``tanh_sinh`` and ``exp_sinh``.  Both double as oracles for the
+quadrature (``line_kernel_value``, ``halfplane_kernel_value``).
 
 Quadrature engines: three double-exponential changes of variables
 (Takahasi-Mori): tanh-sinh on a finite interval (absorbing endpoint

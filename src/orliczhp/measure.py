@@ -14,9 +14,10 @@ of a function of ``(x, y)``), ``pixel_masses`` and ``atoms`` (the atoms of
 positive mass, ``None`` for the height-only kinds).  The module functions
 of the same names are kind-agnostic entry points.  The two unrestricted
 height measures also give ``kernel_modular``, the modular of a power of a
-rational kernel once its x-integral is taken in closed form: one exp-sinh
-integral for ``WeightedVolume``, and for ``DensityMeasure`` a 1-D rule per
-height segment of ``integrate``, behind the same probe.
+rational kernel once its x-integral is taken in closed form: for
+``WeightedVolume`` the height integral is a beta function too, so no
+quadrature runs, and for ``DensityMeasure`` it is a 1-D rule per height
+segment of ``integrate``, behind the same probe.
 
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
 for weighted volume, and quadrature with a divergence probe for densities.
@@ -54,6 +55,7 @@ from .integrals import (
     QuadratureSpec,
     _safe_products,
     exp_sinh,
+    halfplane_kernel_value,
     integrate_box,
     integrate_halfplane,
     tanh_sinh,
@@ -243,29 +245,14 @@ class WeightedVolume(_HeightMeasure):
         the modular of a power of a rational kernel once its x-integral is
         taken in closed form (``spaces.modular_halfplane``).
 
-        In ``u = y / y0`` the height integral is ``y0^(2+alpha)`` times
-        ``int_0^inf g(u) du``, ``g(u) = (u/(1+u))^alpha (1+u)^e`` with
-        ``e = 1 + alpha - 2m``; that form keeps both factors in range at the
-        far nodes, where ``u^alpha (1+u)^(1-2m)`` would be ``inf * 0``.
-        ``u g(u)`` peaks at ``c = (1+alpha) / (-1-e)``, and its peak value
-        sets the integral's size (``B(alpha+1, -1-e)``, 1e-51 at alpha = 60),
-        so the exp-sinh integral runs in ``u = c v`` on ``g(c v) / g(c)``:
-        its centre node sits on the peak, and the spec's absolute tolerance
-        acts on an integral of order one.  The integral diverges at infinity
-        unless ``-1 - e = 2m - 2 - alpha > 0``: ``inf``, even where
-        ``factor`` underflows."""
-        a = self.alpha
-        e = 1.0 + a - 2.0 * m
-        if e >= -1.0:
+        The height integral is the second beta closed form of ``integrals``,
+        ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, so no quadrature runs and
+        ``spec`` is unused.  It diverges at infinity unless
+        ``2m - 2 - alpha > 0``: ``inf``, even where ``factor`` underflows."""
+        a, b = self.alpha, 2.0 * m - 1.0
+        if b - a <= 1.0:
             return math.inf
-        c = (1.0 + a) / (-1.0 - e)
-
-        def g_ratio(v: np.ndarray) -> np.ndarray:
-            w = 1.0 + c * v
-            return (v * (1.0 + c) / w) ** a * (w / (1.0 + c)) ** e
-
-        v_part = exp_sinh(g_ratio, spec.abs_tol, spec.rel_tol)
-        height = y0 ** (2.0 + a) * c * (c / (1.0 + c)) ** a * (1.0 + c) ** e * v_part.value
+        height = y0 ** (2.0 + a) * halfplane_kernel_value(a, b, 1.0)
         return math.inf if math.isinf(height) else factor * height
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:

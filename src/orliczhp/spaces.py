@@ -16,10 +16,11 @@ Both report the modular form and the Luxembourg form.
 
 A half-plane modular runs the measure's own rule, except for a
 ``CarlesonKernel`` under a power ``phi`` on a weighted volume or a density:
-there the x-integral is a beta function, and what is left is a 1-D height
-integral (``modular_halfplane``).  That covers the kernel and embedding
-testers' modulars on those measures and the Bergman norm of a power
-``phi``.
+there the x-integral is a beta function, and what is left is a height
+integral (``modular_halfplane``), a second beta function on a weighted
+volume and a 1-D rule on a density.  That covers the kernel and embedding
+testers' modulars on those measures, and makes the Bergman norm of a power
+``phi`` arithmetic.
 
 Test functions are the rational kernels
 
@@ -191,10 +192,11 @@ def modular_halfplane(
     ``factor = c (a/scale)^q B(1/2, m - 1/2)`` times the height integral
     of ``y0^(2m) (y + y0)^(1-2m) = y0 (1 + y/y0)^(1-2m)`` against the
     measure, which ``mu.kernel_modular(m, y0, factor, spec)`` returns with
-    the factor applied: one exp-sinh integral on a weighted volume, and on
-    a density one 1-D rule per segment of its ``integrate``, behind the
-    same divergence probe.  It does not depend on ``x0``, and ``y0^(2s)``
-    is never formed.  The x-integral diverges for ``m <= 1/2`` (``inf``).
+    the factor applied: on a weighted volume ``y^alpha`` the beta function
+    ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, and on a density one 1-D rule
+    per segment of its ``integrate``, behind the same divergence probe.  It
+    does not depend on ``x0``, and ``y0^(2s)`` is never formed.  The
+    x-integral diverges for ``m <= 1/2`` (``inf``).
     Every other case runs the measure's ``integrate``.
     """
     if scale <= 0:

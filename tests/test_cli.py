@@ -369,6 +369,14 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("alpha", [
         63.0,  # s = 65: y0^(2s) alone overflows at 2^8, the ratio form does not
+        pytest.param(126.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the kernel amplitude phi1^-1(1/y0^s) forms y0^s. "
+            "At s = 128 and y0 = 2^8 that is 2^1024, an OverflowError, so the "
+            "run exits 3"))),
+        pytest.param(133.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the kernel amplitude phi1^-1(1/y0^s) forms y0^s. "
+            "At s = 135 and y0 = 2^-8 that underflows to 0 and 1/y0^s divides "
+            "by zero, so the run exits 3"))),
         pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 2: a non-finite kernel or box number is not yet a "
             "verdict. At alpha = 1e308 the kernel amplitude divides by zero, "

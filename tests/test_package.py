@@ -59,7 +59,6 @@ _TEST_ONLY = {
     "multipliers.section6_annulus_bound": "acceptance criterion 6 bounds the section-6 "
                                           "box masses with it",
     "integrals.line_kernel_value": "acceptance criterion 1 is its beta-function oracle",
-    "integrals.halfplane_kernel_value": "the beta-function oracle of the half-plane rule",
     "integrals.sinh_sinh": "the line-rule tests check it against closed forms",
 }
 

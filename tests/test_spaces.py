@@ -519,9 +519,10 @@ def _product_rule_modular(f, phi, gamma, weight=None, y_lo=0.0, y_hi=math.inf):
 
 
 class TestClosedXKernelModular:
-    """A ``CarlesonKernel`` under a power phi on a weighted volume takes the
-    x-integral in closed form and the height integral by exp-sinh: the 2-D
-    product rule, 30-digit mpmath and the scaling laws are its oracles."""
+    """A ``CarlesonKernel`` under a power phi on a weighted volume is a
+    product of two beta functions, the x-integral and the height integral:
+    the 2-D product rule, 30-digit mpmath and the scaling laws are its
+    independent oracles."""
 
     def test_matches_product_rule(self):
         worst = 0.0
@@ -549,6 +550,20 @@ class TestClosedXKernelModular:
             got = modular_halfplane(f, Power(q), WeightedVolume(alpha))
             want = _kernel_modular(f.amplitude, y0, 2.0 * f.s, q, alpha)
             assert abs(got / want - 1.0) <= 1e-12, (alpha, q, y0)
+
+    @pytest.mark.parametrize("s, q, gamma", [(1.0, 1.005, 0.0), (1.0, 1.0075, 0.0),
+                                             (3.0, 0.5025, 1.0), (2.0, 1.13, 2.5)])
+    def test_near_critical_exponent(self, s, q, gamma):
+        # d = 2 s q - 2 - gamma is 0.01 to 0.015: the height integrand decays
+        # like y^(-1-d), and a height quadrature cut at y = 1e275 loses a
+        # fraction 1e275^-d of it (1.7e-3 at d = 0.01)
+        f = CarlesonKernel(1j, Power(2), s)
+        got = modular_halfplane(f, Power(q), WeightedVolume(gamma))
+        m = s * q
+        with mp.workdps(30):
+            want = (mp.mpf(f.amplitude) ** q * mp.beta(0.5, m - 0.5)
+                    * mp.beta(gamma + 1, 2 * m - 2 - gamma))
+        assert abs(got / want - 1) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.sampled_from([-0.5, 0.0, 0.5, 2.5]), s=st.sampled_from([1.0, 2.0, 3.0]),
