@@ -52,6 +52,14 @@ diverges the modular is ``inf``: the kernel verdict is ``divergent`` at the
 first ladder height, and every member is unbounded.  On a density the same
 modulars run 1-D rules on the density's height segments, and its divergence
 probe decides ``inf``.
+
+The test families' norms do not depend on the measure.  For a power
+``phi1`` both are arithmetic: a Hardy member's line modulars are the closed
+x-integral at each height of ``spaces.hardy_norm``'s grid, and a Bergman
+member's modular is the product of the two beta functions.  So the family
+stage runs no quadrature for a power ``phi1``, whatever the measure.  Of
+``classify(phi1)`` the embedding modes run only the Dini check
+(``growth._dini``).
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .growth import ComposedInverse, GrowthFunction, Power, classify
+from .growth import ComposedInverse, GrowthFunction, Power, _dini
 from .integrals import DEFAULT_SPEC, QuadratureSpec
 from .maximal import StepFunction1D
 from .measure import (
@@ -184,7 +192,8 @@ def hardy_test_family(
     heights: Sequence[float] = DEFAULT_KERNEL_HEIGHTS,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[NormedMember]:
-    """Hardy-kernel family normalized by the Luxembourg Hardy norm."""
+    """Hardy-kernel family normalized by the Luxembourg Hardy norm, one
+    ``hardy_norm`` per member; in closed form for a power ``phi1``."""
     members = []
     for y0 in heights:
         f = HardyKernel(complex(0.0, y0), phi1)
@@ -404,9 +413,10 @@ def verify_equivalence(
 
     Disagreement is reported, never reconciled: ``coherent`` goes false
     and ``carleson`` stays ``None``.  In raw mode only box and kernel are
-    compared.  The embedding modes always classify ``phi1``; a failed Dini
-    (nabla2) check is a warning, since the embedding direction of the
-    theorem needs it while the box/kernel equivalence does not.
+    compared.  The embedding modes run the Dini (nabla2) check of
+    ``classify`` on ``phi1``, and nothing else of it; a failed check is a
+    warning, since the embedding direction of the theorem needs it while
+    the box/kernel equivalence does not.
     """
     warnings: list[str] = []
     if mode not in ("hardy", "bergman", "raw"):
@@ -422,7 +432,7 @@ def verify_equivalence(
 
     embedding: Optional[EmbeddingResult] = None
     if mode in ("hardy", "bergman"):
-        if not classify(phi1).nabla2_passed:
+        if not _dini(phi1).passed:
             warnings.append(
                 "phi1 fails the Dini (nabla2) check; the embedding "
                 "condition is outside the theorem's hypotheses"

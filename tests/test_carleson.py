@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczhp import carleson, measure, spaces
+from orliczhp import carleson, growth, measure, spaces
 from orliczhp.corpus import random_atoms
-from orliczhp.growth import Power, PowerLog
+from orliczhp.growth import GrowthDomainError, Power, PowerLog, Tabulated
 from orliczhp.integrals import DEFAULT_SPEC, beta
 from orliczhp.measure import (
     AtomicMeasure,
@@ -170,6 +170,38 @@ class TestBergmanNormCalls:
         rep = verify_equivalence(WeightedVolume(0.0), Power(2), Power(4), mode="bergman")
         assert rep.embedding is not None and len(rep.embedding.per_member) == 9
         assert calls == []
+
+
+class TestHardyPowerPairCalls:
+    """A hardy run with a power pair integrates nothing in its family stage:
+    the member norms are closed x-integrals, and of ``classify(phi1)`` only
+    the Dini check runs."""
+
+    @pytest.mark.parametrize("mu", [WeightedVolume(0.0), random_atoms(np.random.default_rng(0))],
+                             ids=["volume", "atoms"])
+    def test_no_rows_and_no_classify(self, mu, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        spy(spaces, "integrate_line_rows")
+        spy(growth, "_classify")
+        rep = verify_equivalence(mu, Power(2), Power(4), mode="hardy")
+        assert rep.embedding is not None and len(rep.embedding.per_member) >= 9
+        assert calls == []
+
+    def test_phi1_vanishing_on_the_grid_is_refused(self):
+        phi1 = Tabulated((0.0, 1e-3, 1e9), (0.0, 0.0, 1e9))
+        with pytest.raises(GrowthDomainError, match="vanishes"):
+            verify_equivalence(AtomicMeasure((0.0,), (1.0,), (1.0,)), phi1, Power(2),
+                               mode="hardy", box_family=BoxFamily(-4, 4))
 
 
 class TestEmbedding:

@@ -16,6 +16,7 @@ from orliczhp.growth import (
     PowerLog,
     ReciprocalReflected,
     Tabulated,
+    _dini,
     _growing_at_edge,
     classify,
     conjugate,
@@ -232,6 +233,13 @@ class TestClassify:
     def test_powerlog_is_tilde_member(self):
         cls = classify(PowerLog(2, 1, E ** 2))
         assert cls.tilde_passed
+
+    @pytest.mark.parametrize("phi", [
+        Power(1), Power(1.01), Power(2), PowerLog(2, 1, E ** 2),
+        ComposedInverse(Power(4), Power(2)),
+    ], ids=repr)
+    def test_dini_alone_is_classify_dini(self, phi):
+        assert _dini(phi) == classify(phi).dini
 
 
 

@@ -56,6 +56,26 @@ class TestBeta:
         with pytest.raises(QuadratureDomainError):
             beta(0.0, 1.0)
 
+    @pytest.mark.parametrize("m, n", [
+        (0.5, 0.5), (0.5, 1.5), (0.5, 3.5), (0.5, 5.5), (0.5, 11.5), (0.5, 63.5),
+        (1, 2), (1, 6), (1, 14), (2, 6), (2, 10), (0.5, 6.0), (3, 3.5), (1, 2.5),
+        (61, 3), (3, 61), (170, 1),
+    ])
+    def test_kernel_arguments_against_mpmath(self, m, n):
+        """The x-integral ``B(1/2, m - 1/2)`` and the height integral
+        ``B(alpha + 1, 2m - 2 - alpha)`` at the kernels' arguments, and the
+        top of the gamma range, against 40-digit mpmath."""
+        with mp.workdps(40):
+            want = mp.beta(mp.mpf(m), mp.mpf(n))
+            assert abs(mp.mpf(beta(m, n)) - want) <= mp.mpf("1e-15") * want
+
+    @pytest.mark.parametrize("m, n", [(100.0, 100.0), (0.5, 200.0), (200.0, 3.0)])
+    def test_log_gamma_beyond_the_gamma_range(self, m, n):
+        """Where a gamma factor overflows, the log-gamma form is used."""
+        with mp.workdps(40):
+            want = mp.beta(mp.mpf(m), mp.mpf(n))
+            assert abs(mp.mpf(beta(m, n)) - want) <= mp.mpf("1e-12") * want
+
 
 class TestKernelOracles:
     def test_line_alpha2(self):

@@ -1,7 +1,9 @@
 """The row-batched double-exponential driver: ``sinh_sinh``, ``exp_sinh``,
 ``integrate_line`` and ``hardy_norm`` against loop copies of the one-row
-level loop and of the per-height Hardy norm, bitwise; per-row convergence
-and freezing; and the closed form of every row's Hardy line modular.
+level loop and of the per-height Hardy norm, bitwise (``hardy_norm`` on
+its row path); per-row convergence and freezing; and the closed form of
+every row's Hardy line modular, which ``hardy_norm`` takes for a kernel
+under a power phi.
 
 The double-exponential maps are shared by the row-batched level loop and
 the product rule.  The nested, window-trimmed product rule
@@ -15,6 +17,7 @@ nested per-height tanh-sinh loop within the quadrature tolerance."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from orliczhp.maximal import StepFunction1D
 from orliczhp.measure import CarlesonBox, DensityMeasure, RestrictedMeasure
 from orliczhp.spaces import (
     BergmanKernel,
+    CarlesonKernel,
     HardyKernel,
     PoissonOfStep,
     default_height_grid,
@@ -141,7 +145,20 @@ def _assert_same_norm(f, phi):
 
 # -- hardy_norm, bitwise -----------------------------------------------------
 
+def _closed_form_sup(f, phi):
+    """``c A^p y0^(2m) B(1/2, m - 1/2) (h + y0)^(1 - 2m)`` at the lowest
+    grid height ``h``, ``m = s p``: the largest line modular of a kernel
+    under ``phi = c t^p``, in another order than ``hardy_norm``'s."""
+    y0, m = f.z0.imag, f.s * phi.p
+    h = default_height_grid()[0]
+    return (phi.scale * f.amplitude ** phi.p * y0 ** (2 * m) * beta(0.5, m - 0.5)
+            * (h + y0) ** (1 - 2 * m))
+
+
 class TestHardyNormBitwise:
+    """Every input still on the row path equals the per-height loop copy
+    bitwise; a kernel under a power phi takes the closed x-integral."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         x0=st.floats(-4.0, 4.0),
@@ -149,7 +166,19 @@ class TestHardyNormBitwise:
         phi=st.sampled_from(PHIS[:3]),
     )
     def test_power_kernels(self, x0, k, phi):
-        _assert_same_norm(HardyKernel(complex(x0, 2.0 ** k), phi), phi)
+        """Within the row tolerance of the loop copy's quadrature, and
+        within a few ulps of the closed form."""
+        f = HardyKernel(complex(x0, 2.0 ** k), phi)
+        got = hardy_norm(f, phi)
+        modular, lux, y_max = _ref_hardy_norm(f, phi)
+        spec = QuadratureSpec()
+        assert abs(got.modular_sup - modular) <= spec.abs_tol + spec.rel_tol * modular
+        assert abs(got.luxembourg_sup - lux) <= spec.abs_tol + spec.rel_tol * lux
+        assert got.y_at_modular_max == y_max
+        assert got.heights == tuple(default_height_grid())
+        closed = _closed_form_sup(f, phi)
+        assert abs(got.modular_sup - closed) <= 8 * math.ulp(closed)
+        assert got.luxembourg_sup == got.modular_sup ** (1 / phi.p)
 
     @settings(max_examples=4, deadline=None)
     @given(x0=st.floats(-4.0, 4.0), k=st.integers(-10, 10))
@@ -301,13 +330,66 @@ class TestHardyNormStatus:
 
     def test_error_follows_the_tolerance(self):
         """A kernel's rows reach estimates that repeat exactly, so even a
-        1e-300 tolerance is met, with error 0."""
-        f = HardyKernel(0.7 + 0.5j, Power(2))
+        1e-300 tolerance is met, with error 0.  A ``PowerLog`` phi keeps
+        the kernel on the row path."""
+        phi = PHIS[3]
+        f = HardyKernel(0.7 + 0.5j, phi)
         spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
-        strict = hardy_norm(f, Power(2), spec=spec)
+        strict = hardy_norm(f, phi, spec=spec)
         assert strict.converged and strict.error == 0.0
-        loose = hardy_norm(f, Power(2), spec=QuadratureSpec(abs_tol=1e-2, rel_tol=1e-2))
+        loose = hardy_norm(f, phi, spec=QuadratureSpec(abs_tol=1e-2, rel_tol=1e-2))
         assert loose.converged and loose.error > strict.error
+
+
+def _oracle_rows(f, phi):
+    """``f``'s line modulars on the Hardy grid by sinh-sinh rows, with the
+    absolute tolerance out of the way."""
+    ys = default_height_grid()
+    return integrate_line_rows(lambda X, r: phi(f.abs_value(X, ys[r, None])),
+                               QuadratureSpec(abs_tol=1e-300), f.z0.real, f.z0.imag + ys)
+
+
+class TestHardyNormClosedForm:
+    """A kernel under a power phi: the closed x-integral against quadrature
+    rows and 30-digit mpmath, and ``inf`` where the x-integral diverges."""
+
+    @pytest.mark.parametrize("x0", [0.0, 3.7])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    def test_against_rows(self, s, p, x0):
+        phi = Power(p)
+        ys = default_height_grid()
+        for k in range(-10, 11):
+            f = CarlesonKernel(complex(x0, 2.0 ** k), phi, s)
+            got = hardy_norm(f, phi)
+            rows = _oracle_rows(f, phi)
+            assert np.all(rows.converged)
+            i = int(np.argmax(rows.values))
+            assert got.y_at_modular_max == ys[i]
+            assert got.modular_sup == pytest.approx(rows.values[i], rel=1e-12, abs=0.0)
+            assert got.luxembourg_sup == pytest.approx(rows.values[i] ** (1 / p), rel=1e-12,
+                                                       abs=0.0)
+            assert got.converged and got.error == 0.0
+
+    def test_against_mpmath(self):
+        phi = Power(1.5)
+        f = CarlesonKernel(complex(3.7, 2.0 ** -3), phi, 2.0)
+        h = default_height_grid()[0]
+        with mp.workdps(30):
+            x0, y0, amp = mp.mpf(f.z0.real), mp.mpf(f.z0.imag), mp.mpf(f.amplitude)
+            line = lambda x: (amp * (y0 ** 2 / ((x - x0) ** 2 + (h + y0) ** 2)) ** 2) ** 1.5
+            want = mp.quad(line, [-mp.inf, x0 - 1, x0, x0 + 1, mp.inf])
+        got = hardy_norm(f, phi)
+        assert got.y_at_modular_max == h
+        assert got.modular_sup == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.4, 0.5])
+    def test_divergent_x_integral(self, s):
+        """``m = s p <= 1/2``: every row is ``inf``."""
+        got = hardy_norm(CarlesonKernel(1j, Power(1), s), Power(1))
+        assert got.modular_sup == math.inf and got.luxembourg_sup == math.inf
+        assert got.y_at_modular_max == default_height_grid()[0]
+        assert got.converged and got.error == 0.0
 
 
 class TestRowClosedForm:
