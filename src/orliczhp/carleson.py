@@ -40,8 +40,14 @@ For a power ``phi2 = c t^p`` the member modular is homogeneous,
 modular, as the Luxembourg norms of a power ``phi`` do (``spaces``).  Every
 other grid constant (the embedding K of a non-power ``phi2``, the weak-type
 C) is bisected over grid indices by ``_first_admissible``.  The weak-type
-search computes the measure's mass points once per call and ``|f|`` on them
-once per member.
+search computes the measure's mass points and each ``phi2(lambda)`` once per
+call and ``|f|`` on the points once per member.
+
+On a measure with atoms an atom sum is one array per sweep
+(``spaces.kernel_modulars``): the kernel sweep's modulars over all base
+points, and a power ``phi2``'s member modulars over the whole family, are
+``|f|`` at every (kernel, atom) pair, one ``phi2`` call and one sum along
+the atom axis, each row bitwise its own ``modular_halfplane``.
 
 On a weighted volume ``y^gamma dx dy`` the kernel and embedding modulars of a
 power ``phi2``, and the Bergman norms of a power ``phi1``, run no quadrature:
@@ -91,6 +97,7 @@ from .spaces import (
     _decade_grid,
     bergman_norm,
     hardy_norm,
+    kernel_modulars,
     luxembourg_step_line,
     modular_halfplane,
 )
@@ -141,9 +148,10 @@ def kernel_testing_constant(
     witnessed by a base point, with its ``(height, value)`` ladder.  An
     infinite integral (a density probe's divergence) makes the verdict
     ``divergent``; otherwise the ladder decides it."""
+    points = default_sample_points(mu)
+    kernels = (CarlesonKernel(z, phi1, s) for _, z in points)
     return _fold(
-        (h, modular_halfplane(CarlesonKernel(z, phi1, s), phi2, mu, spec), z)
-        for h, z in default_sample_points(mu)
+        (h, value, z) for (h, z), value in zip(points, kernel_modulars(kernels, phi2, mu, spec))
     )
 
 
@@ -306,24 +314,31 @@ def embedding_constant(
     reports ``inf``.
     """
     ks = default_k_grid()
-    per_member: list[tuple[str, float]] = []
     for member in family:
         if member.source_norm <= 0:
             raise ValueError(f"member {member.label} has nonpositive source norm")
 
-        if isinstance(phi2, Power):
-            m1 = modular_halfplane(member.f, phi2, mu, spec, scale=member.source_norm)
-            fits = np.flatnonzero(m1 / ks ** phi2.p <= 1.0 + _MODULAR_TIE_BAND)
-            i = int(fits[0]) if fits.size else None
-        else:
+    if isinstance(phi2, Power):
+        modulars = kernel_modulars(
+            [member.f for member in family], phi2, mu, spec,
+            scales=[member.source_norm for member in family],
+        )
+        ks_p = ks ** phi2.p
+        fits = [np.flatnonzero(m1 / ks_p <= 1.0 + _MODULAR_TIE_BAND) for m1 in modulars]
+        found = [int(fit[0]) if fit.size else None for fit in fits]
+    else:
+        def first_fit(member: NormedMember) -> Optional[int]:
             def ok(i: int) -> bool:
                 val = modular_halfplane(
                     member.f, phi2, mu, spec, scale=ks[i] * member.source_norm
                 )
                 return val <= 1.0 + _MODULAR_TIE_BAND
 
-            i = _first_admissible(len(ks), ok)
-        per_member.append((member.label, math.inf if i is None else float(ks[i])))
+            return _first_admissible(len(ks), ok)
+
+        found = [first_fit(member) for member in family]
+    per_member = [(member.label, math.inf if i is None else float(ks[i]))
+                  for member, i in zip(family, found)]
 
     k_found = np.array([k for _, k in per_member])
     heights = np.array([member.scale_y for member in family])
@@ -502,10 +517,11 @@ def weak_type_constant(
     Super-level masses are exact for atoms and pixel sums otherwise; the
     pixel route matches the one used by the strong-side modular, so the
     Chebyshev domination between the two constants survives discretization.
-    The points and masses are computed once per call and ``|f|`` on them
-    once per member; each ``(C, lambda)`` probe is then a masked sum.  The
-    ``C`` grid is bisected.  A constant over an empty, non-finite or
-    nonpositive ``lambda_grid`` means nothing: ``ValueError``.
+    The points and masses and each ``phi2(lambda)`` are computed once per
+    call and ``|f|`` on the points once per member; each ``(C, lambda)``
+    probe is then a masked sum.  The ``C`` grid is bisected.  A constant
+    over an empty, non-finite or nonpositive ``lambda_grid`` means nothing:
+    ``ValueError``.
     """
     lams = (np.geomspace(1e-3, 1e3, 25) if lambda_grid is None
             else np.asarray(lambda_grid, dtype=float))
@@ -513,6 +529,7 @@ def weak_type_constant(
         raise ValueError("lambda_grid must be a nonempty 1-d array of finite positive numbers")
     cs = default_k_grid()
     xs, ys, masses = _mass_points(mu, pixels)
+    weights = [phi2(lam) for lam in lams]  # one scalar call per lambda
     per_member: list[tuple[str, float]] = []
     for member in family:
         norm = member.source_norm
@@ -521,9 +538,9 @@ def weak_type_constant(
 
         def ok(i: int) -> bool:
             c = cs[i]
-            for lam in lams:
+            for lam, weight in zip(lams, weights):
                 mass = float(masses[vals > c * lam * norm].sum())
-                if phi2(lam) * mass > 1.0:
+                if weight * mass > 1.0:
                     return False
             return True
 

@@ -89,11 +89,13 @@ class GrowthFunction:
 
     def __call__(self, t):
         arr, scalar = _as_array(t)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise GrowthDomainError("growth functions are defined on t >= 0")
+        if scalar and not arr > 0:  # 0, or nan
+            return 0.0
         with np.errstate(over="ignore", divide="ignore"):
-            out = np.where(arr > 0, self._eval(np.maximum(arr, 1e-300)), 0.0)
-        return float(out) if scalar else out
+            vals = self._eval(np.maximum(arr, 1e-300))
+        return float(vals) if scalar else np.where(arr > 0, vals, 0.0)
 
     # -- inversion ---------------------------------------------------------
 
@@ -104,7 +106,7 @@ class GrowthFunction:
         geometric bracket expansion otherwise.
         """
         arr, scalar = _as_array(y)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise GrowthDomainError("inverse arguments must be nonnegative")
         out = self._inverse(arr, tol)
         return float(out) if scalar else out
@@ -260,6 +262,22 @@ class Tabulated(GrowthFunction):
         if np.any(y > hi * (1 + 1e-12)):
             raise BracketingError(f"inverse target beyond tabulated range [0, {hi:g}]")
         return np.interp(y, self.knots_y, self.knots_t)
+
+
+def _pointwise(phi: GrowthFunction, inverse: bool = False) -> bool:
+    """Whether ``phi`` (its inverse, with ``inverse``) maps each entry of an
+    array on its own, so that one call on a stacked array is bitwise the
+    calls on its parts.  A bisected inverse (``_bisect_inverse``) is not:
+    its step count follows the slowest entry of the array."""
+    if isinstance(phi, (Power, Tabulated)):
+        return True
+    if isinstance(phi, PowerLog):
+        return not inverse
+    if isinstance(phi, ComposedInverse):
+        return _pointwise(phi.outer, inverse) and _pointwise(phi.inner, not inverse)
+    if isinstance(phi, ReciprocalReflected):
+        return _pointwise(phi.base, inverse)
+    return False
 
 
 def nominal_upper_type(phi: GrowthFunction) -> Optional[float]:

@@ -17,7 +17,10 @@ height measures also give ``kernel_modular``, the modular of a power of a
 rational kernel once its x-integral is taken in closed form: for
 ``WeightedVolume`` the height integral is a beta function too, so no
 quadrature runs, and for ``DensityMeasure`` it is a 1-D rule per height
-segment of ``integrate``, behind the same probe.
+segment of ``integrate``, behind the same probe.  The kinds with atoms (an
+``AtomicMeasure``, or a ``RestrictedMeasure`` of one) give
+``integrate_rows``: the atom sums of many integrands from one
+``(rows, atoms)`` array, each bitwise its ``integrate``.
 
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
 for weighted volume, and quadrature with a divergence probe for densities.
@@ -189,6 +192,16 @@ class AtomicMeasure:
         if xs.size == 0:
             return 0.0
         return float(np.sum(ms * g(xs, ys)))
+
+    def integrate_rows(self, g, rows: int) -> np.ndarray:
+        """The atom sums of ``rows`` integrands at once: ``g(xs, ys)`` is a
+        ``(rows, atoms)`` array, and entry ``i`` is bitwise ``integrate`` of
+        row ``i``: the same products over the same atoms, zero masses
+        included, summed pairwise along the atom axis."""
+        xs, ys, ms = self.arrays()
+        if xs.size == 0:
+            return np.zeros(rows)
+        return np.sum(ms * g(xs, ys), axis=1)
 
     def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
         xe, ye = grid.edges()
@@ -392,6 +405,11 @@ class RestrictedMeasure:
         return sum(self.base._integrate_box(g, lo, hi, reg.length, spec)
                    for lo, hi in ((reg.a, xc), (xc, reg.b)) if hi > lo)
 
+    def integrate_rows(self, g, rows: int) -> np.ndarray:
+        """``AtomicMeasure.integrate_rows`` over the atoms inside the region;
+        for an atomic base only."""
+        return self._atoms.integrate_rows(g, rows)
+
     def pixel_masses(self, grid: PixelGrid) -> np.ndarray:
         if self._atoms is not None:
             return self._atoms.pixel_masses(grid)
@@ -573,8 +591,11 @@ def _atomic_centers(family: BoxFamily, length: float, xs: np.ndarray) -> np.ndar
     pad = 2 + math.ceil(8.0 * np.finfo(float).eps * (2.0 * extent + length) / step)
     first = np.floor((xs - 0.5 * length + extent) / step) - pad
     span = np.arange(math.ceil(length / step) + 2 * pad + 2)
-    k = np.clip(first[:, None] + span, 0, last).astype(np.int64)
-    return -extent + step * np.union1d(0, k)
+    # 0 and the clipped indices, sorted without repeats; np.union1d would
+    # import numpy.ma (about 10 ms) on its first call
+    k = np.concatenate(([0], np.sort(np.clip(first[:, None] + span, 0, last), axis=None)))
+    k = k[np.concatenate(([True], k[1:] != k[:-1]))]
+    return -extent + step * k
 
 
 def _fold(rows: Iterable[tuple[Optional[float], float, object]]) -> Sweep:

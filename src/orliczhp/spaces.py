@@ -23,7 +23,9 @@ density: there what is left after the x-integral is a height integral
 (``modular_halfplane``), a second beta function on a weighted volume and a
 1-D rule on a density.  That covers the kernel and embedding testers'
 modulars on those measures, and makes the Bergman norm of a power ``phi``
-arithmetic.
+arithmetic.  On a measure with atoms ``kernel_modulars`` takes the modulars
+of many kernels from one (kernels x atoms) array, each bitwise its own
+``modular_halfplane``.
 
 Test functions are the rational kernels
 
@@ -37,13 +39,14 @@ Holomorphy is by construction; nothing here certifies it numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .growth import GrowthFunction, Power
+from .growth import GrowthFunction, Power, _pointwise
 from .integrals import DEFAULT_SPEC, QuadratureSpec, beta, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
@@ -56,6 +59,7 @@ __all__ = [
     "IndicatorScaled",
     "step_modular_line",
     "modular_halfplane",
+    "kernel_modulars",
     "luxembourg",
     "luxembourg_step_line",
     "HardyNormResult",
@@ -228,6 +232,58 @@ def modular_halfplane(
     return mu.integrate(
         lambda x, y: phi(f_abs(x, y) / scale), spec, hint_center, hint_scale
     )
+
+
+def kernel_modulars(
+    kernels: Iterable,
+    phi: GrowthFunction,
+    mu: UpperHalfPlaneMeasure,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    scales: Optional[Iterable[float]] = None,
+) -> Iterator[float]:
+    """``modular_halfplane(f, phi, mu, spec, scale)`` for each kernel and
+    scale (1 by default), in order.
+
+    On a measure with atoms, when every kernel is a ``CarlesonKernel`` of
+    one ``s`` and ``phi`` maps entries on their own (``growth._pointwise``),
+    all the modulars come from one ``(kernels, atoms)`` array: ``|f| /
+    scale`` by ``abs_value``'s arithmetic, one ``phi`` call, and
+    ``mu.integrate_rows``.  Each is bitwise its ``modular_halfplane``.
+    Otherwise each is a ``modular_halfplane`` call, made when it is read,
+    so a caller that stops at a divergent modular runs no more of them.
+    """
+    scales = itertools.repeat(1.0) if scales is None else scales
+    if mu.atoms() is not None and _pointwise(phi):
+        kernels = list(kernels)
+        scales = [sc for sc, _ in zip(scales, kernels)]
+        exponents = {f.s if isinstance(f, CarlesonKernel) else None for f in kernels}
+        if len(exponents) == 1 and None not in exponents:
+            return iter(_atom_modulars(kernels, exponents.pop(), phi, mu, scales))
+    return (modular_halfplane(f, phi, mu, spec, scale=sc) for f, sc in zip(kernels, scales))
+
+
+def _atom_modulars(kernels: list, s: float, phi: GrowthFunction,
+                   mu: UpperHalfPlaneMeasure, scales: list) -> list[float]:
+    """The rows of ``kernel_modulars`` on a measure with atoms, for kernels
+    of one exponent ``s``: ``abs_value``'s arithmetic and ``modular_halfplane``'s
+    division by the scale, on columns of per-kernel constants."""
+    if any(sc <= 0 for sc in scales):
+        raise ValueError("scale must be positive")
+
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
+
+    x0 = column([f.z0.real for f in kernels])
+    y0 = column([f.z0.imag for f in kernels])
+    y0sq = column([f.z0.imag ** 2 for f in kernels])  # a float square, as in _of_d2
+    amp = column([f.amplitude for f in kernels])
+    sc = column(scales)
+
+    def rows(x, y):
+        d2 = (x - x0) ** 2 + (y + y0) ** 2
+        return phi(amp * (y0sq / d2) ** s / sc)
+
+    return mu.integrate_rows(rows, len(kernels)).tolist()
 
 
 # ---------------------------------------------------------------------------

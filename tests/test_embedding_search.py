@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orliczhp import carleson
+from orliczhp import carleson, spaces
 from orliczhp.carleson import (
     _first_admissible,
     adapted_heights,
@@ -101,13 +101,13 @@ class TestPowerEmbeddingSearch:
     def test_volume_members_match_closed_form(self, p, q, gamma, monkeypatch):
         fam = hardy_test_family(Power(p), heights=(0.25, 1.0, 4.0))
         calls = []
-        real = carleson.modular_halfplane
+        real = spaces.modular_halfplane
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("scale"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(carleson, "modular_halfplane", counting)
+        monkeypatch.setattr(spaces, "modular_halfplane", counting)
         res = embedding_constant(WeightedVolume(gamma), Power(q), fam)
         for member, (_, k) in zip(fam, res.per_member):
             want = KS[np.searchsorted(KS, _volume_k(member, q, gamma), side="left")]
@@ -155,8 +155,8 @@ class TestModularTie:
     def test_tie_band(self, factor, want, monkeypatch):
         assert KS[100] == 1.0
         fam = bergman_test_family(Power(2), 0.0, heights=(0.25, 1.0, 4.0))
-        real = carleson.modular_halfplane
-        monkeypatch.setattr(carleson, "modular_halfplane",
+        real = spaces.modular_halfplane
+        monkeypatch.setattr(spaces, "modular_halfplane",
                             lambda *args, **kwargs: factor * real(*args, **kwargs))
         res = embedding_constant(WeightedVolume(0.0), Power(2), fam)
         assert [k for _, k in res.per_member] == [want] * len(fam)

@@ -18,6 +18,7 @@ from orliczhp.growth import (
     Tabulated,
     _dini,
     _growing_at_edge,
+    _pointwise,
     classify,
     conjugate,
     derived_pair,
@@ -393,3 +394,87 @@ class TestDerivedPair:
         lhs = np.asarray(refl(s[:, None] * t[None, :]))
         rhs = s[:, None] ** q * np.asarray(refl(t))[None, :]
         assert np.all(lhs <= rhs * (1 + 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# Evaluation without per-call dispatch
+# ---------------------------------------------------------------------------
+
+def _old_call(phi, t):
+    """``GrowthFunction.__call__`` as it was, with ``np.any`` and ``np.where``."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise GrowthDomainError("growth functions are defined on t >= 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.where(arr > 0, phi._eval(np.maximum(arr, 1e-300)), 0.0)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _old_inverse(phi, y, tol=1e-12):
+    """``GrowthFunction.inverse`` as it was, with ``np.any``."""
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr < 0):
+        raise GrowthDomainError("inverse arguments must be nonnegative")
+    out = phi._inverse(arr, tol)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _outcome(fn, *args):
+    """The type, shape and bytes of a result, or the type of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (GrowthDomainError, BracketingError) as exc:
+        return type(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+_KINDS = [
+    Power(2),
+    Power(2.5, 3.0),
+    PowerLog(2, 1, E ** 2),
+    ComposedInverse(Power(4), Power(2)),
+    ComposedInverse(Power(2), PowerLog(2, 1, E ** 2)),
+    ReciprocalReflected(Power(2)),
+    ReciprocalReflected(PowerLog(2, 1, E ** 2)),
+    Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 4.0)),
+]
+_KIND_IDS = [f"{type(phi).__name__}{i}" for i, phi in enumerate(_KINDS)]
+_EDGES = [0.0, 1e-310, math.inf, math.nan, 0.3, 1.7, -0.0]
+_INPUTS = ([*_EDGES, np.float64(0.3), -1.0]
+           + [np.array(_EDGES[i:] + _EDGES[:i]) for i in range(2)]
+           + [np.array(_EDGES[:6]).reshape(2, 3), np.array([[0.3, -1e-300]])])
+
+
+class TestCallBitwise:
+    """``__call__`` and ``inverse`` without ``np.any``/``np.where`` dispatch
+    give what the old bodies gave: the same values bit for bit, the same
+    result types, and the same errors."""
+
+    @pytest.mark.parametrize("phi", _KINDS, ids=_KIND_IDS)
+    @pytest.mark.parametrize("t", _INPUTS, ids=range(len(_INPUTS)))
+    def test_call(self, phi, t):
+        assert _outcome(phi, t) == _outcome(_old_call, phi, t)
+
+    @pytest.mark.parametrize("phi", _KINDS, ids=_KIND_IDS)
+    @pytest.mark.parametrize("y", _INPUTS, ids=range(len(_INPUTS)))
+    def test_inverse(self, phi, y):
+        assert _outcome(phi.inverse, y) == _outcome(_old_inverse, phi, y)
+
+
+class TestPointwise:
+    """``_pointwise`` kinds map a stacked array bitwise as its rows."""
+
+    @pytest.mark.parametrize("phi", [phi for phi in _KINDS if _pointwise(phi)],
+                             ids=[i for phi, i in zip(_KINDS, _KIND_IDS) if _pointwise(phi)])
+    def test_stacked_rows(self, phi):
+        rows = np.geomspace(1e-3, 1.9, 60).reshape(5, 12)
+        whole = phi(rows)
+        assert whole.tobytes() == np.array([phi(row) for row in rows]).tobytes()
+
+    def test_kinds(self):
+        log = PowerLog(2, 1, E ** 2)
+        assert [_pointwise(phi) for phi in _KINDS] == [
+            True, True, True, True, False, True, True, True]
+        assert not _pointwise(ReciprocalReflected(log), inverse=True)
+        assert _pointwise(ComposedInverse(log, Power(2)))

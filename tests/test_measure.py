@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -320,6 +324,20 @@ class TestSparseAtomicSweep:
         assert sweep.verdict.finite
         assert max(sizes) <= 24
         assert elapsed < 0.5
+
+    def test_imports_no_masked_arrays(self):
+        """``np.union1d`` would import ``numpy.ma`` (about 10 ms) inside the
+        first atomic sweep of a process."""
+        src = str(Path(measure.__file__).resolve().parents[1])
+        code = ("import sys, numpy as np\n"
+                "from orliczhp.corpus import random_atoms\n"
+                "from orliczhp.growth import Power\n"
+                "from orliczhp.measure import carleson_box_constant\n"
+                "carleson_box_constant(random_atoms(np.random.default_rng(0)), Power(2), 1.0)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestPixelGrid:
