@@ -36,12 +36,11 @@ alike (``_tail_probed``).
 The box and kernel testers each adapt their own ladder to the measure and
 return one fold, ``_fold``, of their ``(scale | None, value, witness)``
 rows; ``carleson_box_constant`` adapts its family by ``adapted_box_family``.
-On an atomic measure the box sweep visits, per length, only the centres
-whose boxes can hold an atom below that length, plus the first centre
-(``_atomic_centers``): every other box is empty, so the rows, witnesses and
-tie rules are those of the full grid of centres, at a cost that follows the
-atoms.  A box value is ``mass * weight`` with ``0 * inf = 0``
-(``_box_values``), so an overflowing weight leaves empty boxes at 0.
+On an atomic measure the box sweep takes all lengths in one array: a box
+mass changes only where a box edge crosses an atom, so the first centre and
+those crossings give the rows, witnesses and tie rules of the full grid of
+centres, at a cost that follows the atoms.  A box value is ``mass * weight``
+with ``0 * inf = 0``, so an overflowing weight leaves empty boxes at 0.
 """
 
 from __future__ import annotations
@@ -467,6 +466,10 @@ class BoxFamily:
             raise ValueError("window half-width must be positive and finite")
         if not (0 < self.step_fraction <= 0.5):
             raise ValueError("translation step must be at most half a length")
+        if math.ldexp(self.step_fraction, self.j_min) < np.finfo(float).tiny:
+            raise ValueError("the smallest translation step must be a normal float")
+        if self.j_max >= np.finfo(float).maxexp:
+            raise ValueError("the largest length 2^j_max must be finite")
 
     def lengths(self) -> np.ndarray:
         return 2.0 ** np.arange(self.j_min, self.j_max + 1, dtype=float)
@@ -548,54 +551,57 @@ class Sweep:
     verdict: Verdict
 
 
-def _atomic_scale_masses(
-    xs: np.ndarray, ms: np.ndarray, ys: np.ndarray,
-    length: float, centers: np.ndarray,
-) -> np.ndarray:
-    keep = ys < length
-    if not np.any(keep):
-        return np.zeros_like(centers)
-    xs_k = xs[keep]
-    ms_k = ms[keep]
-    o = np.argsort(xs_k, kind="stable")
-    xs_s = xs_k[o]
-    cum = np.concatenate([[0.0], np.cumsum(ms_k[o])])
-    lo = np.searchsorted(xs_s, centers - 0.5 * length, side="left")
-    hi = np.searchsorted(xs_s, centers + 0.5 * length, side="left")
-    return cum[hi] - cum[lo]
-
-
-def _box_values(masses: np.ndarray, weight: float) -> np.ndarray:
-    """``mass * weight`` per box, with ``0 * inf = 0`` (an empty box is
-    worth nothing under any weight) and ``positive * inf = inf``."""
+def _best_boxes(masses: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of box masses (the last axis), the index and value of its
+    first box of infinite mass, else of its first largest ``mass * weight``,
+    with ``0 * inf = 0``: an empty box is worth nothing under any weight."""
+    inf = np.isinf(masses)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(masses > 0, masses * weight, 0.0)
+        values = np.where(masses > 0, masses * weights, 0.0)
+    first = values.argmax(axis=-1)
+    if inf.any():  # a divergent mass: the first one is its row's witness
+        values = np.where(inf, math.inf, values)
+        first = np.where(inf.any(axis=-1), inf.argmax(axis=-1), first)
+    return first, values.max(axis=-1)
 
 
-def _atomic_centers(family: BoxFamily, length: float, xs: np.ndarray) -> np.ndarray:
-    """The first centre of ``family.centers_at(length)`` and those whose
-    boxes can hold an atom at one of ``xs``, bitwise as ``centers_at``
-    makes them and in its order, without building the others.
-
-    Centre ``k`` is ``-X + step * k``, and its box ``[c - L/2, c + L/2)``
-    holds ``x`` only for ``k`` in ``((x - L/2 + X) / step, (x + L/2 + X) / step]``.
-    The atoms lie in ``[-X, X]`` (``adapted_box_family``), so that range is
-    padded by two steps, and by more when the rounding of centres and box
-    edges (a few ulps of ``2X + L``) exceeds a step.
-    """
-    if length >= 2.0 * family.extent:
-        return family.centers_at(length)
+def _atomic_candidates(family: BoxFamily, lengths: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per length (a row), the indices ``k`` of ``family.centers_at`` where
+    a box mass can change: 0, and per atom the first ``k`` whose right edge
+    ``-X + step k + L/2`` passes it and the first whose left edge does, by
+    bisection on the edges as the grid rounds them, clipped to the grid.
+    A crossing lies within ``pad`` of ``(x -+ L/2 + X) / step``: two, and
+    more where rounding (a few ulps of ``2X + L``) exceeds a step."""
     extent = family.extent
-    step = length * family.step_fraction
-    last = int(math.floor(2.0 * extent / step))
-    pad = 2 + math.ceil(8.0 * np.finfo(float).eps * (2.0 * extent + length) / step)
-    first = np.floor((xs - 0.5 * length + extent) / step) - pad
-    span = np.arange(math.ceil(length / step) + 2 * pad + 2)
-    # 0 and the clipped indices, sorted without repeats; np.union1d would
-    # import numpy.ma (about 10 ms) on its first call
-    k = np.concatenate(([0], np.sort(np.clip(first[:, None] + span, 0, last), axis=None)))
-    k = k[np.concatenate(([True], k[1:] != k[:-1]))]
-    return -extent + step * k
+    step = (lengths * family.step_fraction)[:, None, None]
+    half = np.stack([0.5 * lengths, -0.5 * lengths], axis=1)[:, :, None]
+    pad = 2 + np.ceil(8.0 * np.finfo(float).eps * (2.0 * extent + lengths[:, None, None]) / step)
+    lo = np.floor((xs - half + extent) / step) - pad
+    hi = lo + 2 * pad + 1
+    for _ in range(int(2 * pad.max() + 1).bit_length()):
+        mid = lo + np.floor(0.5 * (hi - lo))  # lo + hi can pass 2^53
+        past = (-extent + step * mid) + half > xs
+        hi, lo = np.where(past, mid, hi), np.where(past, lo, mid + 1)
+    k = np.clip(hi, 0, np.floor(2.0 * extent / step)).reshape(len(lengths), -1)
+    return np.concatenate((np.zeros((len(lengths), 1)), k), axis=1)
+
+
+def _atomic_rows(family: BoxFamily, lengths: np.ndarray, weights: np.ndarray,
+                 xs: np.ndarray, ys: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per length, the centre and value of the first best candidate box in
+    ascending order, which is the full grid's.  Masses are prefix-sum
+    differences over the atoms below the length in stable ``x`` order."""
+    k = np.sort(_atomic_candidates(family, lengths, xs), axis=1)
+    wide = (lengths >= 2.0 * family.extent)[:, None]  # one centred box
+    centers = np.where(wide, 0.0, -family.extent + (lengths * family.step_fraction)[:, None] * k)
+    o = np.argsort(xs, kind="stable")
+    cum = np.cumsum(np.where(ys[o] < lengths[:, None], ms[o], 0.0), axis=1)
+    cum = np.concatenate((np.zeros((len(lengths), 1)), cum), axis=1)
+    half = 0.5 * lengths[:, None]
+    lo, hi = (np.searchsorted(xs[o], centers + h, side="left") for h in (-half, half))
+    masses = np.take_along_axis(cum, hi, axis=1) - np.take_along_axis(cum, lo, axis=1)
+    i, values = _best_boxes(masses, weights[:, None])
+    return centers[np.arange(len(lengths)), i], values
 
 
 def _fold(rows: Iterable[tuple[Optional[float], float, object]]) -> Sweep:
@@ -633,44 +639,38 @@ def carleson_box_constant(
     Ties break toward the smallest length, then the leftmost center, so the
     witness is deterministic.
 
-    On an atomic measure each length visits only the boxes that can hold an
-    atom below it, and the first centre: a positive maximum lies among
-    them, and a row of zeros keeps the first centre as its witness, so the
-    result is that of the full family.  An empty box is worth 0 even where
-    the weight ``phi(1/|I|^s)`` overflows to ``inf``.
+    On an atomic measure all lengths are one array (``_atomic_rows``): the
+    masses are constant between the crossings of box edges and atoms, so
+    the result is that of the full family.  An empty box is worth 0 even
+    where the weight ``phi(1/|I|^s)`` overflows to ``inf``.
     """
     if s <= 0:
         raise ValueError("scale exponent s must be positive")
     family = adapted_box_family(mu, family)
+    lengths = family.lengths()
     atoms = mu.atoms()
-    flat = atoms is None and mu.region is None  # the mass depends on height only
-    if atoms is not None:
-        xs, ys, ms = atoms.arrays()
 
-    def rows() -> Iterator[tuple[float, float, CarlesonBox]]:
-        """One row per length: its first box of infinite mass, else its
-        first box of largest value."""
-        for length in family.lengths():
-            with np.errstate(over="ignore", divide="ignore"):
-                weight = phi(1.0 / length ** s)
-            if atoms is not None:
-                centers = _atomic_centers(family, length, xs[ys < length])
-                masses = _atomic_scale_masses(xs, ms, ys, length, centers)
-            else:
-                centers = np.array([0.0]) if flat else family.centers_at(length)
-                masses = np.array(
-                    [box_mass(mu, CarlesonBox(c, length), spec) for c in centers]
-                )
-            inf = np.isinf(masses)
-            if np.any(inf):
-                i, value = int(np.argmax(inf)), math.inf
-            else:
-                vals = _box_values(masses, weight)
-                i = int(np.argmax(vals))
-                value = float(vals[i])
-            yield float(length), value, CarlesonBox(float(centers[i]), float(length))
+    def weights(lengths: Iterable[float]) -> np.ndarray:
+        # a scalar call per length: an array power can differ in the last bit
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.array([phi(1.0 / length ** s) for length in lengths])
 
-    return _fold(rows())
+    def rows() -> Iterator[tuple[float, float, float]]:
+        """``(length, value, centre)`` per length, one at a time so that a
+        divergent row ends the quadratures; without a region, one box."""
+        for length in lengths:
+            centers = np.array([0.0]) if mu.region is None else family.centers_at(length)
+            masses = np.array([box_mass(mu, CarlesonBox(c, length), spec) for c in centers])
+            i, value = _best_boxes(masses, weights([length]))
+            yield length, value, centers[i]
+
+    if atoms is None:
+        swept = rows()
+    else:
+        centers, values = _atomic_rows(family, lengths, weights(lengths), *atoms.arrays())
+        swept = zip(lengths, values, centers)
+    return _fold((float(length), float(value), CarlesonBox(float(c), float(length)))
+                 for length, value, c in swept)
 
 
 # ---------------------------------------------------------------------------

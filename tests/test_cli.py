@@ -456,6 +456,14 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box_family", [{"j_min": -1074}, {"j_max": 1024}])
+    def test_ladder_past_the_normal_floats_is_config_error(self, tmp_path, capsys, box_family):
+        # the smallest step 2^-1076 underflowed to 0 in the atomic sweep
+        path = write_config(tmp_path, {"command": "carleson-test", "measure": ATOM,
+                                       "phi": "power(1)", "s": 1.0, "box_family": box_family})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extent", [-1.0, 0.0])
     def test_nonpositive_box_window_is_config_error(self, tmp_path, capsys, extent):
         # mass 1 on [4, 6) x (0, 2): the family of half-width 16 finds the

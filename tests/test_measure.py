@@ -1,19 +1,22 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orliczhp import measure
 from orliczhp.config import parse_density
+from orliczhp.corpus import random_atoms
 from orliczhp.growth import ComposedInverse, Power, PowerLog, derived_pair
 from orliczhp.measure import (
     AtomicMeasure,
@@ -210,18 +213,55 @@ class TestBoxSweep:
         with pytest.raises(ValueError):
             BoxFamily(extent=extent)
 
+    @pytest.mark.parametrize("j_min, j_max", [(-1021, 0), (-1074, 0), (0, 1024)])
+    def test_ladder_must_stay_in_the_normal_floats(self, j_min, j_max):
+        # at a quarter-length step, 2^-1020 is the smallest length whose step
+        # is a normal float, and 2^1023 the largest finite length
+        BoxFamily(-1020, 1023)
+        with pytest.raises(ValueError):
+            BoxFamily(j_min, j_max)
+
+
+def scale_masses(xs, ms, ys, length, centers):
+    """The box masses of one length as the per-length sweep made them: the
+    atoms below the length in stable ``x`` order, their prefix sums, and
+    one ``searchsorted`` per box edge."""
+    keep = ys < length
+    if not np.any(keep):
+        return np.zeros_like(centers)
+    xs_k = xs[keep]
+    ms_k = ms[keep]
+    o = np.argsort(xs_k, kind="stable")
+    xs_s = xs_k[o]
+    cum = np.concatenate([[0.0], np.cumsum(ms_k[o])])
+    lo = np.searchsorted(xs_s, centers - 0.5 * length, side="left")
+    hi = np.searchsorted(xs_s, centers + 0.5 * length, side="left")
+    return cum[hi] - cum[lo]
+
 
 def dense_rows(mu, phi, s, family=BoxFamily()):
-    """The sweep's rows as the dense loop over ``centers_at`` made them:
-    every centre of every length, the first largest value per length."""
+    """The sweep's rows as the per-length loop over ``centers_at`` makes
+    them, the first largest value per length.  Of each grid it takes the
+    first centre and every centre within a length and two steps of an atom
+    below the length, so a whole length of margin beyond any box that can
+    hold one: every other box is empty, and the full grid of a length near
+    1e-6 over the window would be 2^27 centres."""
     family = adapted_box_family(mu, family)
     xs, ys, ms = mu.atoms().arrays()
+    extent = family.extent
     rows = []
     for length in family.lengths():
         with np.errstate(over="ignore", divide="ignore"):
             weight = phi(1.0 / length ** s)
-        centers = family.centers_at(length)
-        masses = measure._atomic_scale_masses(xs, ms, ys, length, centers)
+        if length >= 2.0 * extent:
+            centers = family.centers_at(length)
+        else:
+            step = length * family.step_fraction
+            first = np.floor((xs[ys < length] - length + extent) / step) - 2
+            near = first[:, None] + np.arange(math.ceil(2.0 * length / step) + 5)
+            k = np.unique(np.clip(np.append(0.0, near), 0, math.floor(2.0 * extent / step)))
+            centers = -extent + step * k  # the formula of centers_at
+        masses = scale_masses(xs, ms, ys, length, centers)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.where(masses > 0, masses * weight, 0.0)
         i = int(np.argmax(vals))
@@ -249,13 +289,13 @@ EXTENT = 4.0
 
 @st.composite
 def atom_clouds(draw):
-    """Atoms on box edges ``-X + k step +- L/2``, at heights equal to a
-    length or between lengths, some of zero mass, all within ``[-X, X]``
-    so that the adapted family keeps ``X``."""
-    n = draw(st.integers(1, 6))
+    """Up to 16 atoms on box edges ``-X + k step +- L/2``, at heights equal
+    to a length or log-uniform down to 1e-6, some of zero mass, all within
+    ``[-X, X]`` so that the adapted family keeps ``X``."""
+    n = draw(st.integers(1, 16))
     xs, ys, ms = [], [], []
     for _ in range(n):
-        j = draw(st.integers(-7, 0))
+        j = draw(st.integers(-19, 0))
         length = 2.0 ** j
         step = 0.25 * length
         if draw(st.booleans()):
@@ -263,7 +303,7 @@ def atom_clouds(draw):
             x = -EXTENT + step * k + draw(st.sampled_from([-0.5, 0.5])) * length
         else:
             x = draw(st.floats(-(EXTENT - 1), EXTENT - 1))
-        y = length if draw(st.booleans()) else draw(st.floats(1e-3, 0.5))
+        y = length if draw(st.booleans()) else 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
         xs.append(min(max(x, -(EXTENT - 1)), EXTENT - 1))
         ys.append(y)
         ms.append(draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
@@ -273,15 +313,47 @@ def atom_clouds(draw):
     return RestrictedMeasure(atoms, CarlesonBox(draw(st.floats(-2.0, 2.0)), 2.0))
 
 
+def bench_cloud(rng):
+    """A 12-atom cloud as the benchmark's ``equivalence_atoms`` builds it:
+    ``random_atoms`` with |x| < 2 and heights 1e-2 .. 10^1.5, and an atom
+    at each end of that height range."""
+    decades = (-2.0, 1.5)
+    cloud = random_atoms(rng, n_atoms=10, x_span=2.0, y_decades=decades)
+    xs = rng.uniform(-2.0, 2.0, 2)
+    ys = 10.0 ** np.asarray(decades)  # an array power, as the benchmark takes it
+    ms = rng.exponential(1.0, 2)
+    return AtomicMeasure(cloud.xs + tuple(xs), cloud.ys + tuple(ys), cloud.masses + tuple(ms))
+
+
+PINNED_ROWS = Path(__file__).with_name("data") / "box_rows.json"
+
+
+def pinned_sweeps():
+    """The pinned sweeps: three benchmark clouds (seed 0) under
+    ``phi2^-1 o phi1`` for p = 2, q in {2, 3, 4}, at s in {1, 2}."""
+    rng = np.random.default_rng([0, 1])
+    for ci in range(3):
+        mu = bench_cloud(rng)
+        for q in (2.0, 3.0, 4.0):
+            for s in (1.0, 2.0):
+                yield f"c{ci}-q{q:g}-s{s:g}", mu, ComposedInverse(Power(q), Power(2.0)), s
+
+
 class TestSparseAtomicSweep:
-    """The atomic sweep visits only the centres whose boxes can hold an
-    atom, and keeps every row of the dense sweep bitwise."""
+    """The atomic sweep visits only the centres where a box mass can
+    change, and keeps every row of the dense sweep bitwise."""
 
     @settings(max_examples=60, deadline=None)
     @given(mu=atom_clouds(),
-           phi=st.sampled_from([Power(1), Power(2), ComposedInverse(Power(3), Power(2))]),
+           phi=st.sampled_from([Power(1), Power(2), ComposedInverse(Power(3), Power(2)),
+                                ComposedInverse(Power(3.7), Power(1.5))]),
            s=st.sampled_from([1.0, 2.0, 2.5]),
            step_fraction=st.sampled_from([0.125, 0.25, 0.3, 0.5]))
+    @example(mu=AtomicMeasure((0.5, -1.0, 2.0), (0.1, 1e-6, 0.3), (0.0, 0.0, 0.0)),
+             phi=Power(2), s=1.0, step_fraction=0.25)
+    @example(mu=RestrictedMeasure(AtomicMeasure((3.0, -2.5), (0.5, 1e-3), (1.0, 2.0)),
+                                  CarlesonBox(0.0, 2.0)),
+             phi=ComposedInverse(Power(3.7), Power(1.5)), s=2.5, step_fraction=0.3)
     def test_rows_equal_the_dense_sweep(self, mu, phi, s, step_fraction):
         family = BoxFamily(extent=EXTENT, step_fraction=step_fraction)
         if mu.atoms().masses:
@@ -306,14 +378,15 @@ class TestSparseAtomicSweep:
     def test_cost_follows_the_atoms(self, monkeypatch):
         """One atom at height 1e-9: the dense sweep would build about 2^35
         centres at the smallest length, the sparse one a few per length."""
-        sizes = []
-        masses = measure._atomic_scale_masses
+        widths = []
+        candidates = measure._atomic_candidates
 
-        def spy(xs, ms, ys, length, centers):
-            sizes.append(centers.size)
-            return masses(xs, ms, ys, length, centers)
+        def spy(family, lengths, xs):
+            k = candidates(family, lengths, xs)
+            widths.append(k.shape[1])
+            return k
 
-        monkeypatch.setattr(measure, "_atomic_scale_masses", spy)
+        monkeypatch.setattr(measure, "_atomic_candidates", spy)
         mu = AtomicMeasure((0.3,), (1e-9,), (1.0,))
         t0 = time.perf_counter()
         sweep = carleson_box_constant(mu, Power(1), 1.0)
@@ -322,8 +395,45 @@ class TestSparseAtomicSweep:
         assert sweep.constant == 1.0 / length == 2.0 ** 29
         assert sweep.witness.length == length and sweep.witness.contains(0.3, 1e-9)
         assert sweep.verdict.finite
-        assert max(sizes) <= 24
+        assert widths and max(widths) <= 24
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("x, height, center", [
+        (0.3, 1e-14, 0.2999999999999936),
+        (-7.1, 1e-15, -7.1),
+    ])
+    def test_crossings_of_deep_atoms(self, x, height, center):
+        """Witnesses as the per-length sweep found them.  Near 1e-14 the
+        centre indices pass 2^52, so a bisection midpoint may not form
+        ``lo + hi``.  At x = -7.1 a step of the length 2^-49 is half an ulp
+        of x, so a crossing lies indices away from its estimate
+        ``(x -+ L/2 + X) / step``, and the padding must reach it."""
+        sweep = carleson_box_constant(AtomicMeasure((x,), (height,), (1.0,)), Power(1), 1.0)
+        length = 2.0 ** math.ceil(math.log2(height))
+        assert (sweep.constant, sweep.witness) == (1.0 / length, CarlesonBox(center, length))
+
+    def test_memory_follows_the_atoms(self):
+        """At a step of 2^-12 lengths the per-length sweep held about 4100
+        centres per atom (a tracemalloc peak of 1,868,969 bytes on this
+        cloud); the candidates do not grow with the step."""
+        mu = bench_cloud(np.random.default_rng([0, 1]))
+        family = BoxFamily(step_fraction=2.0 ** -12)
+        carleson_box_constant(mu, Power(2), 1.0, family)
+        tracemalloc.start()
+        try:
+            carleson_box_constant(mu, Power(2), 1.0, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1_868_969
+
+    def test_rows_are_pinned(self):
+        """The rows of the pinned sweeps, bitwise as the per-length sweep
+        made them (``python tests/test_measure.py`` rewrites the file)."""
+        pinned = json.loads(PINNED_ROWS.read_text())
+        got = {key: [list(row) for row in bits(swept_rows(mu, phi, s)[1])]
+               for key, mu, phi, s in pinned_sweeps()}
+        assert got == pinned
 
     def test_imports_no_masked_arrays(self):
         """``np.union1d`` would import ``numpy.ma`` (about 10 ms) inside the
@@ -414,3 +524,10 @@ class TestDensityGrammar:
         from orliczhp.config import ConfigError
         with pytest.raises(ConfigError):
             parse_density("y - 2")  # subtraction is not in the grammar
+
+
+if __name__ == "__main__":
+    PINNED_ROWS.parent.mkdir(exist_ok=True)
+    lines = (f"{json.dumps(key)}: {json.dumps(bits(swept_rows(mu, phi, s)[1]))}"
+             for key, mu, phi, s in pinned_sweeps())
+    PINNED_ROWS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
