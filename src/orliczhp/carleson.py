@@ -49,23 +49,20 @@ points, and a power ``phi2``'s member modulars over the whole family, are
 ``|f|`` at every (kernel, atom) pair, one ``phi2`` call and one sum along
 the atom axis, each row bitwise its own ``modular_halfplane``.
 
-On a weighted volume ``y^gamma dx dy`` the kernel and embedding modulars of a
-power ``phi2``, and the Bergman norms of a power ``phi1``, run no quadrature:
-the x-integral of a power of a kernel and the height integral left after it
-are both beta functions (``spaces.modular_halfplane``).  Where the
-x-integral (``s q <= 1/2``) or the height integral (``2 s q - 2 - gamma <= 0``)
-diverges the modular is ``inf``: the kernel verdict is ``divergent`` at the
-first ladder height, and every member is unbounded.  On a density the same
-modulars run 1-D rules on the density's height segments, and its divergence
-probe decides ``inf``.
+On a weighted volume ``y^gamma dx dy`` or a density every kernel and
+embedding modular, under any ``phi2``, is a 1-D height integral of the
+kernel's line modulars (``spaces.modular_halfplane``), never the 2-D rule;
+for a power ``phi2`` on a volume it is a product of two beta functions.
+Where the x-integral (``s q <= 1/2``) or the height integral
+(``2 s q - 2 - gamma <= 0``) diverges the modular is ``inf``: the kernel
+verdict is ``divergent`` at the first ladder height, and every member is
+unbounded.  On a density the density's divergence probe decides ``inf``.
 
-The test families' norms do not depend on the measure.  For a power
-``phi1`` both are arithmetic: a Hardy member's line modulars are the closed
-x-integral at each height of ``spaces.hardy_norm``'s grid, and a Bergman
-member's modular is the product of the two beta functions.  So the family
-stage runs no quadrature for a power ``phi1``, whatever the measure.  Of
-``classify(phi1)`` the embedding modes run only the Dini check
-(``growth._dini``).
+The test families' norms do not depend on the measure: a Hardy member's
+line modulars are ``GrowthFunction.kernel_lines``, and a Bergman member's
+modular a height integral on the weight's volume, both arithmetic for a
+power ``phi1``.  Of ``classify(phi1)`` the embedding modes run only the
+Dini check (``growth._dini``).
 """
 
 from __future__ import annotations
@@ -217,17 +214,11 @@ def bergman_test_family(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[NormedMember]:
     """Bergman-kernel family normalized by the Bergman-Orlicz Luxembourg
-    norm against ``y^alpha``, one ``bergman_norm`` per member.
-
-    For a power ``phi1 = c t^p`` that norm is arithmetic: both integrals of
-    the modular are beta functions (``spaces.modular_halfplane``) and the
-    norm is ``modular^(1/p)``.  Its value is the same for every member, up
-    to rounding: the substitution ``w = x0 + y0 w'`` carries the member at
-    ``x0 + i y0`` onto the one at ``i``, and its amplitude
-    ``phi1^{-1}(1/y0^s) = (c y0^s)^(-1/p)`` (``s = 2 + alpha``) absorbs the
-    factor ``y0^s`` of the dilated measure, so the modular is
-    ``B(1/2, (2sp-1)/2) B(alpha+1, 2sp-alpha-2)`` at every base point.
-    """
+    norm against ``y^alpha``, one ``bergman_norm`` per member.  For a power
+    ``phi1 = c t^p`` the norm is arithmetic and, up to rounding, the same
+    for every member: the dilation ``w = x0 + y0 w'`` carries the member at
+    ``x0 + i y0`` onto the one at ``i``, and the amplitude
+    ``(c y0^s)^(-1/p)`` absorbs the measure's factor ``y0^s``."""
     members = []
     for y0 in heights:
         f = BergmanKernel(complex(0.0, y0), phi1, alpha)

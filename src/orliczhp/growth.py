@@ -9,6 +9,9 @@ with value 0 at 0.  The package works with a closed family of them:
 * ``ReciprocalReflected(base)``  -- ``1 / base(1 / t)``, 0 at 0
 * ``Tabulated(knots_t, knots_y)`` -- piecewise-linear through sample pairs
 
+Every kind gives the line modulars of a rational test kernel
+(``kernel_lines``): exp-sinh rows, or a beta function for a ``Power``.
+
 On top of evaluation and inversion this module provides the convex
 conjugate, doubling and Dini-integral classification, pointwise-derivative
 index estimates, and the submultiplicativity conditions used by the
@@ -19,12 +22,16 @@ are reported as estimates (grid extrema), never as certified suprema.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .integrals import DEFAULT_SPEC, LineRowsResult, QuadratureSpec, beta
+from .integrals import _EXP_SINH, _doubly_exponential  # the row-batched level loop
 
 __all__ = [
     "GrowthFunction",
@@ -114,6 +121,38 @@ class GrowthFunction:
     def _inverse(self, y: np.ndarray, tol: float) -> np.ndarray:
         return _bisect_inverse(self, y, tol)
 
+    def kernel_amplitude(self, y0: float, s: float) -> float:
+        """``phi^{-1}(1 / y0^s)``, the amplitude of a kernel of exponent ``s``."""
+        return float(self.inverse(1.0 / y0 ** s))
+
+    def kernel_factor(self, a: float, s: float) -> Optional[tuple[float, float]]:
+        """``(m, factor)`` when every line modular is ``factor y0 (y0 / (y0 +
+        y))^(2m - 1)``, a power of the height (a ``Power``); else ``None``."""
+        return None
+
+    def kernel_lines(self, a: float, s: float, y0: float, ys,
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> LineRowsResult:
+        """``int_R phi(a (y0^2 / ((x - x0)^2 + (y + y0)^2))^s) dx`` at each
+        height ``y`` of ``ys``, whatever ``x0``: the line modulars of a kernel.
+
+        In ``x - x0 = (y + y0) u`` each is ``(y + y0) G_s(c)``, ``c = a (y0 /
+        (y + y0))^(2s)``, ``G_s(c) = 2 int_0^inf phi(c (1 + u^2)^-s) du``: one
+        exp-sinh level loop, a row per height.  The closed form of
+        ``kernel_factor`` runs no quadrature (every row converges, error 0)."""
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        closed = self.kernel_factor(a, s)
+        if closed is not None:
+            m, factor = closed
+            values = factor * y0 * (y0 / (y0 + ys)) ** (2.0 * m - 1.0)
+            return LineRowsResult(values, np.zeros(ys.shape), np.full(ys.shape, True))
+        c = a * (y0 / (y0 + ys)) ** (2.0 * s)
+        g, err, converged = _doubly_exponential(
+            lambda u, rows: self(c[rows, None] * (1.0 + u * u) ** -s),
+            _EXP_SINH, spec.abs_tol, spec.rel_tol, c.size,
+        )
+        width = 2.0 * (y0 + ys)
+        return LineRowsResult(width * g, width * err, converged)
+
 
 def _bisect_inverse(phi: GrowthFunction, y: np.ndarray, tol: float) -> np.ndarray:
     out = np.zeros_like(y, dtype=float)
@@ -163,6 +202,26 @@ class Power(GrowthFunction):
 
     def _inverse(self, y: np.ndarray, tol: float) -> np.ndarray:
         return (y / self.scale) ** (1.0 / self.p)
+
+    def kernel_amplitude(self, y0: float, s: float) -> float:
+        """As for every kind, except where ``y0^s`` or its reciprocal is no
+        finite normal float (from ``s = 128`` at ``y0 = 2^8``): there
+        ``y0^(-s/p) scale^(-1/p)``, which forms neither."""
+        try:
+            power = y0 ** s
+        except OverflowError:
+            power = math.inf
+        if sys.float_info.min <= power < math.inf and 1.0 / power >= sys.float_info.min:
+            return float(self.inverse(1.0 / power))
+        return y0 ** (-s / self.p) * self.scale ** (-1.0 / self.p)
+
+    def kernel_factor(self, a: float, s: float) -> tuple[float, float]:
+        """``m = s p``, ``factor = scale a^p B(1/2, m - 1/2)`` (``inf`` for
+        ``m <= 1/2``): the first beta closed form of ``integrals``."""
+        m = s * self.p
+        if m <= 0.5:
+            return m, math.inf
+        return m, self.scale * a ** self.p * beta(0.5, m - 0.5)
 
 
 @dataclass(frozen=True)

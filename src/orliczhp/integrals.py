@@ -7,12 +7,9 @@ Two closed forms recur throughout the package:
 * ``int_0^inf y^a / (t + y)^b dy = B(a+1, b-a-1) * t^(a-b+1)`` for
   ``a > -1`` and ``b - a > 1``.
 
-Both are runtime closed forms: ``spaces.modular_halfplane`` takes the
-x-integral of a power of a kernel with the first, and
-``measure.WeightedVolume.kernel_modular`` the height integral left after it
-with the second (``halfplane_kernel_value``); on a density the height runs
-by ``tanh_sinh`` and ``exp_sinh``.  Both double as oracles for the
-quadrature (``line_kernel_value``, ``halfplane_kernel_value``).
+Both are runtime closed forms for a power of a kernel
+(``growth.Power.kernel_factor``, ``measure.WeightedVolume.kernel_modular``)
+and oracles for the quadrature.
 
 Quadrature engines: three double-exponential changes of variables
 (Takahasi-Mori): tanh-sinh on a finite interval (absorbing endpoint
@@ -31,12 +28,15 @@ its own running estimate and its own convergence test, and a row that has
 converged is frozen and no longer evaluated.  ``tanh_sinh``, ``sinh_sinh``,
 ``exp_sinh`` and ``integrate_line`` are its one-row cases;
 ``integrate_line_rows`` exposes the stack for families of line integrals
-(one row per height in ``spaces.hardy_norm``).  The product rule
-``_product_rule`` integrates over the tensor grid of two maps for half-plane
-and box integrals with nested levels: the coarse level is the full grid, and
-each finer level adds only the new nodes inside a window of each axis that
-drops the coarse nodes below 1e-20 of the sum (the tail truncation of
-Takahasi-Mori and Bailey-Jeyabalan-Li).
+(``spaces.hardy_norm``), and ``growth.GrowthFunction.kernel_lines`` runs it
+on a kernel's x-profiles.  The product rule ``_product_rule`` integrates
+over the tensor grid of two maps for half-plane and box integrals with
+nested levels: the coarse level is the full grid, and each finer level
+adds only the new nodes inside a window of each axis that drops the coarse
+nodes below 1e-20 of the sum (the tail truncation of Takahasi-Mori and
+Bailey-Jeyabalan-Li).  Kernels on unrestricted height measures never reach
+it: it serves other integrands (Poisson extensions, bare callables) and,
+as ``integrate_box``, restricted measures.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class IntegralResult:
     value: float
     error: float
     converged: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------

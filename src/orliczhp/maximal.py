@@ -69,14 +69,6 @@ class StepFunction1D:
     def window(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.edges, x, side="right") - 1
-        inside = (idx >= 0) & (idx < self.values.size) & (x < self.edges[-1])
-        out = np.zeros_like(x, dtype=float)
-        out[inside] = self.values[idx[inside]]
-        return out
-
     def abs_prefix(self) -> np.ndarray:
         """F with F[i] = integral of |f| over (-inf, edges[i]] (computed once,
         read-only)."""
@@ -212,22 +204,6 @@ class StepFunction2D:
         object.__setattr__(self, "x_edges", xe)
         object.__setattr__(self, "y_edges", ye)
         object.__setattr__(self, "values", v)
-
-    def __call__(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ix = np.searchsorted(self.x_edges, x, side="right") - 1
-        iy = np.searchsorted(self.y_edges, y, side="right") - 1
-        inside = (
-            (ix >= 0) & (ix < self.values.shape[0]) & (x < self.x_edges[-1])
-            & (iy >= 0) & (iy < self.values.shape[1]) & (y < self.y_edges[-1])
-        )
-        out = np.zeros(np.broadcast(x, y).shape, dtype=float)
-        ixc = np.clip(ix, 0, self.values.shape[0] - 1)
-        iyc = np.clip(iy, 0, self.values.shape[1] - 1)
-        vals = self.values[ixc, iyc]
-        out[inside] = np.broadcast_to(vals, out.shape)[inside]
-        return out
 
 
 def _y_overlap_weighted(ye: np.ndarray, y0: float, y1: float, alpha: float) -> np.ndarray:

@@ -13,13 +13,13 @@ Each kind carries its own rules: ``box_mass``, ``integrate`` (the integral
 of a function of ``(x, y)``), ``pixel_masses`` and ``atoms`` (the atoms of
 positive mass, ``None`` for the height-only kinds).  The module functions
 of the same names are kind-agnostic entry points.  The two unrestricted
-height measures also give ``kernel_modular``, the modular of a power of a
-rational kernel once its x-integral is taken in closed form: for
-``WeightedVolume`` the height integral is a beta function too, so no
-quadrature runs, and for ``DensityMeasure`` it is a 1-D rule per height
-segment of ``integrate``, behind the same probe.  The kinds with atoms (an
-``AtomicMeasure``, or a ``RestrictedMeasure`` of one) give
-``integrate_rows``: the atom sums of many integrands from one
+height measures also give ``kernel_modular``, the modular of a rational
+kernel under any ``phi`` once its x-integral is taken
+(``GrowthFunction.kernel_lines``): a 1-D height integral, which on a
+``WeightedVolume`` is a beta function too where ``phi`` is a power.  So
+their ``integrate``, the 2-D product rule, serves only other integrands.
+The kinds with atoms (an ``AtomicMeasure``, or a ``RestrictedMeasure`` of
+one) give ``integrate_rows``: the atom sums of many integrands from one
 ``(rows, atoms)`` array, each bitwise its ``integrate``.
 
 Box masses are exact sums for atoms, closed form ``|I|^(2+alpha)/(1+alpha)``
@@ -139,6 +139,21 @@ def _tail_probed(segment: Callable[[float, float], float], spec: QuadratureSpec)
     return _probed(segment, spec.y_min, lambda lo: segment(lo, 1.0) + tail)
 
 
+def _kernel_heights(phi: GrowthFunction, a: float, s: float, y0: float, weight: Callable,
+                    lo: float, hi: float, spec: QuadratureSpec) -> float:
+    """``int_lo^hi phi.kernel_lines(a, s, y0, y) weight(y) dy``, a kernel's
+    modular over a height band, on the height maps of the 2-D rule:
+    tanh-sinh on a band and exp-sinh in ``y = lo + y0 u`` above ``lo``.  A
+    vanishing line modular times an infinite weight counts 0: the section-6
+    profiles leave the double range at the far nodes."""
+    def kernel(y: np.ndarray) -> np.ndarray:
+        return _safe_products(phi.kernel_lines(a, s, y0, y, spec).values, weight(y))
+
+    if math.isinf(hi):
+        return exp_sinh(lambda u: y0 * kernel(lo + y0 * u), spec.abs_tol, spec.rel_tol).value
+    return tanh_sinh(kernel, lo, hi, spec.abs_tol, spec.rel_tol).value
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Point masses at ``(x_k, y_k)`` with ``y_k > 0`` and nonnegative mass."""
@@ -251,20 +266,22 @@ class WeightedVolume(_HeightMeasure):
             g, self.alpha, spec, x_center=x_center, scale=scale,
         ).value
 
-    def kernel_modular(self, m: float, y0: float, factor: float,
+    def kernel_modular(self, phi: GrowthFunction, a: float, s: float, y0: float,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """``factor`` times ``y0^(2m) int_0^inf (y + y0)^(1-2m) y^alpha dy``:
-        the modular of a power of a rational kernel once its x-integral is
-        taken in closed form (``spaces.modular_halfplane``).
-
-        The height integral is the second beta closed form of ``integrals``,
-        ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, so no quadrature runs and
-        ``spec`` is unused.  It diverges at infinity unless
-        ``2m - 2 - alpha > 0``: ``inf``, even where ``factor`` underflows."""
-        a, b = self.alpha, 2.0 * m - 1.0
-        if b - a <= 1.0:
+        """A rational kernel's modular (``spaces.modular_halfplane``), one
+        exp-sinh rule over its line modulars (``_kernel_heights``).  Where
+        they are a power of the height (``phi.kernel_factor``) it is the
+        second beta closed form of ``integrals``, ``factor y0^(2+alpha)
+        B(alpha+1, 2m-2-alpha)``: ``inf`` where that or the x-integral
+        diverges, even where ``factor`` underflows."""
+        closed = phi.kernel_factor(a, s)
+        if closed is None:
+            return _kernel_heights(phi, a, s, y0, lambda y: y ** self.alpha, 0.0, math.inf, spec)
+        m, factor = closed
+        b = 2.0 * m - 1.0
+        if math.isinf(factor) or b - self.alpha <= 1.0:
             return math.inf
-        height = y0 ** (2.0 + a) * halfplane_kernel_value(a, b, 1.0)
+        height = y0 ** (2.0 + self.alpha) * halfplane_kernel_value(self.alpha, b, 1.0)
         return math.inf if math.isinf(height) else factor * height
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
@@ -290,7 +307,7 @@ class DensityMeasure(_HeightMeasure):
     over the half-plane is the ``(1, inf)`` tail plus ``(0, 1)`` behind the
     probe: 2-D product rules in ``integrate``, and 1-D rules in
     ``kernel_modular``, which ``spaces.modular_halfplane`` takes for a
-    kernel under a power ``phi``.
+    kernel under any ``phi``.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -314,29 +331,17 @@ class DensityMeasure(_HeightMeasure):
 
         return _tail_probed(segment, spec)
 
-    def kernel_modular(self, m: float, y0: float, factor: float,
+    def kernel_modular(self, phi: GrowthFunction, a: float, s: float, y0: float,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """``factor * int_0^inf rho(y) y0 (1 + y/y0)^(1-2m) dy``, the modular
-        of a power of a rational kernel once its x-integral is taken in
-        closed form (``spaces.modular_halfplane``), by the segments and the
-        probe of ``integrate``: one 1-D rule per segment on the height map
-        of the 2-D rule, tanh-sinh on a band and exp-sinh in
-        ``y = lo + y0 u`` above ``lo``.  ``factor`` sits in the integrand,
-        so the tolerances and the probe see the whole modular, as they do in
-        the 2-D rule.  A vanishing kernel value times an infinite profile
-        value counts 0: the section-6 profiles leave the double range at the
-        far nodes."""
-        def kernel(y: np.ndarray) -> np.ndarray:
-            return _safe_products(factor * y0 * (1.0 + y / y0) ** (1.0 - 2.0 * m),
-                                  self.profile(y))
-
-        def segment(lo: float, hi: float) -> float:
-            if math.isinf(hi):
-                return exp_sinh(lambda u: y0 * kernel(lo + y0 * u),
-                                spec.abs_tol, spec.rel_tol).value
-            return tanh_sinh(kernel, lo, hi, spec.abs_tol, spec.rel_tol).value
-
-        return _tail_probed(segment, spec)
+        """A rational kernel's modular (``spaces.modular_halfplane``): 1-D
+        rules over its line modulars (``_kernel_heights``) on the segments
+        and behind the probe of ``integrate``; ``inf`` where a closed
+        x-integral diverges (``phi.kernel_factor``)."""
+        closed = phi.kernel_factor(a, s)
+        if closed is not None and math.isinf(closed[1]):
+            return math.inf
+        return _tail_probed(
+            lambda lo, hi: _kernel_heights(phi, a, s, y0, self.profile, lo, hi, spec), spec)
 
     def _pixel_column(self, ye: np.ndarray) -> np.ndarray:
         """Midpoint rule per height cell."""

@@ -14,17 +14,15 @@ Luxembourg norms is one bisection on the row maximum of the line modulars.
 Bergman-type norms integrate over the half-plane against ``y^alpha``.
 Both report the modular form and the Luxembourg form.
 
-For a ``CarlesonKernel`` under a power ``phi`` the x-integral of
-``phi(|f|)`` along a horizontal line is a beta function
-(``_closed_x_factor``).  So the Hardy norm of such a kernel is arithmetic,
-one closed x-integral per height of its grid.  A half-plane modular runs
-the measure's own rule, except for such a kernel on a weighted volume or a
-density: there what is left after the x-integral is a height integral
-(``modular_halfplane``), a second beta function on a weighted volume and a
-1-D rule on a density.  That covers the kernel and embedding testers'
-modulars on those measures, and makes the Bergman norm of a power ``phi``
-arithmetic.  On a measure with atoms ``kernel_modulars`` takes the modulars
-of many kernels from one (kernels x atoms) array, each bitwise its own
+Along a horizontal line the x-integral of ``phi(|f|)`` for a
+``CarlesonKernel`` is a function of the height alone, for every ``phi``
+(``GrowthFunction.kernel_lines``): a beta function for a power, exp-sinh
+rows otherwise.  So a kernel's Hardy norm is one such call on its height
+grid, and its modular on a weighted volume or a density a 1-D height
+integral (``modular_halfplane``), a second beta function on a volume for a
+power.  Only other integrands and restricted measures reach a 2-D rule.
+On a measure with atoms ``kernel_modulars`` takes the modulars of many
+kernels from one (kernels x atoms) array, each bitwise its own
 ``modular_halfplane``.
 
 Test functions are the rational kernels
@@ -47,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .growth import GrowthFunction, Power, _pointwise
-from .integrals import DEFAULT_SPEC, QuadratureSpec, beta, integrate_line_rows
+from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
 
@@ -94,8 +92,7 @@ class CarlesonKernel:
             raise ValueError("kernel base point must lie in the upper half-plane")
         if not 0.0 < self.s < math.inf:
             raise ValueError("kernel exponent s must be positive and finite")
-        amp = float(self.phi.inverse(1.0 / self.z0.imag ** self.s))
-        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_amp", self.phi.kernel_amplitude(self.z0.imag, self.s))
 
     @property
     def amplitude(self) -> float:
@@ -178,18 +175,6 @@ def step_modular_line(f: StepFunction1D, phi: GrowthFunction, scale: float = 1.0
     return float(np.sum(phi(vals) * widths))
 
 
-def _closed_x_factor(f: CarlesonKernel, phi: Power, scale: float = 1.0) -> tuple[float, float]:
-    """``(m, factor)`` for the closed x-integral of a kernel under a power:
-    with ``phi = c t^p``, amplitude ``a`` and ``m = s p``,
-    ``int phi(|f(x + iy)| / scale) dx = factor y0 (y0 / (y0 + y))^(2m - 1)``
-    and ``factor = c (a/scale)^p B(1/2, m - 1/2)``.  The x-integral diverges
-    for ``m <= 1/2``, where ``factor`` is ``inf``."""
-    m = f.s * phi.p
-    if m <= 0.5:
-        return m, math.inf
-    return m, phi.scale * (f.amplitude / scale) ** phi.p * beta(0.5, m - 0.5)
-
-
 def modular_halfplane(
     f,
     phi: GrowthFunction,
@@ -204,28 +189,20 @@ def modular_halfplane(
     ``|f|(x, y)`` callable.  Scaled box indicators short-circuit to the
     exact value ``phi(lam/scale) * mu(box)``.
 
-    A ``CarlesonKernel`` under a power ``phi = c t^q``, against a measure
-    with a ``kernel_modular`` (a weighted volume or a density), takes the
-    x-integral in closed form (``_closed_x_factor``): ``|f| = a y0^(2s)
-    d2^(-s)`` with ``d2 = (x - x0)^2 + (y + y0)^2``, so with ``m = s q``
-    the modular is ``factor = c (a/scale)^q B(1/2, m - 1/2)`` times the
-    height integral of ``y0^(2m) (y + y0)^(1-2m) = y0 (1 + y/y0)^(1-2m)``
-    against the measure, which ``mu.kernel_modular(m, y0, factor, spec)``
-    returns with the factor applied: on a weighted volume ``y^alpha`` the
-    beta function ``y0^(2+alpha) B(alpha+1, 2m-2-alpha)``, and on a density
-    one 1-D rule per segment of its ``integrate``, behind the same
-    divergence probe.  It does not depend on ``x0``, and ``y0^(2s)`` is
-    never formed.  The x-integral diverges for ``m <= 1/2`` (``inf``).
-    Every other case runs the measure's ``integrate``.
+    A ``CarlesonKernel`` on a measure with a ``kernel_modular`` (a weighted
+    volume or a density) is, under any ``phi``, the height integral of its
+    line modulars ``phi.kernel_lines`` at amplitude ``a / scale``: it does
+    not depend on ``x0``, and ``y0^(2s)`` is never formed.  Every other
+    integrand or measure runs the measure's ``integrate``: atom sums, or a
+    2-D rule (the product rule, or the box rule of a restricted measure).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if isinstance(f, IndicatorScaled):
         return float(phi(abs(f.lam) / scale)) * box_mass(mu, f.box, spec)
     kernel_modular = getattr(mu, "kernel_modular", None)
-    if kernel_modular is not None and isinstance(f, CarlesonKernel) and isinstance(phi, Power):
-        m, factor = _closed_x_factor(f, phi, scale)
-        return math.inf if math.isinf(factor) else kernel_modular(m, f.z0.imag, factor, spec)
+    if kernel_modular is not None and isinstance(f, CarlesonKernel):
+        return kernel_modular(phi, f.amplitude / scale, f.s, f.z0.imag, spec)
     hint_scale = float(getattr(f, "natural_scale", 1.0))
     hint_center = float(getattr(f, "natural_center", 0.0))
     f_abs = f.abs_value if hasattr(f, "abs_value") else f
@@ -368,14 +345,10 @@ def hardy_norm(
     the exact sup over all heights; the tested kernel families are
     monotone or unimodal in height, which keeps it tight.
 
-    A ``CarlesonKernel`` under a power ``phi`` runs no quadrature: its line
-    modular at height ``y`` is the closed x-integral
-    ``factor y0 (y0 / (y0 + y))^(2m - 1)`` (``_closed_x_factor``; ``inf``
-    for ``m <= 1/2``), so ``converged`` is true and ``error`` is 0.
-
-    Any other input takes the line modulars of all heights at a scale
-    ``lam`` from one ``integrate_line_rows`` call, one row per height, each
-    row on the width ``natural_scale + y``.  The call at scale 1 gives
+    The line modulars of all heights at a scale ``lam`` are one call, a row
+    per height: ``phi.kernel_lines`` at amplitude ``a / lam`` for a
+    ``CarlesonKernel``, and ``integrate_line_rows`` on the width
+    ``natural_scale + y`` for any other input.  The call at scale 1 gives
     ``modular_sup``; ``converged`` is true only if every row of it
     converged, and ``error`` is its worst row's error estimate.
 
@@ -384,11 +357,9 @@ def hardy_norm(
     phi takes it in closed form from ``modular_sup``, and any other phi
     bisects once on the row maximum at scale ``lam``."""
     ys = default_height_grid()
-    if isinstance(f, CarlesonKernel) and isinstance(phi, Power):
-        m, factor = _closed_x_factor(f, phi)
-        y0 = f.z0.imag
-        values = factor * y0 * (y0 / (y0 + ys)) ** (2.0 * m - 1.0)
-        converged, error, modular_at = True, 0.0, None  # a Power phi never bisects
+    if isinstance(f, CarlesonKernel):
+        def rows_at(lam: float):
+            return phi.kernel_lines(f.amplitude / lam, f.s, f.z0.imag, ys, spec)
     else:
         x_scale = float(getattr(f, "natural_scale", 1.0))
         x_center = float(getattr(f, "natural_center", 0.0))
@@ -400,12 +371,12 @@ def hardy_norm(
                 lambda X, r: phi(np.abs(f_abs(X, ys[r, None])) / lam), spec, x_center, widths
             )
 
-        rows = rows_at(1.0)
-        values = rows.values
-        converged, error = bool(np.all(rows.converged)), float(np.max(rows.errors))
+    rows = rows_at(1.0)
+    values = rows.values
+    converged, error = bool(np.all(rows.converged)), float(np.max(rows.errors))
 
-        def modular_at(lam: float) -> float:
-            return float(np.max(rows_at(lam).values))
+    def modular_at(lam: float) -> float:
+        return float(np.max(rows_at(lam).values))
 
     i = int(np.argmax(values))
     modular_sup = float(values[i])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,25 +370,23 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("alpha", [
         63.0,  # s = 65: y0^(2s) alone overflows at 2^8, the ratio form does not
-        pytest.param(126.0, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: the kernel amplitude phi1^-1(1/y0^s) forms y0^s. "
-            "At s = 128 and y0 = 2^8 that is 2^1024, an OverflowError, so the "
-            "run exits 3"))),
-        pytest.param(133.0, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: the kernel amplitude phi1^-1(1/y0^s) forms y0^s. "
-            "At s = 135 and y0 = 2^-8 that underflows to 0 and 1/y0^s divides "
-            "by zero, so the run exits 3"))),
+        126.0,  # s = 128: y0^s overflows at y0 = 2^8, a power's amplitude does not
+        133.0,  # s = 135: y0^s underflows to 0 at y0 = 2^-8
         pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 2: a non-finite kernel or box number is not yet a "
-            "verdict. At alpha = 1e308 the kernel amplitude divides by zero, "
-            "so the run exits 3"))),
+            "verdict. At alpha = 1e308 the kernel amplitude y0^(-s/p) itself "
+            "overflows at y0 = 2^-8, so the run exits 3"))),
     ])
     def test_bergman_equivalence_extreme_alpha(self, tmp_path, capsys, alpha):
+        """A verdict, and no floating-point warning on the way: an ``inf * 0``
+        would read ``phi(nan) = 0`` without one."""
         path = write_config(tmp_path, {
             "command": "equivalence", "measure": ATOM, "phi1": "power(2)",
             "phi2": "power(4)", "mode": "bergman", "alpha": alpha,
         })
-        assert main(["--config", path]) in (EXIT_PASS, EXIT_ASSERT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", path]) in (EXIT_PASS, EXIT_ASSERT)
         capsys.readouterr()
 
     def test_multiplier_overflow_inconclusive(self, tmp_path, capsys):

@@ -1,8 +1,7 @@
 """Package-level checks: every name a module exports exists and is reached
 by the library or the benchmark, every function the benchmark's metrics
-name is one the tracer wraps, every benchmark case at seed 0 passes the
-benchmark's own output checks, and the section-6 CLI cases run the 2-D rule
-only where no 1-D height path applies.
+name is one the tracer wraps, and every benchmark case at seed 0 passes the
+benchmark's own output checks without running the 2-D product rule.
 
 The benchmark tracer wraps the public functions of each module and skips
 names it cannot find, so a stale ``__all__`` entry left by a deletion
@@ -20,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import orliczhp
-from orliczhp import cli, measure
+from orliczhp import measure
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(orliczhp.__path__))
 
@@ -139,23 +138,12 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_cases_pass_their_checks(workload, tmp_path):
+def test_benchmark_cases_pass_their_checks(workload, tmp_path, monkeypatch):
     """Each case of the workload at seed 0 runs without raising, and its
-    record passes ``oracles.CHECKS``, as in a benchmark pass."""
+    record passes ``oracles.CHECKS``, as in a benchmark pass.  No case runs
+    the 2-D product rule: every kernel modular of a benchmark case, under
+    any ``phi2``, is on the 1-D height path."""
     workloads, oracles = _load_perfbench("workloads"), _load_perfbench("oracles")
-    fails = []
-    for case in workloads.WORKLOADS[workload](0, tmp_path):
-        fails += oracles.CHECKS[workload](case.record(case.run()))
-    assert not fails
-
-
-@pytest.mark.parametrize("case, product_rule", [("section6-power", False),
-                                                ("section6-powerlog", True)])
-def test_section6_cli_cases_leave_the_2d_rule(monkeypatch, case, product_rule):
-    """The benchmark's section-6 suite under ``phi2 = power(4)`` runs every
-    kernel and embedding modular on the 1-D height path and makes no
-    ``integrate_halfplane`` call; under a non-power ``phi2`` it keeps the
-    2-D rule."""
     calls = []
     real = measure.integrate_halfplane
 
@@ -164,6 +152,8 @@ def test_section6_cli_cases_leave_the_2d_rule(monkeypatch, case, product_rule):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(measure, "integrate_halfplane", counting)
-    report = cli.run(_load_perfbench("workloads").cli_configs(0)[case])
-    assert report["suite_verdict"] == "pass"
-    assert bool(calls) == product_rule
+    fails = []
+    for case in workloads.WORKLOADS[workload](0, tmp_path):
+        fails += oracles.CHECKS[workload](case.record(case.run()))
+    assert not fails
+    assert not calls

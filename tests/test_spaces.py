@@ -4,13 +4,13 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orliczhp import maximal
 from orliczhp.carleson import weak_hardy_family
 from orliczhp.corpus import random_atoms, random_step_1d
-from orliczhp.growth import Power, PowerLog, classify
+from orliczhp.growth import ComposedInverse, Power, PowerLog, classify
 from orliczhp.integrals import QuadratureSpec, beta, integrate_halfplane
 from orliczhp.maximal import StepFunction1D, nontangential_maximal
 from orliczhp.measure import AtomicMeasure, CarlesonBox, DensityMeasure, WeightedVolume
@@ -518,6 +518,16 @@ def _product_rule_modular(f, phi, gamma, weight=None, y_lo=0.0, y_hi=math.inf):
                                x_center=f.natural_center, scale=f.natural_scale).value
 
 
+# growth functions that are no power, both of nominal type 2: a kernel's
+# modular on a height measure takes the exp-sinh rows of its x-profile
+# (``GrowthFunction.kernel_lines``)
+OTHER_PHIS = {"powerlog": PowerLog(2, 1, E ** 2), "composed": ComposedInverse(Power(4), Power(2))}
+
+# (phi, its nominal type q) for the translation properties
+TRANSLATED_PHIS = [(Power(q), q) for q in (1.5, 2.0, 3.0, 4.0)] + [
+    (phi, 2.0) for phi in OTHER_PHIS.values()]
+
+
 class TestClosedXKernelModular:
     """A ``CarlesonKernel`` under a power phi on a weighted volume is a
     product of two beta functions, the x-integral and the height integral:
@@ -565,19 +575,39 @@ class TestClosedXKernelModular:
                     * mp.beta(gamma + 1, 2 * m - 2 - gamma))
         assert abs(got / want - 1) <= 1e-13
 
+    @pytest.mark.parametrize("name", sorted(OTHER_PHIS))
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
+    def test_other_phi_matches_product_rule(self, gamma, name):
+        """A phi that is no power: the exp-sinh height rule over the
+        exp-sinh x-profile rows, both at the oracle's tight spec."""
+        phi = OTHER_PHIS[name]
+        for s in (1.0, 2.0):
+            for i, k in enumerate(range(-8, 9, 4)):
+                f = CarlesonKernel(complex(3.7 * (i % 2), 2.0 ** k), Power(2), s)
+                got = modular_halfplane(f, phi, WeightedVolume(gamma), PRODUCT_RULE_ORACLE)
+                want = _product_rule_modular(f, phi, gamma)
+                assert abs(got / want - 1.0) <= 1e-12, (gamma, name, s, f.z0)
+
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.sampled_from([-0.5, 0.0, 0.5, 2.5]), s=st.sampled_from([1.0, 2.0, 3.0]),
-           q=st.sampled_from([1.5, 2.0, 3.0, 4.0]), x0=st.floats(-1e3, 1e3),
+           phi_q=st.sampled_from(TRANSLATED_PHIS), x0=st.floats(-1e3, 1e3),
            k=st.floats(-8.0, 8.0), lam=st.floats(1e-2, 1e2))
-    def test_translation_and_height_scaling(self, gamma, s, q, x0, k, lam):
-        mu, phi, y0 = WeightedVolume(gamma), Power(q), 2.0 ** k
+    def test_translation_and_height_scaling(self, gamma, s, phi_q, x0, k, lam):
+        """Bitwise x0-free modulars and Hardy norms for every phi; the height
+        scaling for a power."""
+        (phi, q), mu, y0 = phi_q, WeightedVolume(gamma), 2.0 ** k
+        power, diverges = isinstance(phi, Power), 2.0 * s * q - 2.0 - gamma <= 0
+        assume(power or not diverges)  # no divergence test for other phi
         f = CarlesonKernel(complex(x0, y0), Power(2), s)
+        at_0 = CarlesonKernel(complex(0.0, y0), Power(2), s)
         at_x0 = modular_halfplane(f, phi, mu, scale=lam)
-        if 2.0 * s * q - 2.0 - gamma <= 0:
+        assert at_x0 == modular_halfplane(at_0, phi, mu, scale=lam)
+        assert hardy_norm(f, phi) == hardy_norm(at_0, phi)
+        if not power:
+            return
+        if diverges:
             assert at_x0 == math.inf
             return
-        assert at_x0 == modular_halfplane(CarlesonKernel(complex(0.0, y0), Power(2), s),
-                                          phi, mu, scale=lam)
         unit = modular_halfplane(CarlesonKernel(1j, Power(2), s), phi, mu, scale=lam)
         # amplitude^q = y0^-s (phi1 = t^2), so the y0 factor is y0^(2+gamma-s)
         amp_ratio = f.amplitude / CarlesonKernel(1j, Power(2), s).amplitude
@@ -603,6 +633,9 @@ _DENSITIES = {
     "section6-power6": section6_measure(Power(2), Power(6))[0],
     **{f"y^{g:g}": _power_density(g) for g in (0.0, 0.5, 2.0)},
 }
+# each density's growth exponent at infinity
+_DENSITY_GAMMAS = {"section6-power4": 0.0, "section6-power6": 1.0, "y^0": 0.0, "y^0.5": 0.5,
+                   "y^2": 2.0}
 
 
 class TestClosedXDensityModular:
@@ -613,18 +646,26 @@ class TestClosedXDensityModular:
 
     @pytest.mark.parametrize("name", sorted(_DENSITIES))
     def test_matches_product_rule(self, name):
-        mu, phi = _DENSITIES[name], Power(4)
-        for s in (1.0, 2.0):
-            for k in range(-8, 9):
-                for x0 in (0.0, 3.7):
-                    f = CarlesonKernel(complex(x0, 2.0 ** k), Power(2), s)
-                    got = modular_halfplane(f, phi, mu)
-                    # split at 1, as the density's own segments are: the
-                    # exp-sinh nodes from 0 reach y = 1e-275, where the
-                    # section-6 profile is inf
-                    want = sum(_product_rule_modular(f, phi, 0.0, mu.profile, lo, hi)
-                               for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
-                    assert abs(got / want - 1.0) <= 1e-11, (name, s, f.z0)
+        # a power runs the closed x-integral at the default spec, any other
+        # phi its x-profile rows at the oracle's (x0 = 3.7 only: the x0
+        # property is bitwise)
+        mu = _DENSITIES[name]
+        runs = [(Power(4), range(-8, 9), (0.0, 3.7), QuadratureSpec())] + [
+            (phi, range(-8, 9, 8), (3.7,), PRODUCT_RULE_ORACLE) for phi in OTHER_PHIS.values()]
+        for phi, ks, x0s, spec in runs:
+            for s in (1.0, 2.0):
+                if phi != Power(4) and 2.0 * s * 2.0 - 2.0 - _DENSITY_GAMMAS[name] <= 0:
+                    continue  # y^2 at s = 1: the height integral diverges under type 2
+                for k in ks:
+                    for x0 in x0s:
+                        f = CarlesonKernel(complex(x0, 2.0 ** k), Power(2), s)
+                        got = modular_halfplane(f, phi, mu, spec)
+                        # split at 1, as the density's own segments are: the
+                        # exp-sinh nodes from 0 reach y = 1e-275, where the
+                        # section-6 profile is inf
+                        want = sum(_product_rule_modular(f, phi, 0.0, mu.profile, lo, hi)
+                                   for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+                        assert abs(got / want - 1.0) <= 1e-11, (name, phi, s, f.z0)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
     def test_power_density_is_the_weighted_volume(self, gamma):
@@ -638,18 +679,22 @@ class TestClosedXDensityModular:
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(_DENSITIES)), s=st.sampled_from([1.0, 2.0]),
-           q=st.sampled_from([3.0, 4.0]), x0=st.floats(-1e3, 1e3),
-           k=st.floats(-8.0, 8.0), lam=st.floats(1e-2, 1e2))
-    def test_translation_and_scale_homogeneity(self, name, s, q, x0, k, lam):
-        # abs_tol off, so the level loops stop on the relative test at every
-        # scale: the default abs_tol = 1e-10 ends a 1e-9 modular early
-        spec, mu, phi = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12), _DENSITIES[name], Power(q)
+           phi_q=st.sampled_from([(Power(3.0), 3.0), (Power(4.0), 4.0), *TRANSLATED_PHIS[4:]]),
+           x0=st.floats(-1e3, 1e3), k=st.floats(-8.0, 8.0), lam=st.floats(1e-2, 1e2))
+    def test_translation_and_scale_homogeneity(self, name, s, phi_q, x0, k, lam):
+        """Bitwise x0-free modulars for every phi; scale homogeneity for a
+        power.  abs_tol is off, so the level loops stop on the relative test
+        at every scale: the default abs_tol = 1e-10 ends a 1e-9 modular early."""
+        (phi, q), mu = phi_q, _DENSITIES[name]
+        assume(2.0 * s * q - 2.0 - _DENSITY_GAMMAS[name] > 0)  # converges at infinity
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
         at_x0 = modular_halfplane(CarlesonKernel(complex(x0, 2.0 ** k), Power(2), s),
                                   phi, mu, spec, scale=lam)
         at_0 = CarlesonKernel(complex(0.0, 2.0 ** k), Power(2), s)
         assert at_x0 == modular_halfplane(at_0, phi, mu, spec, scale=lam)
-        unit = modular_halfplane(at_0, phi, mu, spec)
-        assert abs(at_x0 / (lam ** -q * unit) - 1.0) <= 1e-13
+        if isinstance(phi, Power):
+            unit = modular_halfplane(at_0, phi, mu, spec)
+            assert abs(at_x0 / (lam ** -q * unit) - 1.0) <= 1e-13
 
     def test_divergent_x_integral_is_infinite(self):
         # raw s = 0.4, q = 1: m = 0.4 <= 1/2, so no height is integrated
