@@ -61,8 +61,8 @@ unbounded.  On a density the density's divergence probe decides ``inf``.
 The test families' norms do not depend on the measure: a Hardy member's
 line modulars are ``GrowthFunction.kernel_lines``, and a Bergman member's
 modular a height integral on the weight's volume, both arithmetic for a
-power ``phi1``.  Of ``classify(phi1)`` the embedding modes run only the
-Dini check (``growth._dini``).
+power ``phi1``.  Of ``classify(phi1)`` the embedding modes read only the
+Dini verdict, and only it is computed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .growth import ComposedInverse, GrowthFunction, Power, _dini
+from .growth import ComposedInverse, GrowthFunction, Power, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
 from .maximal import StepFunction1D
 from .measure import (
@@ -438,7 +438,7 @@ def verify_equivalence(
 
     embedding: Optional[EmbeddingResult] = None
     if mode in ("hardy", "bergman"):
-        if not _dini(phi1).passed:
+        if not classify(phi1).dini.passed:
             warnings.append(
                 "phi1 fails the Dini (nabla2) check; the embedding "
                 "condition is outside the theorem's hypotheses"

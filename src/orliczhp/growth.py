@@ -25,7 +25,8 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -74,10 +75,18 @@ class LogGrid:
             raise ValueError("need at least 8 grid points")
 
     def values(self) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, self.points)
+        """The grid points: one read-only array shared by equal grids."""
+        return _geomspace(self.t_min, self.t_max, self.points)
 
     def subsampled(self, n: int) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, min(n, self.points))
+        return _geomspace(self.t_min, self.t_max, min(n, self.points))
+
+
+@lru_cache(maxsize=64)
+def _geomspace(t_min: float, t_max: float, points: int) -> np.ndarray:
+    out = np.geomspace(t_min, t_max, points)
+    out.flags.writeable = False
+    return out
 
 
 DEFAULT_GRID = LogGrid()
@@ -99,10 +108,10 @@ class GrowthFunction:
         if (arr < 0).any():
             raise GrowthDomainError("growth functions are defined on t >= 0")
         if scalar and not arr > 0:  # 0, or nan
-            return 0.0
+            return 0.0 if arr == 0 else math.nan
         with np.errstate(over="ignore", divide="ignore"):
             vals = self._eval(np.maximum(arr, 1e-300))
-        return float(vals) if scalar else np.where(arr > 0, vals, 0.0)
+        return float(vals) if scalar else np.where(arr > 0, vals, np.abs(arr))  # 0, or nan
 
     # -- inversion ---------------------------------------------------------
 
@@ -457,26 +466,6 @@ class ConditionVerdict:
         }
 
 
-@dataclass(frozen=True)
-class GrowthClassification:
-    doubling: ConditionVerdict       # phi(2t) <= K phi(t)
-    dini: ConditionVerdict           # int_0^t phi(s)/s^2 ds <= C phi(t)/t
-    lower_index: float
-    upper_index: float
-    upper_type_estimate: float
-    lower_type_estimate: float
-    upper_type_constant: float
-    tilde_conditions: dict = field(default_factory=dict)
-
-    @property
-    def nabla2_passed(self) -> bool:
-        return self.dini.passed
-
-    @property
-    def tilde_passed(self) -> bool:
-        return all(v.passed for v in self.tilde_conditions.values())
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # classify's results by (phi, grid), while a _classification_memo is open
 _CLASSIFY_MEMO: ContextVar[Optional[dict]] = ContextVar("classify_memo", default=None)
@@ -524,6 +513,12 @@ def classify(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> GrowthClassif
     """Doubling constant, Dini-quotient verdict, index and type estimates,
     and the three submultiplicativity conditions.
 
+    Only the check that ``phi > 0`` on the grid runs here (it raises
+    ``GrowthDomainError``); each condition is computed when first read.
+    Inside ``_classification_memo`` (one ``cli.run``) equal ``(phi, grid)``
+    values share one result, so each condition is computed at most once
+    per run.
+
     The Dini integral ``int_0^t phi(s)/s^2 ds`` at every grid point is one
     cumulative sum: 8-point Gauss-Legendre over the dyadic annuli from
     ``2^-(_DINI_J_MAX + 1) t_0`` up to the first grid point ``t_0``
@@ -537,108 +532,110 @@ def classify(phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID) -> GrowthClassif
     submultiplicativity scan fails when its grid maximum exceeds
     ``_TILDE_EDGE_FACTOR = 1.5`` times its maximum a decade inside the
     grid edges.
-
-    Inside ``_classification_memo`` (one ``cli.run``) equal ``(phi, grid)``
-    values share one result.
     """
     memo = _CLASSIFY_MEMO.get()
     if memo is None:
-        return _classify(phi, grid)
+        return GrowthClassification(phi, grid)
     key = (phi, grid)
     if key not in memo:
-        memo[key] = _classify(phi, grid)
+        memo[key] = GrowthClassification(phi, grid)
     return memo[key]
 
 
-def _classify(phi: GrowthFunction, grid: LogGrid) -> GrowthClassification:
-    ts = grid.values()
-    vals = phi(ts)
-    if np.any(vals <= 0):
-        raise GrowthDomainError("function vanishes on part of the grid")
+class GrowthClassification:
+    """``classify``'s conditions of ``phi`` on ``grid``, each a cached
+    attribute computed when first read."""
 
-    # doubling
-    ratios = phi(2.0 * ts) / vals
-    k_doubling = float(np.max(ratios))
-    doubling_grows = _growing_at_edge(ts, ratios, right=True)
-    doubling = ConditionVerdict(
-        passed=not doubling_grows,
-        constant=None if doubling_grows else k_doubling,
-        witness=(float(ts[-1]),) if doubling_grows else None,
-    )
-
-    dini = _dini(phi, grid, vals)
-
-    a_idx, b_idx = estimate_indices(phi, grid)
-    q_nom = nominal_upper_type(phi)
-    q_est = q_nom if q_nom is not None else b_idx
-    p_est = q_nom if isinstance(phi, Power) else a_idx
-
-    sub = grid.subsampled(96)
-    tilde = {
-        "product": _tilde_product(phi, sub),
-        "ratio_power": _tilde_ratio_power(phi, sub, q_est),
-        "ratio_value": _tilde_ratio_value(phi, sub),
-    }
-
-    # witness constant for the upper-type inequality with exponent q_est
-    t_ge1 = sub[sub >= 1.0]
-    st = sub[:, None] * t_ge1[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        wit = phi(st) / (t_ge1[None, :] ** q_est * phi(sub)[:, None])
-    upper_const = float(np.nanmax(np.where(np.isfinite(wit), wit, np.nan)))
-
-    return GrowthClassification(
-        doubling=doubling,
-        dini=dini,
-        lower_index=a_idx,
-        upper_index=b_idx,
-        upper_type_estimate=q_est,
-        lower_type_estimate=p_est,
-        upper_type_constant=upper_const,
-        tilde_conditions=tilde,
-    )
-
-
-def _dini(
-    phi: GrowthFunction, grid: LogGrid = DEFAULT_GRID, vals: Optional[np.ndarray] = None
-) -> ConditionVerdict:
-    """The Dini-quotient verdict of ``classify`` alone, bitwise equal to
-    ``classify(phi, grid).dini`` at a fraction of its cost (see ``classify``
-    for the rule).  ``vals`` is ``phi`` on the grid when the caller has it;
-    otherwise it is evaluated here, and a ``phi`` that vanishes on part of
-    the grid raises ``GrowthDomainError``, as in ``classify``."""
-    ts = grid.values()
-    if vals is None:
-        vals = phi(ts)
-        if np.any(vals <= 0):
+    def __init__(self, phi: GrowthFunction, grid: LogGrid) -> None:
+        self.phi, self.grid = phi, grid
+        self._ts = grid.values()
+        self._vals = phi(self._ts)
+        if np.any(self._vals <= 0):
             raise GrowthDomainError("function vanishes on part of the grid")
 
-    # Dini quotient: the dyadic annuli [2^-(j+1) t, 2^-j t] below t_0, then one
-    # cumulative integral over the grid cells; the annuli below the reference
-    # point probe convergence at 0
-    ref = np.argmin(np.abs(np.log(ts)))
-    hi = ts[[0, ref], None] * 2.0 ** -np.arange(_DINI_J_MAX + 1)
-    start, a_j = _gauss_legendre(phi, 0.5 * hi, hi)
-    cells = _gauss_legendre(phi, ts[:-1], ts[1:])
-    totals = np.cumsum(np.concatenate([[start.sum()], cells]))
-    quot = totals * ts / vals
-    decades = np.floor(np.arange(_DINI_J_MAX + 1) * math.log10(2.0)).astype(int)
-    dsums = np.bincount(decades, weights=a_j)
-    total = float(a_j.sum())
-    tail_bad = (
-        dsums.size >= 2
-        and dsums[-1] > _DINI_TAIL_FRACTION * total
-        and dsums[-2] > _DINI_TAIL_FRACTION * total
-    )
-    quot_grows = _growing_at_edge(ts, quot, right=True)
-    dini_passed = not tail_bad and not quot_grows
-    return ConditionVerdict(
-        passed=dini_passed,
-        constant=float(np.max(quot)) if dini_passed else None,
-        witness=None if dini_passed else (
-            float(ts[ref]) if tail_bad else float(ts[-1]),
-        ),
-    )
+    @cached_property
+    def doubling(self) -> ConditionVerdict:
+        """phi(2t) <= K phi(t)"""
+        ts = self._ts
+        ratios = self.phi(2.0 * ts) / self._vals
+        grows = _growing_at_edge(ts, ratios, right=True)
+        return ConditionVerdict(
+            passed=not grows,
+            constant=None if grows else float(np.max(ratios)),
+            witness=(float(ts[-1]),) if grows else None,
+        )
+
+    @cached_property
+    def dini(self) -> ConditionVerdict:
+        """int_0^t phi(s)/s^2 ds <= C phi(t)/t"""
+        phi, ts = self.phi, self._ts
+        # the dyadic annuli [2^-(j+1) t, 2^-j t] below t_0, then one cumulative
+        # integral over the grid cells; the annuli below the reference point
+        # probe convergence at 0
+        ref = np.argmin(np.abs(np.log(ts)))
+        hi = ts[[0, ref], None] * 2.0 ** -np.arange(_DINI_J_MAX + 1)
+        start, a_j = _gauss_legendre(phi, 0.5 * hi, hi)
+        cells = _gauss_legendre(phi, ts[:-1], ts[1:])
+        totals = np.cumsum(np.concatenate([[start.sum()], cells]))
+        quot = totals * ts / self._vals
+        decades = np.floor(np.arange(_DINI_J_MAX + 1) * math.log10(2.0)).astype(int)
+        dsums = np.bincount(decades, weights=a_j)
+        total = float(a_j.sum())
+        tail_bad = (
+            dsums.size >= 2
+            and dsums[-1] > _DINI_TAIL_FRACTION * total
+            and dsums[-2] > _DINI_TAIL_FRACTION * total
+        )
+        passed = not tail_bad and not _growing_at_edge(ts, quot, right=True)
+        return ConditionVerdict(
+            passed=passed,
+            constant=float(np.max(quot)) if passed else None,
+            witness=None if passed else (float(ts[ref]) if tail_bad else float(ts[-1]),),
+        )
+
+    @cached_property
+    def _indices(self) -> tuple[float, float]:
+        return estimate_indices(self.phi, self.grid)
+
+    lower_index = property(lambda self: self._indices[0])
+    upper_index = property(lambda self: self._indices[1])
+
+    @cached_property
+    def upper_type_estimate(self) -> float:
+        q_nom = nominal_upper_type(self.phi)
+        return q_nom if q_nom is not None else self.upper_index
+
+    @cached_property
+    def lower_type_estimate(self) -> float:
+        return self.upper_type_estimate if isinstance(self.phi, Power) else self.lower_index
+
+    @cached_property
+    def upper_type_constant(self) -> float:
+        """The witness constant of the upper-type inequality with exponent
+        ``upper_type_estimate``."""
+        phi, sub = self.phi, self.grid.subsampled(96)
+        t_ge1 = sub[sub >= 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            wit = phi(sub[:, None] * t_ge1[None, :]) / (
+                t_ge1[None, :] ** self.upper_type_estimate * phi(sub)[:, None])
+        return float(np.nanmax(np.where(np.isfinite(wit), wit, np.nan)))
+
+    @cached_property
+    def tilde_conditions(self) -> dict:
+        phi, sub = self.phi, self.grid.subsampled(96)
+        return {
+            "product": _tilde_product(phi, sub),
+            "ratio_power": _tilde_ratio_power(phi, sub, self.upper_type_estimate),
+            "ratio_value": _tilde_ratio_value(phi, sub),
+        }
+
+    @property
+    def nabla2_passed(self) -> bool:
+        return self.dini.passed
+
+    @property
+    def tilde_passed(self) -> bool:
+        return all(v.passed for v in self.tilde_conditions.values())
 
 
 def _scan_2d(ratio: np.ndarray, s: np.ndarray, t: np.ndarray) -> ConditionVerdict:

@@ -14,9 +14,11 @@ sampled on a log grid and classified by shape:
   multiplies;
 * nonincreasing -- the omega-weighted bounded analytic functions.
 
-Each branch carries its hypothesis checks (Dini/doubling verdicts and the
-submultiplicativity conditions); a failed required check yields an
-``out_of_theorem`` verdict naming the culprit instead of a guess.
+Each branch carries its hypothesis checks: the Dini verdicts of phi1, phi2
+and ``phi2 o phi1^{-1}``, and phi2's submultiplicativity conditions.  These
+are all that ``multiplier-classify`` computes of the three classifications.
+A failed required check yields an ``out_of_theorem`` verdict naming the
+culprit instead of a guess.
 
 Monotonicity and limits are sampled, never proven: ``inconclusive`` is a
 first-class outcome, and a vanishing limit is operationalized by a probe

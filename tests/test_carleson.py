@@ -192,7 +192,9 @@ class TestHardyPowerPairCalls:
             monkeypatch.setattr(module, name, counting)
 
         spy(spaces, "integrate_line_rows")
-        spy(growth, "_classify")
+        for name in ("estimate_indices", "_tilde_product", "_tilde_ratio_power",
+                     "_tilde_ratio_value"):
+            spy(growth, name)
         rep = verify_equivalence(mu, Power(2), Power(4), mode="hardy")
         assert rep.embedding is not None and len(rep.embedding.per_member) >= 9
         assert calls == []

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orliczhp.cli import EXIT_ASSERT, EXIT_CONFIG, EXIT_PASS, canonical_json, main, run
+from orliczhp.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_PASS, EXIT_RUNTIME, canonical_json,
+                          main, run)
 from orliczhp.config import ConfigError, parse_growth, parse_measure
 from orliczhp import growth
 from orliczhp.growth import ComposedInverse, Power, PowerLog, classify
@@ -300,24 +301,32 @@ def _lattice_suite(alpha):
 
 
 class TestClassifyMemo:
-    """classify's memo lives for exactly one run."""
+    """classify's memo lives for exactly one run, and a classification
+    computes only the conditions that are read."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
         keys = []
-        inner = growth._classify
+        init = growth.GrowthClassification.__init__
 
-        def counting(phi, grid):
+        def counting(self, phi, grid):
             keys.append((phi, grid))
-            return inner(phi, grid)
+            init(self, phi, grid)
 
-        monkeypatch.setattr(growth, "_classify", counting)
+        monkeypatch.setattr(growth.GrowthClassification, "__init__", counting)
         return keys
 
-    def test_once_per_distinct_function(self, computed):
+    def test_once_per_distinct_function(self, computed, monkeypatch):
+        scanned = []
+        real = growth._tilde_product
+        monkeypatch.setattr(growth, "_tilde_product",
+                            lambda phi, pts: scanned.append(phi) or real(phi, pts))
         report = run(_lattice_suite(1.0))
         assert report["suite_verdict"] == "pass"
         assert len(computed) == len(set(computed)) == 18
+        # the six classify-growth powers, and the phi2 of multiplier-classify
+        assert len(scanned) == 8 and not any(isinstance(phi, ComposedInverse) for phi in scanned)
+        assert sorted(phi.p for phi in scanned) == [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0]
 
     def test_successive_runs_agree_and_recompute(self, computed):
         a = run(_lattice_suite(0.0))
@@ -401,6 +410,17 @@ class TestMainExitCodes:
         assert main(["--config", path]) == EXIT_PASS
         assert main(["--config", path, "--assert"]) == EXIT_ASSERT
         capsys.readouterr()
+
+    def test_multiplier_reads_only_what_its_verdict_needs(self, tmp_path, capsys):
+        # doubling and the indices would evaluate this phi1 beyond its span;
+        # multiplier-classify reads neither, classify-growth reports both
+        phi1 = "tabulated((0, 0), (1, 1), (1e6, 1e12))"
+        path = write_config(tmp_path, {"command": "multiplier-classify", "phi1": phi1,
+                                       "phi2": "power(6)"})
+        assert main(["--config", path]) == EXIT_PASS
+        path = write_config(tmp_path, {"command": "classify-growth", "phi": phi1})
+        assert main(["--config", path]) == EXIT_RUNTIME
+        assert "beyond tabulated span" in capsys.readouterr().err
 
     def test_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"command": "classify-growth", "nope": 1})

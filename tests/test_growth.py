@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczhp import growth
 from orliczhp.growth import (
     DEFAULT_GRID,
     BracketingError,
@@ -16,7 +17,6 @@ from orliczhp.growth import (
     PowerLog,
     ReciprocalReflected,
     Tabulated,
-    _dini,
     _growing_at_edge,
     _pointwise,
     classify,
@@ -191,6 +191,23 @@ class TestIndices:
         assert lo < 2.01
 
 
+_ATTRS = ("doubling", "dini", "lower_index", "upper_index", "upper_type_estimate",
+          "lower_type_estimate", "upper_type_constant", "tilde_conditions",
+          "nabla2_passed", "tilde_passed")
+_CLASSIFIED = [
+    Power(2), Power(1.5, 0.25), PowerLog(2, 1, E ** 2), ComposedInverse(Power(4), Power(2)),
+    ComposedInverse(Power(3), PowerLog(2, 1, E ** 2)), ReciprocalReflected(Power(2)),
+    # t^2 on knots covering every argument of the scans, up to 1e12
+    Tabulated((0.0, *np.geomspace(1e-7, 1e13, 21)), (0.0, *np.geomspace(1e-7, 1e13, 21) ** 2)),
+]
+
+
+def _read(cls, names):
+    """The named attributes of ``cls`` read in the given order, as reprs
+    (a float's repr is its exact value, sign of zero included)."""
+    return {name: repr(getattr(cls, name)) for name in names}
+
+
 class TestClassify:
     def test_power2_doubling_and_dini(self):
         cls = classify(Power(2))
@@ -239,8 +256,33 @@ class TestClassify:
         Power(1), Power(1.01), Power(2), PowerLog(2, 1, E ** 2),
         ComposedInverse(Power(4), Power(2)),
     ], ids=repr)
-    def test_dini_alone_is_classify_dini(self, phi):
-        assert _dini(phi) == classify(phi).dini
+    def test_dini_alone_is_classify_dini(self, phi, monkeypatch):
+        # reading .dini alone runs none of the index and tilde scans, and
+        # gives what it gives after every other condition has been read
+        calls = []
+        for name in ("estimate_indices", "_tilde_product", "_tilde_ratio_power",
+                     "_tilde_ratio_value"):
+            real = getattr(growth, name)
+            monkeypatch.setattr(growth, name,
+                                lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        dini = classify(phi).dini
+        assert calls == []
+        whole = classify(phi)
+        _read(whole, reversed(_ATTRS))
+        assert len(calls) == 4 and whole.dini == dini
+
+    @settings(max_examples=30, deadline=None)
+    @given(phi=st.sampled_from(_CLASSIFIED), order=st.permutations(_ATTRS))
+    def test_any_reading_order_is_bitwise_the_canonical(self, phi, order):
+        canonical = _read(classify(phi), _ATTRS)
+        shuffled = _read(classify(phi), order)
+        assert shuffled == canonical
+
+    def test_grid_values_shared_and_read_only(self):
+        ts = LogGrid().values()
+        assert ts is LogGrid().values() and not ts.flags.writeable
+        with pytest.raises(ValueError):
+            ts[0] = 1.0
 
 
 
@@ -401,12 +443,14 @@ class TestDerivedPair:
 # ---------------------------------------------------------------------------
 
 def _old_call(phi, t):
-    """``GrowthFunction.__call__`` as it was, with ``np.any`` and ``np.where``."""
+    """``GrowthFunction.__call__`` as it was, with ``np.any`` and ``np.where``,
+    except that a NaN argument gives NaN (the old body gave 0)."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise GrowthDomainError("growth functions are defined on t >= 0")
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.where(arr > 0, phi._eval(np.maximum(arr, 1e-300)), 0.0)
+        out = np.where(arr > 0, phi._eval(np.maximum(arr, 1e-300)),
+                       np.where(np.isnan(arr), np.nan, 0.0))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -460,6 +504,11 @@ class TestCallBitwise:
     @pytest.mark.parametrize("y", _INPUTS, ids=range(len(_INPUTS)))
     def test_inverse(self, phi, y):
         assert _outcome(phi.inverse, y) == _outcome(_old_inverse, phi, y)
+
+    def test_nan_is_not_zero(self):
+        # an inf * 0 upstream must not read as a zero modular
+        assert math.isnan(Power(2)(math.nan))
+        assert np.isnan(PowerLog(2, 1, 8)(np.array([math.nan]))).all()
 
 
 class TestPointwise:
