@@ -73,7 +73,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .growth import ComposedInverse, GrowthFunction, Power, classify
+from .growth import ComposedInverse, GrowthFunction, Power, _geomspace, classify
 from .integrals import DEFAULT_SPEC, QuadratureSpec
 from .maximal import StepFunction1D
 from .measure import (
@@ -514,7 +514,7 @@ def weak_type_constant(
     over an empty, non-finite or nonpositive ``lambda_grid`` means nothing:
     ``ValueError``.
     """
-    lams = (np.geomspace(1e-3, 1e3, 25) if lambda_grid is None
+    lams = (_geomspace(1e-3, 1e3, 25) if lambda_grid is None
             else np.asarray(lambda_grid, dtype=float))
     if not (lams.ndim == 1 and lams.size and np.all(np.isfinite(lams) & (lams > 0))):
         raise ValueError("lambda_grid must be a nonempty 1-d array of finite positive numbers")

@@ -92,9 +92,15 @@ def _geomspace(t_min: float, t_max: float, points: int) -> np.ndarray:
 DEFAULT_GRID = LogGrid()
 
 
-def _as_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
+def _nonnegative(t, message: str):
+    """``t`` as a float when it is 0-d (a numpy float as it is), else as a
+    float array; ``GrowthDomainError(message)`` if an entry is negative."""
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=float)
+        t = t if t.ndim else float(t)
+    if t < 0 if isinstance(t, float) else (t < 0).any():
+        raise GrowthDomainError(message)
+    return t
 
 
 class GrowthFunction:
@@ -104,28 +110,30 @@ class GrowthFunction:
         raise NotImplementedError
 
     def __call__(self, t):
-        arr, scalar = _as_array(t)
-        if (arr < 0).any():
-            raise GrowthDomainError("growth functions are defined on t >= 0")
-        if scalar and not arr > 0:  # 0, or nan
-            return 0.0 if arr == 0 else math.nan
+        """``phi(t)`` entrywise, 0 at 0 and NaN at NaN.  A 0-d argument gives a
+        float and builds no 0-d array: ``_eval`` gets the numpy scalar that
+        ``np.maximum`` gives on a 0-d array (scalar math; overflow is ``inf``)."""
+        t = _nonnegative(t, "growth functions are defined on t >= 0")
         with np.errstate(over="ignore", divide="ignore"):
-            vals = self._eval(np.maximum(arr, 1e-300))
-        return float(vals) if scalar else np.where(arr > 0, vals, np.abs(arr))  # 0, or nan
+            if isinstance(t, float):
+                if not t > 0:  # 0, or nan
+                    return 0.0 if t == 0 else math.nan
+                return float(self._eval(np.float64(max(t, 1e-300))))
+            return np.where(t > 0, self._eval(np.maximum(t, 1e-300)), np.abs(t))  # 0, or nan
 
     # -- inversion ---------------------------------------------------------
 
     def inverse(self, y, tol: float = 1e-12):
-        """Solve ``phi(t) = y`` for strictly increasing ``phi``.
+        """Solve ``phi(t) = y`` for strictly increasing ``phi``; NaN at NaN.
 
         Closed forms where the kind admits one, bracketed bisection with
-        geometric bracket expansion otherwise.
+        geometric bracket expansion otherwise.  A 0-d argument gives a float,
+        its sign checked on the float; ``_inverse`` gets it as a 0-d array.
         """
-        arr, scalar = _as_array(y)
-        if (arr < 0).any():
-            raise GrowthDomainError("inverse arguments must be nonnegative")
-        out = self._inverse(arr, tol)
-        return float(out) if scalar else out
+        y = _nonnegative(y, "inverse arguments must be nonnegative")
+        if isinstance(y, float):
+            return float(self._inverse(np.asarray(y), tol))
+        return self._inverse(y, tol)
 
     def _inverse(self, y: np.ndarray, tol: float) -> np.ndarray:
         return _bisect_inverse(self, y, tol)
@@ -164,7 +172,7 @@ class GrowthFunction:
 
 
 def _bisect_inverse(phi: GrowthFunction, y: np.ndarray, tol: float) -> np.ndarray:
-    out = np.zeros_like(y, dtype=float)
+    out = np.where(np.isnan(y), np.nan, 0.0)  # NaN, or 0 until bisected
     pos = y > 0
     if not np.any(pos):
         return out
@@ -181,14 +189,15 @@ def _bisect_inverse(phi: GrowthFunction, y: np.ndarray, tol: float) -> np.ndarra
         raise BracketingError("bracket expansion failed")
     lo = np.zeros_like(yp)
     floor = 1e-300
-    for _ in range(140):
-        mid = 0.5 * (lo + hi)
-        v = phi(mid)
-        high = v > yp
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.all(np.abs(v - yp) <= tol * np.maximum(yp, floor)):
-            break
+    with np.errstate(invalid="ignore"):  # y = inf: inf - inf never converges
+        for _ in range(140):
+            mid = 0.5 * (lo + hi)
+            v = phi(mid)
+            high = v > yp
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+            if np.all(np.abs(v - yp) <= tol * np.maximum(yp, floor)):
+                break
     out[pos] = 0.5 * (lo + hi)
     return out
 
@@ -288,10 +297,11 @@ class ReciprocalReflected(GrowthFunction):
             return np.where(denom > 0, 1.0 / denom, np.inf)
 
     def _inverse(self, y: np.ndarray, tol: float) -> np.ndarray:
-        out = np.zeros_like(y, dtype=float)
+        out = np.where(np.isnan(y), np.nan, 0.0)
         pos = y > 0
         if np.any(pos):
-            out[pos] = 1.0 / np.asarray(self.base.inverse(1.0 / y[pos], tol))
+            with np.errstate(divide="ignore", over="ignore"):  # y = inf, or subnormal
+                out[pos] = 1.0 / np.asarray(self.base.inverse(1.0 / y[pos], tol))
         return out
 
 

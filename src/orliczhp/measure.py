@@ -656,7 +656,8 @@ def carleson_box_constant(
     atoms = mu.atoms()
 
     def weights(lengths: Iterable[float]) -> np.ndarray:
-        # a scalar call per length: an array power can differ in the last bit
+        # a scalar call per length: its pow is numpy's scalar math (libm), an
+        # array call's is numpy's SIMD pow, which can differ in the last bit
         with np.errstate(over="ignore", divide="ignore"):
             return np.array([phi(1.0 / length ** s) for length in lengths])
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .growth import GrowthFunction, Power, _pointwise
+from .growth import GrowthFunction, Power, _geomspace, _pointwise
 from .integrals import DEFAULT_SPEC, QuadratureSpec, integrate_line_rows
 from .maximal import PoissonExtension, StepFunction1D
 from .measure import CarlesonBox, UpperHalfPlaneMeasure, WeightedVolume, box_mass
@@ -316,8 +316,8 @@ def luxembourg_step_line(f: StepFunction1D, phi: GrowthFunction, tol: float = 1e
 
 
 def _decade_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
-    """Geometric grid from ``lo`` to ``hi`` with ``per_decade`` steps per decade."""
-    return np.geomspace(lo, hi, int(round(per_decade * math.log10(hi / lo))) + 1)
+    """Geometric ``lo`` to ``hi``, ``per_decade`` steps a decade; one shared read-only array."""
+    return _geomspace(lo, hi, int(round(per_decade * math.log10(hi / lo))) + 1)
 
 
 def default_height_grid() -> np.ndarray:

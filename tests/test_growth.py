@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczhp import growth
+from orliczhp import carleson, growth, spaces
+from orliczhp.corpus import random_atoms
 from orliczhp.growth import (
     DEFAULT_GRID,
     BracketingError,
@@ -285,6 +291,50 @@ class TestClassify:
             ts[0] = 1.0
 
 
+class TestFixedGrids:
+    """The fixed grids of the norms and testers are one read-only array each,
+    from the ``LogGrid`` cache, bitwise the ``np.geomspace`` they replace."""
+
+    @pytest.mark.parametrize("grid, old", [
+        (spaces.default_height_grid, lambda: np.geomspace(1e-4, 1e4, 65)),
+        (carleson.default_k_grid, lambda: np.geomspace(1e-4, 1e4, 201)),
+    ], ids=["heights", "k"])
+    def test_shared_read_only_bitwise(self, grid, old):
+        ys = grid()
+        assert ys is grid() and not ys.flags.writeable
+        with pytest.raises(ValueError):
+            ys[0] = 1.0
+        assert ys.tobytes() == old().tobytes()
+
+    def test_lambda_grid(self, monkeypatch):
+        grids, lams = [], []
+
+        def spy(*args):
+            grids.append(growth._geomspace(*args))
+            return grids[-1]
+
+        class Recorded(Power):
+            def __call__(self, t):
+                lams.append(t)
+                return super().__call__(t)
+
+        monkeypatch.setattr(carleson, "_geomspace", spy)
+        mu = random_atoms(np.random.default_rng(2))
+        family = carleson.weak_hardy_family(Power(2), heights=(1.0,))
+        for _ in range(2):
+            carleson.weak_type_constant(mu, Recorded(4), family)
+        assert len(grids) == 2 and grids[0] is grids[1] and not grids[0].flags.writeable
+        assert np.array(lams).tobytes() == np.tile(np.geomspace(1e-3, 1e3, 25), 2).tobytes()
+
+    def test_no_grid_at_import(self):
+        src = str(Path(growth.__file__).resolve().parents[1])
+        code = ("import orliczhp.cli, orliczhp.growth as g\n"
+                "print(g._geomspace.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+
 
 def _annulus_dini(phi, grid=DEFAULT_GRID):
     """Doubling verdict, and Dini verdict and quotients of the per-point
@@ -455,11 +505,14 @@ def _old_call(phi, t):
 
 
 def _old_inverse(phi, y, tol=1e-12):
-    """``GrowthFunction.inverse`` as it was, with ``np.any``."""
+    """``GrowthFunction.inverse`` as it was, with ``np.any``, except that a NaN
+    argument gives NaN (the old body gave 0 where it bisected or reflected):
+    the other entries are inverted with each NaN read as 0."""
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0):
         raise GrowthDomainError("inverse arguments must be nonnegative")
-    out = phi._inverse(arr, tol)
+    nan = np.isnan(arr)
+    out = np.where(nan, np.nan, phi._inverse(np.where(nan, 0.0, arr), tol))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -509,6 +562,86 @@ class TestCallBitwise:
         # an inf * 0 upstream must not read as a zero modular
         assert math.isnan(Power(2)(math.nan))
         assert np.isnan(PowerLog(2, 1, 8)(np.array([math.nan]))).all()
+
+    def test_nan_inverse_is_nan(self):
+        # bisected and reflected inverses, as the closed forms
+        log = PowerLog(2, 1, 8)
+        assert math.isnan(log.inverse(math.nan))
+        got = log.inverse(np.array([math.nan, 4.0]))
+        assert math.isnan(got[0]) and got[1] == pytest.approx(1.338, abs=1e-3)
+        assert got[1] == log.inverse(4.0)
+        assert math.isnan(ReciprocalReflected(Power(2)).inverse(math.nan))
+        assert math.isnan(ReciprocalReflected(log).inverse(math.nan))
+
+    def test_nan_is_not_bisected(self, monkeypatch):
+        log = PowerLog(2, 1, 8)
+        calls = []
+        monkeypatch.setattr(PowerLog, "_eval", lambda self, t: calls.append(t) or t)
+        assert math.isnan(log.inverse(math.nan)) and calls == []
+
+
+# every kind of special double, then the whole double range; a closed-form
+# inverse keeps a NaN's payload, so the inverse draws NaN as ``math.nan`` only
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-301,
+                            math.inf, -math.inf, math.nan, 1e154, 1e200,
+                            1.7976931348623157e308, -1.0, -5e-324])
+_DOUBLES = st.one_of(_SPECIAL, st.floats())
+_INVERSE_DOUBLES = st.one_of(_SPECIAL, st.floats(allow_nan=False))
+
+
+def _zero_d_forms(x):
+    """``x`` as a Python float, a numpy float, a 0-d array, and an int where
+    it is integral."""
+    forms = [x, np.float64(x), np.array(x)]
+    if math.isfinite(x) and x == int(x):
+        forms.append(int(x))
+    return forms
+
+
+def _quietly(fn, *args):
+    """Call ``fn`` with every warning an error; the growth errors are outcomes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(*args)
+        except (GrowthDomainError, BracketingError):
+            pass
+
+
+class TestScalarBranch:
+    """A 0-d argument takes the float branch of ``__call__`` and ``inverse``:
+    bitwise the old 0-d call, whatever form the scalar comes in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_DOUBLES)
+    @pytest.mark.parametrize("phi", _KINDS, ids=_KIND_IDS)
+    def test_call(self, phi, x):
+        want = _outcome(_old_call, phi, x)
+        for form in _zero_d_forms(x):
+            assert _outcome(phi, form) == want
+            if x < 0:
+                with pytest.raises(GrowthDomainError):
+                    phi(form)
+            _quietly(phi, form)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_INVERSE_DOUBLES)
+    @pytest.mark.parametrize("phi", _KINDS, ids=_KIND_IDS)
+    def test_inverse(self, phi, x):
+        want = _outcome(_old_inverse, phi, x)
+        for form in _zero_d_forms(x):
+            assert _outcome(phi.inverse, form) == want
+            if x < 0:
+                with pytest.raises(GrowthDomainError):
+                    phi.inverse(form)
+            _quietly(phi.inverse, form)
+
+    def test_overflow_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Power(2)(1e200) == math.inf
+            assert Power(2)(np.float64(1e200)) == math.inf
+            assert type(Power(2)(1e200)) is float
 
 
 class TestPointwise:
